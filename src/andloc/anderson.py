@@ -36,7 +36,6 @@ to depleted regions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -225,17 +224,6 @@ def _assemble(region: Region, diag: np.ndarray) -> csr_matrix:
 def build_hamiltonian(region: Region, lam: float, sample: DisorderSample) -> csr_matrix:
     """Sparse real symmetric H = adjacency + lambda * diag(omega) on the region."""
     return _assemble(region, lam * sample.vector(region))
-
-
-def gershgorin_interval(region: Region, lam: float, sample: DisorderSample) -> tuple[float, float]:
-    """Disc bound on the spectrum; always within [-2d-|lambda|, 2d+|lambda|]."""
-    lo, hi = math.inf, -math.inf
-    for p in region.sites:
-        deg = len(region.neighbors_in(p))
-        c = lam * sample.value(p)
-        lo = min(lo, c - deg)
-        hi = max(hi, c + deg)
-    return lo, hi
 
 
 # --- resolvent columns ---

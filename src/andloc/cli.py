@@ -20,6 +20,7 @@ import math
 import sys
 import time
 from datetime import datetime, timezone
+from functools import cached_property
 from typing import Optional
 
 from . import __version__, anderson, critical, moments, saw
@@ -59,8 +60,24 @@ _DEFAULTS = {
     "n_omega": 128,
 }
 
-# per-check box halfwidths when --L is not given
-_CHECK_L = {"identity": 5, "drb": 4, "ceiling": 8}
+# per-use box halfwidths when --L is not given
+_BOX_L = {"identity": 5, "conditional": 4, "moments": 8, "green": 6}
+
+
+def _box_L(cfg: dict, use: str) -> int:
+    return int(cfg["L"]) if cfg["L"] is not None else _BOX_L[use]
+
+
+def _nmax(cfg: dict) -> int:
+    if cfg["nmax"] is not None:
+        return int(cfg["nmax"])
+    return saw.default_max_length(int(cfg["dim"]))
+
+
+def _axis_pairs(dim: int, dists) -> list:
+    """(d e_1, origin) for each distance d."""
+    origin = (0,) * dim
+    return [((d,) + (0,) * (dim - 1), origin) for d in dists]
 
 
 def _parse_int_list(value) -> list[int]:
@@ -147,9 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int)
     p.add_argument("--n-env", type=int, dest="n_env")
     p.add_argument("--n-omega", type=int, dest="n_omega")
-    p.add_argument("--only",
-                   help="comma list of checks: depleted,resolvent,schur,"
-                        "apriori,drb,ceiling,decay")
+    p.add_argument("--only", help="comma list of checks: " + ",".join(_CHECKS))
     return top
 
 
@@ -221,9 +236,7 @@ def _emit_artifact(doc: dict, cfg: dict) -> None:
 
 def cmd_saw(cfg: dict) -> int:
     t0 = time.monotonic()
-    dim = int(cfg["dim"])
-    nmax = cfg["nmax"] if cfg["nmax"] is not None else saw.default_max_length(dim)
-    series = saw.enumerate_walks(dim, int(nmax),
+    series = saw.enumerate_walks(int(cfg["dim"]), _nmax(cfg),
                                  memory_budget=cfg["memory_budget"],
                                  workers=cfg["workers"])
     if cfg["format"] == "csv":
@@ -278,7 +291,7 @@ def cmd_green(cfg: dict) -> int:
     if cfg["format"] == "csv":
         raise ValueError("green supports json output only")
     dim = int(cfg["dim"])
-    L = int(cfg["L"]) if cfg["L"] is not None else 6
+    L = _box_L(cfg, "green")
     if cfg["deleted"]:
         if isinstance(cfg["deleted"], (list, tuple)):
             deleted = [tuple(int(v) for v in p) for p in cfg["deleted"]]
@@ -300,7 +313,7 @@ def cmd_green(cfg: dict) -> int:
 def cmd_moment(cfg: dict) -> int:
     t0 = time.monotonic()
     dim = int(cfg["dim"])
-    L = int(cfg["L"]) if cfg["L"] is not None else _CHECK_L["ceiling"]
+    L = _box_L(cfg, "moments")
     lam = float(cfg["lambda_"])
     z = complex(float(cfg["z_real"]), float(cfg["z_imag"]))
     s = float(cfg["s"]) if cfg["s"] is not None else critical.s_crit(lam)
@@ -308,24 +321,20 @@ def cmd_moment(cfg: dict) -> int:
     if any(d < 0 or d > L for d in dists):
         raise ValueError(f"distances must lie in [0, L={L}]")
     region = anderson.make_region(dim, L)
-    origin = (0,) * dim
-    pairs = [((d,) + (0,) * (dim - 1), origin) for d in dists]
-    ests = moments.estimate_moments(region, lam, s, z, pairs,
-                                    int(cfg["samples"]), int(cfg["seed"]),
-                                    cfg["workers"])
-    note = None
+    pairs = _axis_pairs(dim, dists)
+    n_samples, seed = int(cfg["samples"]), int(cfg["seed"])
+    ests, note = None, "ceiling attaches only at s = s_crit(lambda)"
     if s == critical.s_crit(lam):
-        nmax = cfg["nmax"] if cfg["nmax"] is not None else saw.default_max_length(dim)
-        series = saw.enumerate_walks(dim, int(nmax), workers=cfg["workers"])
+        series = saw.enumerate_walks(dim, _nmax(cfg), workers=cfg["workers"])
         try:
-            ests = [e.with_ceiling(
-                moments.ceiling_value(series, lam,
-                                      tuple(a - b for a, b in zip(e.x, e.y))),
-                "saw_theorem") for e in ests]
+            ests = moments.check_theorem_ceiling([region], lam, z, pairs, n_samples,
+                                                 seed, series, cfg["workers"])
+            note = None
         except moments.CeilingUnavailableError as exc:
             note = f"ceiling unavailable: {exc}"
-    else:
-        note = "ceiling attaches only at s = s_crit(lambda)"
+    if ests is None:
+        ests = moments.estimate_moments(region, lam, s, z, pairs, n_samples,
+                                        seed, cfg["workers"])
     if cfg["format"] == "csv":
         _emit(moments.estimates_to_csv(ests), cfg["out"])
         return EXIT_OK
@@ -370,150 +379,183 @@ def _identity_regions(dim: int, L: int, seed: int, count: int):
         yield region, sample, x, y
 
 
+class _VerifyRun:
+    """What the checks of one verify run share: the resolved inputs, plus the
+    walk series and the full-box estimates, each built at most once and only
+    when a selected check reads it."""
+
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        self.dim = int(cfg["dim"])
+        self.lam = float(cfg["lambda_"])
+        self.z = complex(float(cfg["z_real"]), float(cfg["z_imag"]))
+        self.seed = int(cfg["seed"])
+        self.eps = float(cfg["eps"])
+        self.box_estimates = None  # set by the ceiling check, read by decay
+
+    def trials(self, default: int) -> int:
+        return int(self.cfg["trials"]) if self.cfg["trials"] is not None else default
+
+    @cached_property
+    def series(self) -> saw.WalkSeries:
+        return saw.enumerate_walks(self.dim, _nmax(self.cfg),
+                                   workers=self.cfg["workers"])
+
+    @cached_property
+    def pairs(self) -> list:
+        """Axis pairs of the moment checks, distances clipped to the box."""
+        L = _box_L(self.cfg, "moments")
+        dists = _parse_int_list(self.cfg["distances"])
+        return _axis_pairs(self.dim, [d for d in dists if d <= L])
+
+    def box_moments(self) -> list[moments.MomentEstimate]:
+        """The ceiling check's full-box estimates, else the same call run here."""
+        if self.box_estimates is None:
+            box = anderson.Region(dimension=self.dim, L=_box_L(self.cfg, "moments"))
+            self.box_estimates = moments.estimate_moments(
+                box, self.lam, critical.s_crit(self.lam), self.z, self.pairs,
+                int(self.cfg["samples"]), substream(self.seed, 16),
+                self.cfg["workers"])
+        return self.box_estimates
+
+
+def _status(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _below_e(run: _VerifyRun) -> Optional[tuple[str, dict]]:
+    """The skip of the moment checks, where s_crit(lambda) does not exist."""
+    if run.lam <= math.e:
+        return "skipped", {"reason": f"criterion not met: lambda = {run.lam} <= e"}
+    return None
+
+
+def _check_depleted(run: _VerifyRun) -> tuple[str, dict]:
+    worst, cases = 0.0, 0
+    for region, sample, x, y in _identity_regions(
+            run.dim, _box_L(run.cfg, "identity"), substream(run.seed, 11),
+            run.trials(100)):
+        worst = max(worst, anderson.verify_depleted_identity(
+            region, run.lam, sample, run.z, x, y))
+        cases += 1
+    return _status(worst < 1e-9), {"cases": cases, "max_discrepancy": worst,
+                                   "tolerance": 1e-9}
+
+
+def _check_resolvent(run: _VerifyRun) -> tuple[str, dict]:
+    # dense expansion check is O(n^3); shrink the box until it fits
+    L = _box_L(run.cfg, "identity")
+    while L > 1 and (2 * L + 1) ** run.dim > 500:
+        L -= 1
+    worst, cases = 0.0, 0
+    for region, sample, x, _ in _identity_regions(run.dim, L, substream(run.seed, 12),
+                                                  run.trials(20)):
+        worst = max(worst, anderson.verify_resolvent_expansion(
+            region, run.lam, sample, run.z, x))
+        cases += 1
+    return _status(worst < 1e-9), {"cases": cases, "max_discrepancy": worst,
+                                   "tolerance": 1e-9}
+
+
+def _check_schur(run: _VerifyRun) -> tuple[str, dict]:
+    all_ok, cases = True, 0
+    for region, sample, x, _ in _identity_regions(
+            run.dim, _box_L(run.cfg, "identity"), substream(run.seed, 13),
+            run.trials(50)):
+        all_ok = all_ok and anderson.verify_schur_diagonal(
+            region, run.lam, sample, run.z, x)
+        cases += 1
+    return _status(all_ok), {"cases": cases, "tolerance": 1e-9}
+
+
+def _check_apriori(run: _VerifyRun) -> tuple[str, dict]:
+    n_b = run.trials(100)
+    max_ratio, sat_err = 0.0, 0.0
+    for s_val in (0.3, 0.5, 0.7, 0.9):
+        for lam_val in (10.0, 30.0, 100.0):
+            grid = moments.random_b_disc(run.dim, lam_val, n_b, substream(run.seed, 14))
+            chk = moments.check_apriori(lam_val, s_val, grid)
+            max_ratio = max(max_ratio, chk.max_ratio)
+            sat = moments.apriori_integral(lam_val, s_val, 0j) / chk.bound
+            sat_err = max(sat_err, abs(sat - 1.0))
+    ok = max_ratio <= 1.0 + 1e-8 and sat_err <= 1e-10
+    return _status(ok), {"b_per_grid": n_b, "max_ratio": max_ratio,
+                         "saturation_error": sat_err}
+
+
+def _check_drb(run: _VerifyRun) -> tuple[str, dict]:
+    cfg, dim = run.cfg, run.dim
+    region = anderson.Region(dimension=dim, L=_box_L(cfg, "conditional"))
+    s_val = float(cfg["s"]) if cfg["s"] is not None else 0.7
+    x = (0,) * dim
+    y = (1, 1) + (0,) * (dim - 2) if dim >= 2 else (1,)
+    rep = moments.check_drb_conditional(region, run.lam, s_val, run.z, x, y,
+                                        n_omega_x=int(cfg["n_omega"]),
+                                        n_env=int(cfg["n_env"]),
+                                        seed=substream(run.seed, 15))
+    return _status(rep.ok), {"environments": int(cfg["n_env"]),
+                             "min_margin": min(rep.margins), "tolerance": rep.tol}
+
+
+def _check_ceiling(run: _VerifyRun) -> tuple[str, dict]:
+    skip = _below_e(run)
+    if skip:
+        return skip
+    cfg, pairs = run.cfg, run.pairs
+    family = moments.default_region_family(
+        run.dim, _box_L(cfg, "moments"), keep=[p for pr in pairs for p in pr],
+        seed=substream(run.seed, 17))
+    n_samples = int(cfg["samples"])
+    try:
+        ests = moments.check_theorem_ceiling(family, run.lam, run.z, pairs,
+                                             n_samples, substream(run.seed, 16),
+                                             run.series, cfg["workers"])
+    except moments.CeilingUnavailableError as exc:
+        return "skipped", {"reason": f"criterion not met: {exc}"}
+    # family[0] is the full box: the same call decay would make
+    run.box_estimates = ests[:len(pairs)]
+    return _status(all(e.ok for e in ests)), {
+        "regions": len(family), "samples": n_samples,
+        "estimates": [e.to_json_dict() for e in ests]}
+
+
+def _check_decay(run: _VerifyRun) -> tuple[str, dict]:
+    skip = _below_e(run)
+    if skip:
+        return skip
+    if len(run.pairs) < 3:
+        return "skipped", {"reason": "need >= 3 distances"}
+    mu_hat = (float(run.cfg["mu"]) if run.cfg["mu"] is not None
+              else saw.connective_upper_bounds(run.series).best)
+    fit = moments.fit_decay(run.box_moments(), run.lam, mu_hat, run.eps)
+    return _status(fit.dominates_reference()), fit.to_json_dict() | {"mu_upper": mu_hat}
+
+
+#: the verification suite in run order; --only selects from these names
+_CHECKS = {
+    "depleted": _check_depleted,
+    "resolvent": _check_resolvent,
+    "schur": _check_schur,
+    "apriori": _check_apriori,
+    "drb": _check_drb,
+    "ceiling": _check_ceiling,
+    "decay": _check_decay,
+}
+
+
 def run_verify(cfg: dict) -> dict:
-    dim = int(cfg["dim"])
-    lam = float(cfg["lambda_"])
-    z = complex(float(cfg["z_real"]), float(cfg["z_imag"]))
-    seed = int(cfg["seed"])
-    eps = float(cfg["eps"])
-    only = None
+    names = list(_CHECKS)
     if cfg["only"]:
         only = {tok.strip() for tok in str(cfg["only"]).split(",") if tok.strip()}
-        known = {"depleted", "resolvent", "schur", "apriori", "drb",
-                 "ceiling", "decay"}
-        bad = only - known
+        bad = only - _CHECKS.keys()
         if bad:
             raise ValueError(f"unknown checks for --only: {sorted(bad)}")
-    trials = cfg["trials"]
-    L_ident = int(cfg["L"]) if cfg["L"] is not None else _CHECK_L["identity"]
-    # dense expansion check is O(n^3); shrink the box until it fits
-    L_dense = L_ident
-    while L_dense > 1 and (2 * L_dense + 1) ** dim > 500:
-        L_dense -= 1
+        names = [name for name in names if name in only]
+    run = _VerifyRun(cfg)
     checks = []
-
-    def want(name: str) -> bool:
-        return only is None or name in only
-
-    if want("depleted"):
-        n = int(trials) if trials is not None else 100
-        worst, cases = 0.0, 0
-        for region, sample, x, y in _identity_regions(dim, L_ident, substream(seed, 11), n):
-            worst = max(worst, anderson.verify_depleted_identity(
-                region, lam, sample, z, x, y))
-            cases += 1
-        checks.append({"name": "depleted", "status": "pass" if worst < 1e-9 else "fail",
-                       "detail": {"cases": cases, "max_discrepancy": worst,
-                                  "tolerance": 1e-9}})
-
-    if want("resolvent"):
-        n = int(trials) if trials is not None else 20
-        worst, cases = 0.0, 0
-        for region, sample, x, _ in _identity_regions(dim, L_dense, substream(seed, 12), n):
-            worst = max(worst, anderson.verify_resolvent_expansion(
-                region, lam, sample, z, x))
-            cases += 1
-        checks.append({"name": "resolvent", "status": "pass" if worst < 1e-9 else "fail",
-                       "detail": {"cases": cases, "max_discrepancy": worst,
-                                  "tolerance": 1e-9}})
-
-    if want("schur"):
-        n = int(trials) if trials is not None else 50
-        all_ok, cases = True, 0
-        for region, sample, x, _ in _identity_regions(dim, L_ident, substream(seed, 13), n):
-            all_ok = all_ok and anderson.verify_schur_diagonal(
-                region, lam, sample, z, x)
-            cases += 1
-        checks.append({"name": "schur", "status": "pass" if all_ok else "fail",
-                       "detail": {"cases": cases, "tolerance": 1e-9}})
-
-    if want("apriori"):
-        n_b = int(trials) if trials is not None else 100
-        max_ratio, sat_err = 0.0, 0.0
-        for s_val in (0.3, 0.5, 0.7, 0.9):
-            for lam_val in (10.0, 30.0, 100.0):
-                grid = moments.random_b_disc(dim, lam_val, n_b, substream(seed, 14))
-                chk = moments.check_apriori(lam_val, s_val, grid)
-                max_ratio = max(max_ratio, chk.max_ratio)
-                sat = moments.apriori_integral(lam_val, s_val, 0j) / chk.bound
-                sat_err = max(sat_err, abs(sat - 1.0))
-        ok = max_ratio <= 1.0 + 1e-8 and sat_err <= 1e-10
-        checks.append({"name": "apriori", "status": "pass" if ok else "fail",
-                       "detail": {"b_per_grid": n_b, "max_ratio": max_ratio,
-                                  "saturation_error": sat_err}})
-
-    if want("drb"):
-        L_drb = int(cfg["L"]) if cfg["L"] is not None else _CHECK_L["drb"]
-        region = anderson.Region(dimension=dim, L=L_drb)
-        s_val = float(cfg["s"]) if cfg["s"] is not None else 0.7
-        x = (0,) * dim
-        y = (1, 1) + (0,) * (dim - 2) if dim >= 2 else (1,)
-        rep = moments.check_drb_conditional(region, lam, s_val, z, x, y,
-                                            n_omega_x=int(cfg["n_omega"]),
-                                            n_env=int(cfg["n_env"]),
-                                            seed=substream(seed, 15))
-        checks.append({"name": "drb", "status": "pass" if rep.ok else "fail",
-                       "detail": {"environments": int(cfg["n_env"]),
-                                  "min_margin": min(rep.margins),
-                                  "tolerance": rep.tol}})
-
-    need_moments = want("ceiling") or want("decay")
-    if need_moments:
-        if lam <= math.e:
-            reason = f"criterion not met: lambda = {lam} <= e"
-            for name in ("ceiling", "decay"):
-                if want(name):
-                    checks.append({"name": name, "status": "skipped",
-                                   "detail": {"reason": reason}})
-        else:
-            nmax = cfg["nmax"] if cfg["nmax"] is not None else saw.default_max_length(dim)
-            series = saw.enumerate_walks(dim, int(nmax), workers=cfg["workers"])
-            L_ceil = int(cfg["L"]) if cfg["L"] is not None else _CHECK_L["ceiling"]
-            dists = [d for d in _parse_int_list(cfg["distances"]) if d <= L_ceil]
-            origin = (0,) * dim
-            pairs = [((k,) + (0,) * (dim - 1), origin) for k in dists]
-            n_samp = int(cfg["samples"])
-            s_c = critical.s_crit(lam)
-            box = anderson.Region(dimension=dim, L=L_ceil)
-            box_ests = moments.estimate_moments(box, lam, s_c, z, pairs, n_samp,
-                                                substream(seed, 16), cfg["workers"])
-            if want("ceiling"):
-                try:
-                    family = moments.default_region_family(
-                        dim, L_ceil, keep=[p for pr in pairs for p in pr],
-                        seed=substream(seed, 17))
-                    ests = list(box_ests)
-                    for region in family[1:]:
-                        ests.extend(moments.estimate_moments(
-                            region, lam, s_c, z, pairs, n_samp,
-                            substream(seed, 16), cfg["workers"]))
-                    ests = [e.with_ceiling(
-                        moments.ceiling_value(series, lam,
-                                              tuple(a - b for a, b in zip(e.x, e.y))),
-                        "saw_theorem") for e in ests]
-                    ok = all(e.ok for e in ests)
-                    checks.append({"name": "ceiling",
-                                   "status": "pass" if ok else "fail",
-                                   "detail": {"regions": len(family),
-                                              "samples": n_samp,
-                                              "estimates": [e.to_json_dict()
-                                                            for e in ests]}})
-                except moments.CeilingUnavailableError as exc:
-                    checks.append({"name": "ceiling", "status": "skipped",
-                                   "detail": {"reason": f"criterion not met: {exc}"}})
-            if want("decay"):
-                mu_hat = (float(cfg["mu"]) if cfg["mu"] is not None
-                          else saw.connective_upper_bounds(series).best)
-                if len(dists) < 3:
-                    checks.append({"name": "decay", "status": "skipped",
-                                   "detail": {"reason": "need >= 3 distances"}})
-                else:
-                    fit = moments.fit_decay(box_ests, lam, mu_hat, eps)
-                    ok = fit.dominates_reference()
-                    checks.append({"name": "decay",
-                                   "status": "pass" if ok else "fail",
-                                   "detail": fit.to_json_dict() | {"mu_upper": mu_hat}})
-
+    for name in names:
+        status, detail = _CHECKS[name](run)
+        checks.append({"name": name, "status": status, "detail": detail})
     return {"checks": checks,
             "all_passed": all(c["status"] != "fail" for c in checks)}
 

@@ -106,36 +106,11 @@ def gamma_big(s: float, lam: float) -> float:
     return 1.0 / ((1.0 - s) * lam**s)
 
 
-def gamma_zero(s: float, lam: float, dimension: int) -> float:
-    """Gamma_0(s) = 2d * Gamma(s), the one-step expansion coefficient."""
-    return 2 * dimension * gamma_big(s, lam)
-
-
 def s_crit(lam: float) -> float:
     """Minimizer 1 - 1/ln(lambda) of Gamma(s); needs lambda > e."""
     if lam <= E:
         raise ValueError(f"s_crit needs lambda > e, got {lam}")
     return 1.0 - 1.0 / math.log(lam)
-
-
-class GammaMin(NamedTuple):
-    s_crit: float
-    value: float
-    monotone_increasing: bool  # True when lambda <= e: no interior minimum
-
-
-def gamma_min(lam: float) -> GammaMin:
-    """Minimum of Gamma(s) over (0, 1).
-
-    For lambda > e the minimum gamma(lambda) is attained at s_crit; for
-    lambda <= e, Gamma is strictly increasing and inf Gamma = 1 (s -> 0+).
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if lam <= E:
-        return GammaMin(s_crit=0.0, value=1.0, monotone_increasing=True)
-    s = s_crit(lam)
-    return GammaMin(s_crit=s, value=gamma_fn(lam), monotone_increasing=False)
 
 
 class MassValue(NamedTuple):
@@ -155,32 +130,21 @@ def mass(lam: float, mu_upper: float, eps: float) -> MassValue:
     return MassValue(value=m, positive=m > 0.0)
 
 
-@dataclass(frozen=True)
-class RateParams:
-    """Rate bundle at a fixed disorder strength lambda > e."""
-
-    lam: float
-    gamma: float
-    s_crit: float
-
-    def mass(self, mu_upper: float, eps: float) -> MassValue:
-        return mass(self.lam, mu_upper, eps)
-
-
-def rate_params(lam: float) -> RateParams:
-    if lam <= E:
-        raise ValueError(f"rate_params needs lambda > e, got {lam}")
-    return RateParams(lam=lam, gamma=gamma_fn(lam), s_crit=s_crit(lam))
-
-
 # --- threshold table ---
 
 
 def round_up_last_digit(x: float, decimals: int = 1) -> float:
-    """Smallest value with `decimals` places that is >= x (reporting contract:
+    """Smallest k / 10**decimals whose float is >= x (reporting contract:
     thresholds are always rounded against safety margins, never below)."""
     scale = 10**decimals
-    return math.ceil(x * scale - 1e-9) / scale
+    k = math.ceil(x * scale)
+    # x * scale is rounded, so k can be one off either way; settle it on the
+    # floats that are actually returned
+    while (k - 1) / scale >= x:
+        k -= 1
+    while k / scale < x:
+        k += 1
+    return k / scale
 
 
 @dataclass

@@ -299,16 +299,22 @@ def check_theorem_ceiling(regions: Sequence[Region], lam: float, z: complex,
 
     Returns one estimate per (region, pair), in that order, each carrying the
     ceiling; taking the max of the means over the region family realizes the
-    sup over volumes.  The ceiling depends only on x - y.
+    sup over volumes.  The ceiling depends only on x - y, and is evaluated for
+    every pair before any sampling, so CeilingUnavailableError costs no
+    Monte Carlo.
     """
+    ceilings = {}
+    for x, y in pairs:
+        diff = tuple(a - b for a, b in zip(x, y))
+        if diff not in ceilings:
+            ceilings[diff] = ceiling_value(series, lam, diff)
     s = s_crit(lam)
     out = []
     for region in regions:
         ests = estimate_moments(region, lam, s, z, pairs, n_samples, seed, workers)
         for est in ests:
             diff = tuple(a - b for a, b in zip(est.x, est.y))
-            out.append(est.with_ceiling(ceiling_value(series, lam, diff),
-                                        "saw_theorem"))
+            out.append(est.with_ceiling(ceilings[diff], "saw_theorem"))
     return out
 
 

@@ -27,13 +27,15 @@ The enumerator walks the SAW tree depth first with a backtracking occupancy
 set.  Only walks whose first step is +e_1 are generated; the full endpoint
 map is recovered by pushing the counts forward through one signed coordinate
 permutation per first-step direction (a 2d-fold reduction, exact by lattice
-symmetry).  Positions are encoded as single integers in a box of halfwidth
+symmetry).  The tree is cut at a fixed prefix depth and the subtrees below
+the prefixes are counted as ordered tasks (in-process for one worker, in a
+process pool for more), so there is one enumeration path for every worker
+count.  Positions are encoded as single integers in a box of halfwidth
 N_max, which a length-N walk cannot leave.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +50,7 @@ _DEFAULT_MAX_LENGTH = {1: 20, 2: 14, 3: 10}
 
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
 
-_PREFIX_DEPTH = 3  # split depth for parallel enumeration
+_PREFIX_DEPTH = 3  # depth at which the walk tree is split into tasks
 
 
 class BudgetExceededError(Exception):
@@ -101,9 +103,6 @@ class WalkSeries:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WalkSeries":
         d = int(doc["dimension"])
@@ -118,10 +117,6 @@ class WalkSeries:
         if len(totals) != n + 1:
             raise ValueError("totals length does not match max_length")
         return cls(dimension=d, max_length=n, totals=totals, endpoints=endpoints)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WalkSeries":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass
@@ -176,12 +171,17 @@ def _estimate_bytes(dimension: int, max_length: int) -> int:
     return int(1.5 * ball_size(dimension, max_length) * per_entry)
 
 
-def _dfs_counts(d: int, n_max: int, start: int, start_depth: int,
-                visited: set[int], deltas: list[int]) -> list[dict[int, int]]:
-    """Counts per depth for SAW continuations of a fixed prefix.
+def _suffix_job(args) -> list[dict[int, int]]:
+    """Counts per depth for SAW continuations of a fixed prefix path.
 
-    Returns dicts for depths start_depth+1 .. n_max (indexed from 0).
+    Returns dicts for depths len(path) .. n_max (indexed from 0).
     """
+    d, n_max, path = args
+    w = 2 * n_max + 1
+    strides = [w**i for i in range(d)]
+    deltas = [s for t in strides for s in (t, -t)]
+    start_depth = len(path) - 1
+    visited = set(path)
     counts: list[dict[int, int]] = [dict() for _ in range(n_max - start_depth)]
 
     def dfs(pos: int, depth: int) -> None:
@@ -197,17 +197,8 @@ def _dfs_counts(d: int, n_max: int, start: int, start_depth: int,
                 dfs(q, nxt)
                 visited.discard(q)
 
-    if start_depth < n_max:
-        dfs(start, start_depth)
+    dfs(path[-1], start_depth)
     return counts
-
-
-def _suffix_job(args) -> list[dict[int, int]]:
-    d, n_max, path = args
-    w = 2 * n_max + 1
-    strides = [w**i for i in range(d)]
-    deltas = [s for t in strides for s in (t, -t)]
-    return _dfs_counts(d, n_max, path[-1], len(path) - 1, set(path), deltas)
 
 
 def _first_step_counts(dimension: int, max_length: int, workers: int):
@@ -224,17 +215,11 @@ def _first_step_counts(dimension: int, max_length: int, workers: int):
     first = origin + strides[0]
     counts[1][first] = 1
 
-    split = min(_PREFIX_DEPTH, n_max)
-    if workers <= 1 or n_max <= split:
-        visited = {origin, first}
-        for i, cn in enumerate(_dfs_counts(d, n_max, first, 1, visited, deltas)):
-            counts[2 + i] = cn
-        return counts, origin, strides
-
-    # parallel path: enumerate prefixes of depth `split` (counting the prefix
-    # nodes once along the way), then farm the suffix subtrees out and merge
+    # enumerate prefixes of depth `split` (counting the prefix nodes once
+    # along the way), then map the suffix subtrees over the workers and merge
     # the partial maps in prefix order.  Counts are exact integers, so the
-    # result is identical to the sequential one for any worker count.
+    # result is identical for any worker count.
+    split = min(_PREFIX_DEPTH, n_max)
     prefixes: list[tuple[int, ...]] = []
 
     def prefix_dfs(path: list[int], visited: set[int]) -> None:
@@ -256,7 +241,7 @@ def _first_step_counts(dimension: int, max_length: int, workers: int):
 
     prefix_dfs([origin, first], {origin, first})
     prefixes.sort()
-    jobs = [(d, n_max, p) for p in prefixes]
+    jobs = [(d, n_max, p) for p in prefixes] if split < n_max else []
     for partial in map_ordered(_suffix_job, jobs, workers):
         for i, cn in enumerate(partial):
             tgt = counts[split + 1 + i]

@@ -133,16 +133,6 @@ def test_hamiltonian_matches_direct_construction():
     assert np.allclose(h, h.T, atol=0)
 
 
-def test_gershgorin_contains_spectrum():
-    region = anderson.make_region(2, 2)
-    sample = anderson.sample_disorder(region, 11)
-    lo, hi = anderson.gershgorin_interval(region, LAM, sample)
-    assert lo >= -4.0 - LAM and hi <= 4.0 + LAM
-    h = anderson.build_hamiltonian(region, LAM, sample).toarray()
-    eigs = np.linalg.eigvalsh(h)
-    assert eigs.min() >= lo - 1e-12 and eigs.max() <= hi + 1e-12
-
-
 # --- Green's function ---
 
 

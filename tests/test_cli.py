@@ -205,6 +205,68 @@ def test_verify_ceiling_and_decay_pass(capsys):
     assert checks["decay"]["detail"]["dominates_reference"]
 
 
+def test_verify_ceiling_skip_runs_no_monte_carlo(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran for a skipped ceiling")
+
+    monkeypatch.setattr(cli.moments, "estimate_moments", no_sampling)
+    code, out, _ = run_main(["verify", "--lambda", "5", "--only", "ceiling"],
+                            capsys)
+    assert code == 0
+    (check,) = json.loads(out)["result"]["checks"]
+    assert check["status"] == "skipped"
+    assert "criterion not met" in check["detail"]["reason"]
+
+
+def test_verify_decay_with_mu_enumerates_no_walks(capsys, monkeypatch):
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walks enumerated although --mu was given")
+
+    monkeypatch.setattr(cli.saw, "enumerate_walks", no_walks)
+    code, out, _ = run_main(["verify", "--only", "decay", "--mu", "0.3",
+                             "--samples", "40", "--L", "6"], capsys)
+    assert code == 1
+    (check,) = json.loads(out)["result"]["checks"]
+    assert check["status"] == "fail"
+    assert check["detail"]["mu_upper"] == 0.3
+
+
+@pytest.mark.parametrize("lam, moment_calls", [
+    ("30", 4),  # the four family regions; decay reuses the full box
+    ("5", 1),   # ceiling skipped before sampling; decay samples the box
+])
+def test_verify_shares_series_and_box_estimates(capsys, monkeypatch, lam,
+                                                moment_calls):
+    calls = {"walks": 0, "moments": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli.saw, "enumerate_walks",
+                        counted("walks", cli.saw.enumerate_walks))
+    monkeypatch.setattr(cli.moments, "estimate_moments",
+                        counted("moments", cli.moments.estimate_moments))
+    code, out, _ = run_main(["verify", "--only", "decay,ceiling", "--lambda",
+                             lam, "--samples", "8", "--L", "4", "--nmax", "8"],
+                            capsys)
+    assert code in (0, 1)
+    names = [c["name"] for c in json.loads(out)["result"]["checks"]]
+    assert names == ["ceiling", "decay"]  # table order, not --only order
+    assert calls == {"walks": 1, "moments": moment_calls}
+
+
+def test_verify_only_help_lists_the_check_table(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    assert ",".join(cli._CHECKS) in capsys.readouterr().out
+    assert list(cli._CHECKS) == ["depleted", "resolvent", "schur", "apriori",
+                                 "drb", "ceiling", "decay"]
+
+
 def test_verify_decay_fails_against_bogus_reference(capsys):
     # mu far below any walk bound makes the reference rate unbeatable,
     # exercising the bound-failure exit path

@@ -110,6 +110,8 @@ def test_round_up_last_digit():
     assert critical.round_up_last_digit(22.8) == 22.8
     assert critical.round_up_last_digit(100.2) == 100.2
     assert critical.round_up_last_digit(1.23456, decimals=3) == 1.235
+    # a hair above a tenth rounds up, never down
+    assert critical.round_up_last_digit(22.80000000005) == 22.9
 
 
 def test_gamma_fn():
@@ -130,11 +132,10 @@ def test_gamma_fn_fixed_point_is_inverse_mu():
     assert critical.gamma_fn(lam) == pytest.approx(1.0 / mu, rel=1e-12)
 
 
-def test_gamma_big_and_zero():
-    lam, s, d = 30.0, 0.5, 3
+def test_gamma_big():
+    lam, s = 30.0, 0.5
     g = critical.gamma_big(s, lam)
     assert g == pytest.approx(1.0 / ((1 - s) * lam**s), rel=1e-15)
-    assert critical.gamma_zero(s, lam, d) == pytest.approx(2 * d * g, rel=1e-15)
 
 
 def test_s_crit_minimizes_gamma_big():
@@ -144,23 +145,22 @@ def test_s_crit_minimizes_gamma_big():
         grid_vals = 1.0 / ((1.0 - s_grid) * lam**s_grid)
         k = int(np.argmin(grid_vals))
         s_star = critical.s_crit(lam)
-        gm = critical.gamma_min(lam)
+        at_min = critical.gamma_big(s_star, lam)
         assert s_star == pytest.approx(1.0 - 1.0 / math.log(lam), rel=1e-14)
         assert abs(s_star - s_grid[k]) < 2e-5  # grid resolution
-        assert gm.s_crit == s_star
-        assert gm.value <= grid_vals[k] + 1e-12
-        assert gm.value == pytest.approx(grid_vals[k], abs=1e-8)
+        assert at_min <= grid_vals[k] + 1e-12
+        assert at_min == pytest.approx(grid_vals[k], abs=1e-8)
         # the minimum equals gamma(lambda)
-        assert gm.value == pytest.approx(critical.gamma_fn(lam), rel=1e-12)
+        assert at_min == pytest.approx(critical.gamma_fn(lam), rel=1e-12)
 
 
 def test_gamma_min_below_e():
-    gm = critical.gamma_min(2.0)
-    assert gm.monotone_increasing
-    assert gm.s_crit == 0.0
-    assert gm.value == 1.0
-    # and the map really is increasing on (0, 1) there
-    vals = [critical.gamma_big(s, 2.0) for s in (0.1, 0.3, 0.6, 0.9)]
+    # for lambda <= e there is no interior minimum: s_crit does not exist
+    # and Gamma increases on (0, 1), with inf Gamma = 1 at s -> 0+
+    with pytest.raises(ValueError):
+        critical.s_crit(2.0)
+    vals = [critical.gamma_big(s, 2.0) for s in (1e-9, 0.1, 0.3, 0.6, 0.9)]
+    assert vals[0] == pytest.approx(1.0, abs=1e-8)
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -187,18 +187,6 @@ def test_gamma_doubling_identity():
     for lam in (3.0, 10.0, 30.0):
         assert critical.gamma_fn(lam**2) == pytest.approx(
             2.0 * critical.gamma_fn(lam) / lam, rel=1e-14)
-
-
-def test_rate_params_bundle():
-    rp = critical.rate_params(30.0)
-    assert rp.lam == 30.0
-    assert rp.gamma == critical.gamma_fn(30.0)
-    assert rp.s_crit == critical.s_crit(30.0)
-    # Gamma at s_crit equals gamma(lambda)
-    assert critical.gamma_big(rp.s_crit, 30.0) == pytest.approx(rp.gamma,
-                                                                rel=1e-12)
-    m = rp.mass(2.68, 0.01)
-    assert m.value == critical.mass(30.0, 2.68, 0.01).value
 
 
 def test_table_csv_layout():

@@ -175,6 +175,17 @@ def test_theorem_ceiling_small_box(series_d2):
         assert est.ok, f"margin {est.margin} at distance {est.distance}"
 
 
+def test_theorem_ceiling_unavailable_before_sampling(series_d2, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the ceiling was known")
+
+    monkeypatch.setattr(moments, "estimate_moments", no_sampling)
+    pairs = [((1, 0), (0, 0)), ((2, 0), (0, 0))]
+    with pytest.raises(moments.CeilingUnavailableError):
+        moments.check_theorem_ceiling([small_region()], 23.0, Z, pairs,
+                                      n_samples=10, seed=0, series=series_d2)
+
+
 def test_region_family_shapes():
     fam = moments.default_region_family(2, 3, keep=[(0, 0), (1, 0)], seed=1)
     assert len(fam) == 4

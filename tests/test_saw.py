@@ -214,6 +214,7 @@ def test_worker_count_invariance():
     par = saw.enumerate_walks(2, 9, workers=3)
     assert seq.totals == par.totals
     assert seq.endpoints == par.endpoints
+    assert list(seq.endpoints) == list(par.endpoints)  # one enumeration path
 
 
 def test_totals_are_endpoint_sums(series_d3):
