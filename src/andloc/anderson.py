@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .rng import site_uniform
@@ -68,7 +68,8 @@ class Region:
     """Centered box [-L, L]^d minus a set of deleted sites.
 
     Surviving sites are indexed 0..n_sites-1 in lexicographic box order; the
-    bijection is stable under serialization round-trips.
+    bijection is stable under serialization round-trips.  Box arrays put axis
+    i at coordinate i + L, so their C order is the order of `sites`.
     """
 
     dimension: int
@@ -98,6 +99,31 @@ class Region:
     @cached_property
     def index(self) -> dict[Point, int]:
         return {p: i for i, p in enumerate(self.sites)}
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Site index over the box array, -1 at deleted sites."""
+        keep = np.ones((2 * self.L + 1,) * self.dimension, dtype=bool)
+        for p in self.deleted:
+            keep[tuple(c + self.L for c in p)] = False
+        return np.where(keep, np.cumsum(keep).reshape(keep.shape) - 1, -1)
+
+    @cached_property
+    def pattern(self) -> tuple[csc_matrix, np.ndarray]:
+        """Canonical CSC adjacency with a stored slot on every diagonal, and
+        the positions of those slots in its data (slot j holds entry (j, j))."""
+        n = self.n_sites
+        rows, cols = [np.arange(n)], [np.arange(n)]
+        for axis in range(self.dimension):
+            g = np.swapaxes(self.grid, 0, axis)
+            lo, hi = g[:-1], g[1:]
+            hop = (lo >= 0) & (hi >= 0)
+            rows += [lo[hop], hi[hop]]
+            cols += [hi[hop], lo[hop]]
+        a = csc_matrix((np.ones(sum(map(len, rows))),
+                        (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+        col_of = np.repeat(np.arange(n), np.diff(a.indptr))
+        return a, np.flatnonzero(a.indices == col_of)
 
     @property
     def n_sites(self) -> int:
@@ -148,34 +174,38 @@ def region_from_json_dict(doc: dict) -> Region:
 
 @dataclass
 class DisorderSample:
-    """omega over the full box (deleted sites included, harmlessly).
+    """omega over the full box array (deleted sites included, harmlessly).
 
     Regenerating with the same (region geometry, seed) is bit-identical, and a
-    depleted region sees the same values on surviving sites.  overrides holds
-    explicit per-site resamplings (with_site_value), used by the Schur and
+    depleted region sees the same values on surviving sites.  with_site_value
+    gives a copy with one site resampled, used by the Schur and
     conditional-bound checks.
     """
 
     region: Region
     seed: int
-    omega: dict[Point, float]
+    omega: np.ndarray  # axis i at coordinate i + L, as in Region.grid
+
+    def _slot(self, p: Point) -> Point:
+        p = tuple(p)
+        if len(p) != self.region.dimension or not self.region.in_box(p):
+            raise ValueError(f"site {p} outside the sampled box")
+        return tuple(c + self.region.L for c in p)
 
     def value(self, p: Point) -> float:
-        return self.omega[tuple(p)]
+        return float(self.omega[self._slot(p)])
 
     def with_site_value(self, p: Point, v: float) -> "DisorderSample":
         if not (-1.0 <= v <= 1.0):
             raise ValueError(f"omega must lie in [-1, 1], got {v}")
-        p = tuple(p)
-        if p not in self.omega:
-            raise ValueError(f"site {p} outside the sampled box")
-        omega = dict(self.omega)
-        omega[p] = v
+        omega = self.omega.copy()
+        omega[self._slot(p)] = v
         return DisorderSample(region=self.region, seed=self.seed, omega=omega)
 
     def vector(self, region: Optional[Region] = None) -> np.ndarray:
+        """omega on the region's sites, in the order of region.sites."""
         region = region if region is not None else self.region
-        return np.array([self.omega[p] for p in region.sites], dtype=float)
+        return self.omega[region.grid >= 0]
 
     def to_json_dict(self) -> dict:
         doc = self.region.to_json_dict()
@@ -184,8 +214,9 @@ class DisorderSample:
 
 
 def sample_disorder(region: Region, seed: int) -> DisorderSample:
-    omega = {p: site_uniform(seed, p) for p in region.box_sites()}
-    return DisorderSample(region=region, seed=seed, omega=omega)
+    box = np.indices((2 * region.L + 1,) * region.dimension) - region.L
+    return DisorderSample(region=region, seed=seed,
+                          omega=site_uniform(seed, box.astype(np.uint64)))
 
 
 def sample_from_json_dict(doc: dict) -> DisorderSample:
@@ -195,35 +226,15 @@ def sample_from_json_dict(doc: dict) -> DisorderSample:
 # --- Hamiltonian assembly ---
 
 
-@lru_cache(maxsize=64)
-def _hop_template(region: Region) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of all nearest-neighbor hops inside the region."""
-    rows, cols = [], []
-    index = region.index
-    for p, i in index.items():
-        for axis in range(region.dimension):
-            q = list(p)
-            q[axis] += 1
-            j = index.get(tuple(q))
-            if j is not None:
-                rows += [i, j]
-                cols += [j, i]
-    return np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-
-
-def _assemble(region: Region, diag: np.ndarray) -> csr_matrix:
-    n = region.n_sites
-    rows, cols = _hop_template(region)
-    diag_idx = np.arange(n, dtype=np.int64)
-    data = np.concatenate([np.ones(len(rows), dtype=diag.dtype), diag])
-    all_rows = np.concatenate([rows, diag_idx])
-    all_cols = np.concatenate([cols, diag_idx])
-    return csr_matrix((data, (all_rows, all_cols)), shape=(n, n))
-
-
-def build_hamiltonian(region: Region, lam: float, sample: DisorderSample) -> csr_matrix:
-    """Sparse real symmetric H = adjacency + lambda * diag(omega) on the region."""
-    return _assemble(region, lam * sample.vector(region))
+def build_hamiltonian(region: Region, lam: float, sample: DisorderSample,
+                      z: complex = 0.0) -> csc_matrix:
+    """H - z = adjacency + diag(lambda omega - z) on the region, canonical CSC
+    on the region's stored pattern (real when z is a real float)."""
+    a, diag_slots = region.pattern
+    diag = lam * sample.vector(region) - z
+    data = a.data.astype(diag.dtype)
+    data[diag_slots] = diag
+    return csc_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 
 # --- resolvent columns ---
@@ -255,8 +266,7 @@ class ResolventColumns:
             raise ValueError("region has no sites")
         self.region = region
         self.z = complex(z)
-        diag = lam * sample.vector(region) - self.z
-        self._a = csc_matrix(_assemble(region, diag.astype(complex)))
+        self._a = build_hamiltonian(region, lam, sample, self.z)
         try:
             self._lu = splu(self._a)
         except RuntimeError as exc:  # exactly singular factorization
@@ -288,18 +298,13 @@ class ResolventColumns:
         return u, res
 
 
-def green_column(region: Region, lam: float, sample: DisorderSample, z: complex,
-                 y: Point) -> tuple[np.ndarray, float]:
-    return ResolventColumns(region, lam, sample, z).column(y)
-
-
 def green(region: Region, lam: float, sample: DisorderSample, z: complex,
           x, y) -> GreenEvaluation:
     """G_z(x, y) on the region; zero by convention off the region."""
     x, y = tuple(int(c) for c in x), tuple(int(c) for c in y)
     if x not in region.index or y not in region.index:
         return GreenEvaluation(z=complex(z), x=x, y=y, value=0j, residual=0.0)
-    u, res = green_column(region, lam, sample, z, y)
+    u, res = ResolventColumns(region, lam, sample, z).column(y)
     return GreenEvaluation(z=complex(z), x=x, y=y,
                            value=complex(u[region.index[x]]), residual=res)
 
@@ -325,7 +330,7 @@ def verify_depleted_identity(region: Region, lam: float, sample: DisorderSample,
         depleted = region.without(x)
         nbrs = [q for q in region.neighbors_in(x)]
         if nbrs and y in depleted.index:
-            u, _ = green_column(depleted, lam, sample, z, y)
+            u, _ = ResolventColumns(depleted, lam, sample, z).column(y)
             total = sum(u[depleted.index[q]] for q in nbrs)
         else:
             total = 0j
@@ -375,8 +380,7 @@ def verify_resolvent_expansion(region: Region, lam: float, sample: DisorderSampl
     if x not in region.index:
         raise ValueError(f"site {x} is not in the region")
     ix = region.index[x]
-    h = build_hamiltonian(region, lam, sample).toarray().astype(complex)
-    a = h - complex(z) * np.eye(n)
+    a = build_hamiltonian(region, lam, sample, complex(z)).toarray()
 
     b = a.copy()
     b[ix, :] = 0.0

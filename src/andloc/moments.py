@@ -35,14 +35,12 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from . import saw
-from .anderson import (Point, Region, ResolventColumns, green, green_column,
-                       sample_disorder)
+from .anderson import Point, Region, ResolventColumns, green, sample_disorder
 from .critical import gamma_big, gamma_fn, mass, s_crit
 from .parallel import map_ordered, resolve_workers
 from .rng import substream, unit_open
 
 DEFAULT_Z = 0.01j
-DEFAULT_N_SAMPLES = 2000
 
 #: formulas behind every ceiling this module attaches (recorded in artifacts)
 CEILING_FORMULAS = {
@@ -154,7 +152,7 @@ def estimate_moments(region: Region, lam: float, s: float, z: complex,
     bounds = np.linspace(0, n_samples, n_chunks + 1).astype(int)
     tasks = [(region, lam, s, complex(z), pairs, seed, int(a), int(b))
              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    vals = np.vstack(map_ordered(_moment_chunk, tasks, workers))
+    vals = np.vstack(list(map_ordered(_moment_chunk, tasks, workers)))
     out = []
     for j, (x, y) in enumerate(pairs):
         col = vals[:, j]
@@ -163,13 +161,6 @@ def estimate_moments(region: Region, lam: float, s: float, z: complex,
         out.append(MomentEstimate(s=s, z=complex(z), x=x, y=y,
                                   n_samples=n_samples, mean=mean, stderr=stderr))
     return out
-
-
-def estimate_moment(region: Region, lam: float, s: float, z: complex, x, y,
-                    n_samples: int = DEFAULT_N_SAMPLES, seed: int = 0,
-                    workers: Optional[int] = None) -> MomentEstimate:
-    return estimate_moments(region, lam, s, z, [(tuple(x), tuple(y))],
-                            n_samples, seed, workers)[0]
 
 
 def estimates_to_csv(estimates: Iterable[MomentEstimate]) -> str:
@@ -446,7 +437,7 @@ def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
     for j in range(n_env):
         sample = sample_disorder(region, substream(seed, j))
         if nbrs:
-            u, _ = green_column(depleted, lam, sample, z, y)
+            u, _ = ResolventColumns(depleted, lam, sample, z).column(y)
             rhs = factor * sum(abs(u[depleted.index[q]]) ** s for q in nbrs)
         else:
             rhs = 0.0

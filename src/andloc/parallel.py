@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 ENV_THREADS = "ANDERSON_THREADS"
 
@@ -38,9 +38,10 @@ def resolve_workers(requested: Optional[int] = None) -> int:
     return min(requested, cap) if cap is not None else requested
 
 
-def map_ordered(fn: Callable, tasks: Sequence, workers: int) -> list:
-    """Map fn over tasks, preserving task order in the result list."""
+def map_ordered(fn: Callable, tasks: Sequence, workers: int) -> Iterator:
+    """Map fn over tasks, yielding the results one at a time in task order."""
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        yield from map(fn, tasks)
+        return
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+        yield from pool.map(fn, tasks)

@@ -217,8 +217,8 @@ def _first_step_counts(dimension: int, max_length: int, workers: int):
 
     # enumerate prefixes of depth `split` (counting the prefix nodes once
     # along the way), then map the suffix subtrees over the workers and merge
-    # the partial maps in prefix order.  Counts are exact integers, so the
-    # result is identical for any worker count.
+    # each partial map, in prefix order, as it arrives.  Counts are exact
+    # integers, so the result is identical for any worker count.
     split = min(_PREFIX_DEPTH, n_max)
     prefixes: list[tuple[int, ...]] = []
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,10 +77,11 @@ def test_sample_range_and_determinism():
     region = anderson.make_region(2, 3)
     s1 = anderson.sample_disorder(region, 42)
     s2 = anderson.sample_disorder(region, 42)
-    assert s1.omega == s2.omega
-    assert all(-1.0 <= v < 1.0 for v in s1.omega.values())
+    assert np.array_equal(s1.omega, s2.omega)
+    assert s1.omega.shape == (7, 7)
+    assert np.all((-1.0 <= s1.omega) & (s1.omega < 1.0))
     s3 = anderson.sample_disorder(region, 43)
-    assert s1.omega != s3.omega
+    assert not np.array_equal(s1.omega, s3.omega)
 
 
 def test_sample_depletion_stable():
@@ -88,13 +90,37 @@ def test_sample_depletion_stable():
     depleted = region.without((1, 1))
     a = anderson.sample_disorder(region, 7)
     b = anderson.sample_disorder(depleted, 7)
-    assert a.omega == b.omega  # omega is a function of (seed, site) only
+    assert np.array_equal(a.omega, b.omega)  # a function of (seed, site) only
 
 
 def test_sample_matches_site_uniform():
     region = anderson.make_region(2, 2)
     s = anderson.sample_disorder(region, 5)
     assert s.value((1, -2)) == site_uniform(5, (1, -2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, -1, 2**63 + 5, 2**64 - 1])
+def test_array_disorder_matches_scalar_hash(d, seed):
+    # the box-at-once hash is bit-identical to the per-site one, without
+    # overflow warnings from the uint64 arithmetic
+    region = anderson.make_region(d, 2, [(1,) * d])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = anderson.sample_disorder(region, seed)
+    for p in region.box_sites():
+        assert sample.omega[tuple(c + 2 for c in p)] == site_uniform(seed, p)
+    assert sample.vector().tolist() == [site_uniform(seed, p) for p in region.sites]
+
+
+def test_sample_site_outside_box_raises():
+    # a negative array index would silently wrap to the far side of the box
+    L = 2
+    s = anderson.sample_disorder(anderson.make_region(2, L), 5)
+    with pytest.raises(ValueError):
+        s.value((-L - 1, 0))
+    with pytest.raises(ValueError):
+        s.with_site_value((-L - 1, 0), 0.25)
 
 
 def test_sample_with_site_value():
@@ -113,24 +139,30 @@ def test_sample_json_roundtrip():
     s = anderson.sample_disorder(region, 9)
     back = anderson.sample_from_json_dict(json.loads(json.dumps(s.to_json_dict())))
     assert back.region == region
-    assert back.omega == s.omega
+    assert np.array_equal(back.omega, s.omega)
 
 
 # --- Hamiltonian and spectrum ---
 
 
 def test_hamiltonian_matches_direct_construction():
-    region = anderson.make_region(2, 2, [(0, 1)])
-    sample = anderson.sample_disorder(region, 3)
-    h = anderson.build_hamiltonian(region, LAM, sample).toarray()
-    n = region.n_sites
-    expect = np.zeros((n, n))
-    for p, i in region.index.items():
-        expect[i, i] = LAM * sample.value(p)
-        for q in region.neighbors_in(p):
-            expect[i, region.index[q]] = 1.0
-    assert np.allclose(h, expect, atol=0)
-    assert np.allclose(h, h.T, atol=0)
+    for d, deleted, z in [(2, [(0, 1)], 0.0),
+                          (1, [(2,)], 0.0),
+                          (3, [(0, 0, 2)], 0.5 + 0.01j),  # a face site of the box
+                          (2, [(-2, 0), (1, 1)], Z)]:
+        region = anderson.make_region(d, 2, deleted)
+        sample = anderson.sample_disorder(region, 3)
+        a = anderson.build_hamiltonian(region, LAM, sample, z)
+        assert a.has_canonical_format
+        h = a.toarray()
+        n = region.n_sites
+        expect = np.zeros((n, n), dtype=h.dtype)
+        for p, i in region.index.items():
+            expect[i, i] = LAM * sample.value(p) - z
+            for q in region.neighbors_in(p):
+                expect[i, region.index[q]] = 1.0
+        assert np.allclose(h, expect, atol=0)
+        assert np.allclose(h, h.T, atol=0)
 
 
 # --- Green's function ---
@@ -185,7 +217,8 @@ def test_matches_dense_oracle_random_regions():
         x = region.sites[int(rng.integers(region.n_sites))]
         y = region.sites[int(rng.integers(region.n_sites))]
         got = anderson.green(region, LAM, sample, Z, x, y).value
-        want = oracles.dense_green(d, L, deleted, sample.omega, LAM, Z, x, y)
+        omega = {p: site_uniform(100 + trial, p) for p in box.box_sites()}
+        want = oracles.dense_green(d, L, deleted, omega, LAM, Z, x, y)
         assert abs(got - want) <= 1e-9 * max(abs(want), 1e-12)
 
 

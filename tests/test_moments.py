@@ -25,20 +25,20 @@ def small_region(L=4):
 def test_estimate_input_validation():
     region = small_region()
     with pytest.raises(ValueError):
-        moments.estimate_moment(region, 30.0, 1.2, Z, (1, 0), (0, 0), 4)
+        moments.estimate_moments(region, 30.0, 1.2, Z, [((1, 0), (0, 0))], 4, 0)
     with pytest.raises(ValueError):
-        moments.estimate_moment(region, 30.0, 0.5, Z, (9, 9), (0, 0), 4)
+        moments.estimate_moments(region, 30.0, 0.5, Z, [((9, 9), (0, 0))], 4, 0)
     with pytest.raises(ValueError):
-        moments.estimate_moment(region, 30.0, 0.5, Z, (1, 0), (0, 0), 0)
+        moments.estimate_moments(region, 30.0, 0.5, Z, [((1, 0), (0, 0))], 0, 0)
 
 
 def test_estimate_deterministic_across_workers():
     region = small_region()
     kw = dict(n_samples=30, seed=5)
-    a = moments.estimate_moment(region, 30.0, 0.7, Z, (2, 0), (0, 0),
-                                workers=1, **kw)
-    b = moments.estimate_moment(region, 30.0, 0.7, Z, (2, 0), (0, 0),
-                                workers=3, **kw)
+    a = moments.estimate_moments(region, 30.0, 0.7, Z, [((2, 0), (0, 0))],
+                                 workers=1, **kw)[0]
+    b = moments.estimate_moments(region, 30.0, 0.7, Z, [((2, 0), (0, 0))],
+                                 workers=3, **kw)[0]
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
 
 
@@ -48,8 +48,8 @@ def test_estimates_share_samples_across_pairs():
     region = small_region()
     pairs = [((1, 0), (0, 0)), ((2, 0), (0, 0))]
     both = moments.estimate_moments(region, 30.0, 0.6, Z, pairs, 25, seed=3)
-    single = moments.estimate_moment(region, 30.0, 0.6, Z, (2, 0), (0, 0),
-                                     n_samples=25, seed=3)
+    single = moments.estimate_moments(region, 30.0, 0.6, Z, [((2, 0), (0, 0))],
+                                      n_samples=25, seed=3)[0]
     assert both[1].mean == single.mean
     assert both[1].stderr == single.stderr
 
@@ -57,8 +57,8 @@ def test_estimates_share_samples_across_pairs():
 def test_estimate_regression_band():
     region = anderson.Region(dimension=2, L=8)
     s = critical.s_crit(30.0)
-    est = moments.estimate_moment(region, 30.0, s, Z, (3, 0), (0, 0),
-                                  n_samples=2000, seed=1)
+    est = moments.estimate_moments(region, 30.0, s, Z, [((3, 0), (0, 0))],
+                                   n_samples=2000, seed=1)[0]
     band = 3.0 * est.stderr + 3.0 * LONGRUN_STDERR
     assert abs(est.mean - LONGRUN_MEAN) <= band
 
@@ -67,8 +67,8 @@ def test_single_site_heavy_tail_mean():
     # one site: E|G|^{1/2} = (1/2) int |lam v - z|^{-1/2} dv -> 2/sqrt(lam)
     lam = 25.0
     region = anderson.Region(dimension=1, L=0)
-    est = moments.estimate_moment(region, lam, 0.5, 1e-8j, (0,), (0,),
-                                  n_samples=20_000, seed=2)
+    est = moments.estimate_moments(region, lam, 0.5, 1e-8j, [((0,), (0,))],
+                                   n_samples=20_000, seed=2)[0]
     expect = 2.0 / math.sqrt(lam)
     assert abs(est.mean - expect) <= 4.0 * est.stderr + 1e-3
 
@@ -89,8 +89,8 @@ def test_estimate_csv_layout():
 
 def test_with_ceiling_and_margin():
     region = small_region()
-    est = moments.estimate_moment(region, 30.0, 0.5, Z, (1, 0), (0, 0),
-                                  n_samples=8, seed=0)
+    est = moments.estimate_moments(region, 30.0, 0.5, Z, [((1, 0), (0, 0))],
+                                   n_samples=8, seed=0)[0]
     assert est.ceiling is None and est.ok is None
     capped = est.with_ceiling(10.0, "saw_theorem")
     assert capped.ceiling == 10.0
@@ -202,8 +202,8 @@ def test_moments_decrease_with_disorder():
     region = small_region()
     means = []
     for lam in (30.0, 60.0, 120.0):
-        est = moments.estimate_moment(region, lam, 0.5, Z, (2, 0), (0, 0),
-                                      n_samples=400, seed=6)
+        est = moments.estimate_moments(region, lam, 0.5, Z, [((2, 0), (0, 0))],
+                                       n_samples=400, seed=6)[0]
         means.append((est.mean, est.stderr))
     for (m1, e1), (m2, e2) in zip(means, means[1:]):
         assert m1 - m2 > 3.0 * math.hypot(e1, e2)
