@@ -74,6 +74,11 @@ def _nmax(cfg: dict) -> int:
     return saw.default_max_length(int(cfg["dim"]))
 
 
+def _series(cfg: dict) -> saw.WalkSeries:
+    return saw.enumerate_walks(int(cfg["dim"]), _nmax(cfg),
+                               memory_budget=cfg["memory_budget"])
+
+
 def _axis_pairs(dim: int, dists) -> list:
     """(d e_1, origin) for each distance d."""
     origin = (0,) * dim
@@ -236,9 +241,7 @@ def _emit_artifact(doc: dict, cfg: dict) -> None:
 
 def cmd_saw(cfg: dict) -> int:
     t0 = time.monotonic()
-    series = saw.enumerate_walks(int(cfg["dim"]), _nmax(cfg),
-                                 memory_budget=cfg["memory_budget"],
-                                 workers=cfg["workers"])
+    series = _series(cfg)
     if cfg["format"] == "csv":
         lines = ["n,c_n"] + [f"{n},{c}" for n, c in enumerate(series.totals)]
         _emit("\n".join(lines) + "\n", cfg["out"])
@@ -325,7 +328,7 @@ def cmd_moment(cfg: dict) -> int:
     n_samples, seed = int(cfg["samples"]), int(cfg["seed"])
     ests, note = None, "ceiling attaches only at s = s_crit(lambda)"
     if s == critical.s_crit(lam):
-        series = saw.enumerate_walks(dim, _nmax(cfg), workers=cfg["workers"])
+        series = _series(cfg)
         try:
             ests = moments.check_theorem_ceiling([region], lam, z, pairs, n_samples,
                                                  seed, series, cfg["workers"])
@@ -398,8 +401,7 @@ class _VerifyRun:
 
     @cached_property
     def series(self) -> saw.WalkSeries:
-        return saw.enumerate_walks(self.dim, _nmax(self.cfg),
-                                   workers=self.cfg["workers"])
+        return _series(self.cfg)
 
     @cached_property
     def pairs(self) -> list:

@@ -24,24 +24,27 @@ valid whenever t < 1, i.e. gamma * c_r^{1/r} < 1.  Since #S_n(y, x) <= c_n the
 same expression bounds the tail of C_gamma at any point.
 
 The enumerator walks the SAW tree depth first with a backtracking occupancy
-set.  Only walks whose first step is +e_1 are generated; the full endpoint
-map is recovered by pushing the counts forward through one signed coordinate
-permutation per first-step direction (a 2d-fold reduction, exact by lattice
-symmetry).  The tree is cut at a fixed prefix depth and the subtrees below
-the prefixes are counted as ordered tasks (in-process for one worker, in a
-process pool for more), so there is one enumeration path for every worker
-count.  Positions are encoded as single integers in a box of halfwidth
-N_max, which a length-N walk cannot leave.
+set, in one process, and visits only the walks that are canonical under the
+hyperoctahedral group (the 2^d d! signed coordinate permutations): the axes
+first appear in the order 1, 2, ..., d, and the first step along each new
+axis is positive.  Every orbit of walks holds exactly one canonical walk,
+and a canonical walk that uses k axes stands for 2^k d!/(d-k)! walks; it adds
+that weight to its endpoint.  The weighted counts are folded into endpoint
+classes (the sorted |coordinates| of a point), and each class total is split
+evenly over the class's distinct signed permutations, since symmetric points
+end equally many walks.  The split is an exact integer division and raises
+ArithmeticError if it ever leaves a remainder.  Positions are encoded as
+single integers in a box of halfwidth N_max, which a length-N walk cannot
+leave.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
-
-from .parallel import map_ordered, resolve_workers
 
 Point = tuple[int, ...]
 
@@ -49,8 +52,6 @@ Point = tuple[int, ...]
 _DEFAULT_MAX_LENGTH = {1: 20, 2: 14, 3: 10}
 
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
-
-_PREFIX_DEPTH = 3  # depth at which the walk tree is split into tasks
 
 
 class BudgetExceededError(Exception):
@@ -113,6 +114,8 @@ class WalkSeries:
             p = tuple(int(v) for v in entry["point"])
             if len(p) != d:
                 raise ValueError(f"endpoint {p} does not have dimension {d}")
+            if len(entry["counts"]) != n + 1:
+                raise ValueError(f"counts of endpoint {p} do not match max_length")
             endpoints[p] = [int(c) for c in entry["counts"]]
         if len(totals) != n + 1:
             raise ValueError("totals length does not match max_length")
@@ -142,122 +145,82 @@ class CorrelationValue:
 # --- enumeration ---
 
 
-def _group_maps(dimension: int):
-    """One signed permutation per unit direction u, mapping +e_1 to u."""
-    maps = []
-    for i in range(dimension):
-        def swap(w, i=i):
-            if i == 0:
-                return w
-            l = list(w)
-            l[0], l[i] = l[i], l[0]
-            return tuple(l)
-
-        def swapneg(w, i=i):
-            l = list(w)
-            l[0], l[i] = l[i], l[0]
-            l[i] = -l[i]
-            return tuple(l)
-
-        maps.append(swap)
-        maps.append(swapneg)
-    return maps
-
-
 def _estimate_bytes(dimension: int, max_length: int) -> int:
-    # key tuple + count list + integer objects + dict slot, times 1.5 for the
-    # first-step intermediate map; deliberately rough
+    # key tuple + count list + integer objects + dict slot, times 1.5 as
+    # headroom for the per-length maps built on the way; deliberately rough
     per_entry = 220 + 8 * dimension + 36 * (max_length + 1)
     return int(1.5 * ball_size(dimension, max_length) * per_entry)
 
 
-def _suffix_job(args) -> list[dict[int, int]]:
-    """Counts per depth for SAW continuations of a fixed prefix path.
+def _canonical_counts(dimension: int,
+                      max_length: int) -> list[dict[int, int]]:
+    """Per-length {encoded endpoint: weighted count} over canonical walks.
 
-    Returns dicts for depths len(path) .. n_max (indexed from 0).
+    A canonical walk that uses k axes adds its orbit size 2^k d!/(d-k)! to its
+    endpoint.  A point y is encoded as sum_i (y_i + N) (2N + 1)^i.
     """
-    d, n_max, path = args
+    d, n_max = dimension, max_length
     w = 2 * n_max + 1
     strides = [w**i for i in range(d)]
+    origin = sum(n_max * s for s in strides)
+    counts: list[dict[int, int]] = [dict() for _ in range(n_max + 1)]
+    counts[0][origin] = 1
+    # orbit[k]: walks in the orbit of a canonical walk that uses k axes
+    orbit = [2**k * math.perm(d, k) for k in range(d + 1)]
+    # moves[k]: (delta, axes in use after it) from a walk that uses k < d axes
+    moves = [[(s, k) for t in strides[:k] for s in (t, -t)] + [(strides[k], k + 1)]
+             for k in range(d)]
     deltas = [s for t in strides for s in (t, -t)]
-    start_depth = len(path) - 1
-    visited = set(path)
-    counts: list[dict[int, int]] = [dict() for _ in range(n_max - start_depth)]
+    full = orbit[d]
+    visited = {origin}
 
-    def dfs(pos: int, depth: int) -> None:
+    def dfs(pos: int, depth: int) -> None:  # every axis in use
         nxt = depth + 1
-        cn = counts[nxt - start_depth - 1]
+        cn = counts[nxt]
         for dp in deltas:
             q = pos + dp
             if q in visited:
                 continue
-            cn[q] = cn.get(q, 0) + 1
+            cn[q] = cn.get(q, 0) + full
             if nxt < n_max:
                 visited.add(q)
                 dfs(q, nxt)
                 visited.discard(q)
 
-    dfs(path[-1], start_depth)
+    def grow(pos: int, depth: int, k: int) -> None:  # axes 0..k-1 in use
+        nxt = depth + 1
+        cn = counts[nxt]
+        for dp, kk in moves[k]:
+            q = pos + dp
+            if q in visited:
+                continue
+            cn[q] = cn.get(q, 0) + orbit[kk]
+            if nxt < n_max:
+                visited.add(q)
+                if kk < d:
+                    grow(q, nxt, kk)
+                else:
+                    dfs(q, nxt)
+                visited.discard(q)
+
+    if n_max > 0:
+        grow(origin, 0, 0)
     return counts
 
 
-def _first_step_counts(dimension: int, max_length: int, workers: int):
-    """Per-depth {encoded point: count} for walks with first step +e_1."""
-    d, n_max = dimension, max_length
-    w = 2 * n_max + 1
-    strides = [w**i for i in range(d)]
-    deltas = [s for t in strides for s in (t, -t)]
-    origin = sum(n_max * s for s in strides)
-    counts: list[dict[int, int]] = [dict() for _ in range(n_max + 1)]
-    counts[0][origin] = 1
-    if n_max == 0:
-        return counts, origin, strides
-    first = origin + strides[0]
-    counts[1][first] = 1
-
-    # enumerate prefixes of depth `split` (counting the prefix nodes once
-    # along the way), then map the suffix subtrees over the workers and merge
-    # each partial map, in prefix order, as it arrives.  Counts are exact
-    # integers, so the result is identical for any worker count.
-    split = min(_PREFIX_DEPTH, n_max)
-    prefixes: list[tuple[int, ...]] = []
-
-    def prefix_dfs(path: list[int], visited: set[int]) -> None:
-        depth = len(path) - 1
-        if depth == split:
-            prefixes.append(tuple(path))
-            return
-        cn = counts[depth + 1]
-        for dp in deltas:
-            q = path[-1] + dp
-            if q in visited:
-                continue
-            cn[q] = cn.get(q, 0) + 1
-            visited.add(q)
-            path.append(q)
-            prefix_dfs(path, visited)
-            path.pop()
-            visited.discard(q)
-
-    prefix_dfs([origin, first], {origin, first})
-    prefixes.sort()
-    jobs = [(d, n_max, p) for p in prefixes] if split < n_max else []
-    for partial in map_ordered(_suffix_job, jobs, workers):
-        for i, cn in enumerate(partial):
-            tgt = counts[split + 1 + i]
-            for q, c in cn.items():
-                tgt[q] = tgt.get(q, 0) + c
-    return counts, origin, strides
+def _class_points(cls: Point) -> list[Point]:
+    """The distinct signed permutations of a point."""
+    return [q for p in sorted(set(itertools.permutations(cls)))
+            for q in itertools.product(*[(a,) if a == 0 else (a, -a) for a in p])]
 
 
 def enumerate_walks(dimension: int, max_length: Optional[int] = None, *,
-                    memory_budget: Optional[int] = DEFAULT_MEMORY_BUDGET,
-                    workers: Optional[int] = None) -> WalkSeries:
+                    memory_budget: Optional[int] = DEFAULT_MEMORY_BUDGET
+                    ) -> WalkSeries:
     """Enumerate all SAWs from the origin up to max_length, exactly.
 
-    Results are deterministic and independent of the worker count.  Raises
-    BudgetExceededError when the estimated endpoint-map footprint exceeds
-    memory_budget (pass None to disable the check).
+    Raises BudgetExceededError when the estimated endpoint-map footprint
+    exceeds memory_budget (pass None to disable the check).
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -272,34 +235,36 @@ def enumerate_walks(dimension: int, max_length: Optional[int] = None, *,
                 f"endpoint map for d={dimension}, N={max_length} needs about "
                 f"{need} bytes, budget is {memory_budget}")
 
-    workers = resolve_workers(workers)
-    counts, origin, strides = _first_step_counts(dimension, max_length, workers)
-
     n_max = max_length
-    w = 2 * n_max + 1 if n_max > 0 else 1
+    counts = _canonical_counts(dimension, n_max)
+    totals = [sum(cn.values()) for cn in counts]
 
-    def decode(code: int) -> Point:
-        out = []
-        for _ in range(dimension):
-            code, r = divmod(code, w)
-            out.append(r - n_max)
-        return tuple(out)
+    # fold the weighted counts into classes of sorted |coordinates|
+    w = 2 * n_max + 1
+    classes: dict[Point, list[int]] = {}
+    for n, cn in enumerate(counts):
+        for code, c in cn.items():
+            cls = []
+            for _ in range(dimension):
+                code, r = divmod(code, w)
+                cls.append(abs(r - n_max))
+            row = classes.setdefault(tuple(sorted(cls)), [0] * (n_max + 1))
+            row[n] += c
 
-    totals = [1] + [2 * dimension * sum(cn.values()) for cn in counts[1:]]
-    zero = (0,) * dimension
-    endpoints: dict[Point, list[int]] = {zero: [0] * (n_max + 1)}
-    endpoints[zero][0] = 1
-    maps = _group_maps(dimension)
-    for n in range(1, n_max + 1):
-        for code, c in counts[n].items():
-            p = decode(code)
-            for g in maps:
-                y = g(p)
-                row = endpoints.get(y)
-                if row is None:
-                    row = [0] * (n_max + 1)
-                    endpoints[y] = row
-                row[n] += c
+    # every point of a class ends the same number of walks
+    endpoints: dict[Point, list[int]] = {}
+    for cls, row in classes.items():
+        points = _class_points(cls)
+        share = []
+        for n, c in enumerate(row):
+            q, r = divmod(c, len(points))
+            if r:
+                raise ArithmeticError(
+                    f"{c} length-{n} walks to the class of {cls} do not split "
+                    f"evenly over its {len(points)} points")
+            share.append(q)
+        for y in points:
+            endpoints[y] = list(share)
     return WalkSeries(dimension=dimension, max_length=n_max,
                       totals=totals, endpoints=endpoints)
 

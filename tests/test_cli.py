@@ -299,6 +299,19 @@ def test_saw_budget_exits_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--only", "decay"],
+    ["moment"],
+])
+def test_config_memory_budget_applies_to_every_walk_series(tmp_path, capsys,
+                                                           args):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"memory_budget": 1000}))
+    code, _, err = run_main(args + ["--config", str(cfg)], capsys)
+    assert code == 3
+    assert "budget" in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dim": 2, "nmax": 6, "lambda": 12.5}))

@@ -7,7 +7,7 @@ from itertools import permutations, product
 
 import pytest
 
-from andloc import saw
+from andloc import cli, parallel, saw
 
 import oracles
 
@@ -50,11 +50,14 @@ def test_live_oracle_agreement_small():
     assert saw.enumerate_walks(3, 4).totals == oracles.brute_force_totals(3, 4)
 
 
-def test_endpoint_counts_match_recursive_oracle():
-    series = saw.enumerate_walks(2, 8)
-    layers = oracles.recursive_endpoint_counts(2, 8)
+# at d=6, N=4 no walk uses every axis, and many endpoint classes repeat a
+# magnitude, so the orbit weights below 2^d d! and the class splits are checked
+@pytest.mark.parametrize("d, n_max", [(2, 8), (3, 6), (4, 5), (6, 4)])
+def test_endpoint_counts_match_recursive_oracle(d, n_max):
+    series = saw.enumerate_walks(d, n_max)
+    layers = oracles.recursive_endpoint_counts(d, n_max)
     got = series.endpoints
-    for n in range(9):
+    for n in range(n_max + 1):
         expect = {p: c for p, c in layers[n].items()}
         have = {p: counts[n] for p, counts in got.items() if counts[n]}
         assert have == expect, f"endpoint mismatch at n={n}"
@@ -209,12 +212,24 @@ def test_json_roundtrip():
     assert back.endpoints == series.endpoints
 
 
-def test_worker_count_invariance():
-    seq = saw.enumerate_walks(2, 9, workers=1)
-    par = saw.enumerate_walks(2, 9, workers=3)
-    assert seq.totals == par.totals
-    assert seq.endpoints == par.endpoints
-    assert list(seq.endpoints) == list(par.endpoints)  # one enumeration path
+def test_json_rejects_truncated_counts():
+    doc = saw.enumerate_walks(2, 5).to_json_dict()
+    doc["endpoints"][3]["counts"].pop()
+    with pytest.raises(ValueError, match="max_length"):
+        saw.WalkSeries.from_json_dict(doc)
+
+
+def test_saw_starts_no_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started for walk enumeration")
+
+    monkeypatch.delenv("ANDERSON_THREADS", raising=False)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    code = cli.main(["saw", "--dim", "3", "--nmax", "6", "--workers", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["config"]["workers"] == 2
+    assert doc["result"]["series"]["totals"] == [str(c) for c in BRUTE_D3_N6]
 
 
 def test_totals_are_endpoint_sums(series_d3):
