@@ -50,6 +50,7 @@ Point = tuple[int, ...]
 
 _RESIDUAL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
+_SCHUR_RTOL = 1e-9
 
 
 class SolverError(Exception):
@@ -317,52 +318,47 @@ def verify_depleted_identity(region: Region, lam: float, sample: DisorderSample,
     """Relative discrepancy of the one-step depletion identity at (x, y).
 
     Both sides are computed from independent solves: the left from G on the
-    region, the right from G(x, x) and a solve on the region with x deleted.
+    region, the right from G(x, x) (a second column of the same factorization)
+    and a solve on the region with x deleted.
     """
     x, y = tuple(x), tuple(y)
     if x == y:
         raise ValueError("the one-step identity needs x != y")
-    lhs = green(region, lam, sample, z, x, y).value
     if x not in region.index:
-        rhs = 0j
+        return 0.0  # both sides vanish: G is zero off the region
+    cols = ResolventColumns(region, lam, sample, z)
+    ix = region.index[x]
+    lhs = complex(cols.column(y)[0][ix]) if y in region.index else 0j
+    gxx = complex(cols.column(x)[0][ix])
+    depleted = region.without(x)
+    nbrs = region.neighbors_in(x)
+    if nbrs and y in depleted.index:
+        u, _ = ResolventColumns(depleted, lam, sample, z).column(y)
+        total = sum(u[depleted.index[q]] for q in nbrs)
     else:
-        gxx = green(region, lam, sample, z, x, x).value
-        depleted = region.without(x)
-        nbrs = [q for q in region.neighbors_in(x)]
-        if nbrs and y in depleted.index:
-            u, _ = ResolventColumns(depleted, lam, sample, z).column(y)
-            total = sum(u[depleted.index[q]] for q in nbrs)
-        else:
-            total = 0j
-        rhs = -gxx * total
+        total = 0j
+    rhs = -gxx * total
     return abs(lhs - rhs) / max(abs(lhs), _EPS)
 
 
 def verify_schur_diagonal(region: Region, lam: float, sample: DisorderSample,
-                          z: complex, x,
-                          omega_values: Optional[tuple[float, float]] = None,
-                          rel_tol: float = 1e-9) -> bool:
+                          z: complex, x) -> bool:
     """Check that B = lambda omega(x) - 1/G(x, x) does not depend on omega(x).
 
-    Recomputes B at two distinct omega(x) values with every other site fixed;
-    True iff they agree to rel_tol.
+    Recomputes B at omega(x) and at omega(x) -+ 1 (whichever stays in
+    [-1, 1]) with every other site fixed; True iff they agree to
+    _SCHUR_RTOL.
     """
     x = tuple(x)
     if x not in region.index:
         raise ValueError(f"site {x} is not in the region")
-    if omega_values is None:
-        v1 = sample.value(x)
-        v2 = v1 - 1.0 if v1 >= 0.0 else v1 + 1.0
-        omega_values = (v1, v2)
-    v1, v2 = omega_values
-    if v1 == v2:
-        raise ValueError("need two distinct omega(x) values")
+    v1 = sample.value(x)
     bs = []
-    for v in (v1, v2):
+    for v in (v1, v1 - 1.0 if v1 >= 0.0 else v1 + 1.0):
         s = sample.with_site_value(x, v)
         gxx = green(region, lam, s, z, x, x).value
         bs.append(lam * v - 1.0 / gxx)
-    return abs(bs[0] - bs[1]) <= rel_tol * max(abs(bs[0]), abs(bs[1]))
+    return abs(bs[0] - bs[1]) <= _SCHUR_RTOL * max(abs(bs[0]), abs(bs[1]))
 
 
 def verify_resolvent_expansion(region: Region, lam: float, sample: DisorderSample,
@@ -389,10 +385,7 @@ def verify_resolvent_expansion(region: Region, lam: float, sample: DisorderSampl
 
     t = np.zeros_like(a)
     for q in region.neighbors_in(x):
-        t_elem = np.zeros_like(a)
-        t_elem[ix, region.index[q]] = 1.0
-        t_elem[region.index[q], ix] = 1.0
-        t += t_elem
+        t[ix, region.index[q]] = t[region.index[q], ix] = 1.0
 
     a_inv = np.linalg.inv(a)
     b_inv = np.linalg.inv(b)

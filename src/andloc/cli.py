@@ -6,7 +6,11 @@ seed, and the formulas behind any ceiling it reports, so a rerun with the
 same config reproduces it byte-identically apart from the wallclock block.
 
 Configuration precedence: built-in defaults < --config JSON file < explicit
-flags.  ANDERSON_THREADS caps worker-pool parallelism.
+flags.  Config-file keys are the flag names with _ for - ("z_real" or
+"z-real", "lambda"); an unknown key or format exits 2.  Each setting's
+default, flag type and help are declared once, in _SETTINGS, and each
+subcommand's flags in _COMMANDS: a new setting goes there.
+ANDERSON_THREADS caps worker-pool parallelism.
 
 Exit codes: 0 success, 1 a bound check failed, 2 bad input, 3 resource
 limits, 4 linear-solver failure.
@@ -32,33 +36,6 @@ EXIT_BOUND_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_SOLVER = 4
-
-_DEFAULTS = {
-    "dim": 2,
-    "nmax": None,         # saw.default_max_length(dim) when unset
-    "lambda_": 30.0,
-    "s": None,            # s_crit(lambda) when unset
-    "L": None,            # per-check defaults when unset
-    "seed": 0,
-    "samples": 500,
-    "z_real": 0.0,
-    "z_imag": 0.01,
-    "eps": 0.01,
-    "mu": None,
-    "format": "json",
-    "out": None,
-    "workers": None,
-    "memory_budget": saw.DEFAULT_MEMORY_BUDGET,
-    "trials": None,
-    "distances": "1..4",
-    "dims": None,
-    "x": None,
-    "y": None,
-    "deleted": None,
-    "only": None,
-    "n_env": 10,
-    "n_omega": 128,
-}
 
 # per-use box halfwidths when --L is not given
 _BOX_L = {"identity": 5, "conditional": 4, "moments": 8, "green": 6}
@@ -96,118 +73,23 @@ def _parse_int_list(value) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _parse_point(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+def _parse_point(value) -> tuple[int, ...]:
+    """Accept '1,0' or a JSON list [1, 0] from a config file."""
+    if not isinstance(value, (list, tuple)):
+        value = str(value).split(",")
+    return tuple(int(v) for v in value)
 
 
-def _parse_deleted(text: str) -> list[tuple[int, ...]]:
-    return [_parse_point(tok) for tok in text.split(";") if tok]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="andloc",
-        description="Walk counts, critical disorder thresholds, and "
-                    "fractional-moment checks for the Anderson model.")
-    top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-
-    p = sub.add_parser("saw", help="enumerate self-avoiding walks exactly")
-    common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--memory-budget", type=int, dest="memory_budget")
-
-    p = sub.add_parser("critical", help="solve the critical-disorder table")
-    common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--dims", help="dimension range, e.g. 2..6")
-    p.add_argument("--mu", type=float, help="connective-constant upper bound")
-
-    p = sub.add_parser("green", help="evaluate one Green's function entry")
-    common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--L", type=int)
-    p.add_argument("--lambda", type=float, dest="lambda_")
-    p.add_argument("--z-real", type=float, dest="z_real")
-    p.add_argument("--z-imag", type=float, dest="z_imag")
-    p.add_argument("--x", help="site, e.g. 1,0")
-    p.add_argument("--y", help="site, e.g. 0,0")
-    p.add_argument("--deleted", help="deleted sites, e.g. 1,0;0,2")
-
-    p = sub.add_parser("moment", help="Monte Carlo fractional moments along an axis")
-    common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--L", type=int)
-    p.add_argument("--lambda", type=float, dest="lambda_")
-    p.add_argument("--s", type=float)
-    p.add_argument("--z-real", type=float, dest="z_real")
-    p.add_argument("--z-imag", type=float, dest="z_imag")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--distances", help="e.g. 1..5 or 1,3,5")
-    p.add_argument("--nmax", type=int)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--L", type=int)
-    p.add_argument("--lambda", type=float, dest="lambda_")
-    p.add_argument("--s", type=float)
-    p.add_argument("--z-real", type=float, dest="z_real")
-    p.add_argument("--z-imag", type=float, dest="z_imag")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--n-env", type=int, dest="n_env")
-    p.add_argument("--n-omega", type=int, dest="n_omega")
-    p.add_argument("--only", help="comma list of checks: " + ",".join(_CHECKS))
-    return top
-
-
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags, echoed into artifacts.
-
-    cfg["_explicit"] records which keys the user actually set, for commands
-    whose behavior depends on that (e.g. critical --dim vs the full table).
-    """
-    cfg = dict(_DEFAULTS)
-    explicit = set()
-    path = getattr(args, "config", None)
-    if path:
-        with open(path) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key, val in file_cfg.items():
-            key = key.replace("-", "_")
-            if key == "lambda":
-                key = "lambda_"
-            if key not in cfg:
-                raise ValueError(f"unknown config key {key!r}")
-            cfg[key] = val
-            explicit.add(key)
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-            explicit.add(key)
-    cfg["_explicit"] = explicit
-    return cfg
+def _parse_points(value) -> list[tuple[int, ...]]:
+    """Accept '1,0;0,2' or a JSON list [[1, 0], [0, 2]] from a config file."""
+    if not isinstance(value, (list, tuple)):
+        value = [tok for tok in str(value).split(";") if tok]
+    return [_parse_point(p) for p in value]
 
 
 def _artifact(command: str, cfg: dict, result: dict, t0: float,
               formulas: Optional[dict] = None) -> dict:
-    shown = {(k[:-1] if k.endswith("_") else k): v
-             for k, v in cfg.items() if not k.startswith("_")}
+    shown = {_name(k): v for k, v in cfg.items() if not k.startswith("_")}
     doc = {
         "command": command,
         "config": shown,
@@ -283,30 +165,18 @@ def cmd_critical(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _parse_point_opt(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return _parse_point(str(value))
-
-
 def cmd_green(cfg: dict) -> int:
     t0 = time.monotonic()
     if cfg["format"] == "csv":
         raise ValueError("green supports json output only")
     dim = int(cfg["dim"])
     L = _box_L(cfg, "green")
-    if cfg["deleted"]:
-        if isinstance(cfg["deleted"], (list, tuple)):
-            deleted = [tuple(int(v) for v in p) for p in cfg["deleted"]]
-        else:
-            deleted = _parse_deleted(str(cfg["deleted"]))
-    else:
-        deleted = ()
+    deleted = _parse_points(cfg["deleted"]) if cfg["deleted"] else ()
     region = anderson.make_region(dim, L, deleted)
     sample = anderson.sample_disorder(region, int(cfg["seed"]))
     z = complex(float(cfg["z_real"]), float(cfg["z_imag"]))
-    x = _parse_point_opt(cfg["x"]) if cfg["x"] else (1,) + (0,) * (dim - 1)
-    y = _parse_point_opt(cfg["y"]) if cfg["y"] else (0,) * dim
+    x = _parse_point(cfg["x"]) if cfg["x"] else (1,) + (0,) * (dim - 1)
+    y = _parse_point(cfg["y"]) if cfg["y"] else (0,) * dim
     ev = anderson.green(region, float(cfg["lambda_"]), sample, z, x, y)
     result = {"sample": sample.to_json_dict(), "evaluation": ev.to_json_dict()}
     _emit_artifact(_artifact("green", cfg, result, t0), cfg)
@@ -572,13 +442,109 @@ def cmd_verify(cfg: dict) -> int:
     return EXIT_OK if result["all_passed"] else EXIT_BOUND_FAILED
 
 
-_COMMANDS = {
-    "saw": cmd_saw,
-    "critical": cmd_critical,
-    "green": cmd_green,
-    "moment": cmd_moment,
-    "verify": cmd_verify,
+# --- settings and subcommands ---
+
+#: key -> (default, flag type, help); the key's flag and config name follow
+#: from _name, and the default applies when neither a flag nor --config sets it
+_SETTINGS = {
+    "format": ("json", str, "json or csv"),
+    "out": (None, str, "output path (stdout when omitted)"),
+    "seed": (0, int, None),
+    "workers": (None, int, "worker processes (ANDERSON_THREADS caps them)"),
+    "dim": (2, int, None),
+    "dims": (None, str, "dimension range, e.g. 2..6"),
+    "nmax": (None, int, "walk length (a per-dimension default when unset)"),
+    "memory_budget": (saw.DEFAULT_MEMORY_BUDGET, int, None),
+    "L": (None, int, "box halfwidth (per-use defaults when unset)"),
+    "lambda_": (30.0, float, None),
+    "s": (None, float, "moment exponent (a per-command default when unset)"),
+    "z_real": (0.0, float, None),
+    "z_imag": (0.01, float, None),
+    "x": (None, str, "site, e.g. 1,0"),
+    "y": (None, str, "site, e.g. 0,0"),
+    "deleted": (None, str, "deleted sites, e.g. 1,0;0,2"),
+    "samples": (500, int, None),
+    "distances": ("1..4", str, "e.g. 1..5 or 1,3,5"),
+    "eps": (0.01, float, None),
+    "mu": (None, float, "connective-constant upper bound"),
+    "trials": (None, int, None),
+    "n_env": (10, int, None),
+    "n_omega": (128, int, None),
+    "only": (None, str, "comma list of checks: " + ",".join(_CHECKS)),
 }
+
+#: every subcommand takes --config and these flags before its own
+_COMMON = ("format", "out", "seed", "workers")
+
+#: name -> (function, help, the settings it takes as flags beyond _COMMON)
+_COMMANDS = {
+    "saw": (cmd_saw, "enumerate self-avoiding walks exactly",
+            ("dim", "nmax", "memory_budget")),
+    "critical": (cmd_critical, "solve the critical-disorder table",
+                 ("dim", "dims", "mu")),
+    "green": (cmd_green, "evaluate one Green's function entry",
+              ("dim", "L", "lambda_", "z_real", "z_imag", "x", "y", "deleted")),
+    "moment": (cmd_moment, "Monte Carlo fractional moments along an axis",
+               ("dim", "L", "lambda_", "s", "z_real", "z_imag", "samples",
+                "distances", "nmax")),
+    "verify": (cmd_verify, "run the verification suite",
+               ("dim", "L", "lambda_", "s", "z_real", "z_imag", "samples", "eps",
+                "mu", "trials", "nmax", "n_env", "n_omega", "only")),
+}
+
+
+def _name(key: str) -> str:
+    """The user-facing name of a setting: lambda_ -> lambda."""
+    return key.rstrip("_")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="andloc",
+        description="Walk counts, critical disorder thresholds, and "
+                    "fractional-moment checks for the Anderson model.")
+    top.add_argument("--version", action="version", version=__version__)
+    sub = top.add_subparsers(dest="command", required=True)
+    for command, (_, summary, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for key in _COMMON + keys:
+            _, kind, text = _SETTINGS[key]
+            p.add_argument("--" + _name(key).replace("_", "-"), dest=key,
+                           type=kind, help=text)
+    return top
+
+
+def resolve_config(args: argparse.Namespace) -> dict:
+    """defaults < config file < explicit flags, echoed into artifacts.
+
+    cfg["_explicit"] records which keys the user actually set, for commands
+    whose behavior depends on that (e.g. critical --dim vs the full table).
+    """
+    cfg = {key: default for key, (default, _, _) in _SETTINGS.items()}
+    explicit = set()
+    path = getattr(args, "config", None)
+    if path:
+        with open(path) as fh:
+            file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+        names = {n: key for key in _SETTINGS for n in (key, _name(key))}
+        for name, val in file_cfg.items():
+            key = names.get(name.replace("-", "_"))
+            if key is None:
+                raise ValueError(f"unknown config key {name!r}")
+            cfg[key] = val
+            explicit.add(key)
+    for key in _SETTINGS:
+        val = getattr(args, key, None)
+        if val is not None:
+            cfg[key] = val
+            explicit.add(key)
+    if cfg["format"] not in ("json", "csv"):
+        raise ValueError(f"unknown format {cfg['format']!r}; use json or csv")
+    cfg["_explicit"] = explicit
+    return cfg
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -587,7 +553,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = resolve_config(args)
         cfg["workers"] = resolve_workers(cfg["workers"])
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except saw.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

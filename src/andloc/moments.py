@@ -41,6 +41,7 @@ from .parallel import map_ordered, resolve_workers
 from .rng import substream, unit_open
 
 DEFAULT_Z = 0.01j
+_DELETION_VARIANTS = 2  # boxes minus one random site in default_region_family
 
 #: formulas behind every ceiling this module attaches (recorded in artifacts)
 CEILING_FORMULAS = {
@@ -266,14 +267,14 @@ def ceiling_value(series: saw.WalkSeries, lam: float, diff: Point) -> float:
 
 
 def default_region_family(dimension: int, L: int, keep: Sequence[Point] = (),
-                          seed: int = 0, n_deletion_variants: int = 2) -> list[Region]:
+                          seed: int = 0) -> list[Region]:
     """Region family realizing the sup over volumes in the ceiling check:
     the full box, boxes minus one random site, and a half box."""
     full = Region(dimension=dimension, L=L)
     keep = {tuple(p) for p in keep}
     family = [full]
     candidates = [p for p in full.sites if p not in keep]
-    for v in range(n_deletion_variants):
+    for v in range(_DELETION_VARIANTS):
         pick = candidates[int(unit_open(seed, (v,)) * len(candidates))]
         family.append(full.without(pick))
     half_deleted = [p for p in full.sites if p[0] < 0 and p not in keep]

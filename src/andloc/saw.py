@@ -338,6 +338,8 @@ class ConnectiveBounds:
 
     @property
     def best(self) -> float:
+        if not self.pairs:
+            raise ValueError("need at least length-1 counts")
         return min(b for _, b in self.pairs)
 
 
@@ -347,8 +349,6 @@ def connective_upper_bounds(series: WalkSeries) -> ConnectiveBounds:
     Monotonicity in n is not guaranteed pointwise, only along divisors; the
     largest available n is usually the sharpest.
     """
-    if series.max_length < 1:
-        raise ValueError("need at least length-1 counts")
     pairs = [
         (n, math.exp(math.log(series.totals[n]) / n))
         for n in range(1, series.max_length + 1)

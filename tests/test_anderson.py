@@ -289,6 +289,23 @@ def test_depleted_identity_with_deletions():
     assert err < 1e-12
 
 
+def test_depleted_identity_factors_each_region_once(monkeypatch):
+    # G(x, y) and G(x, x) are two columns of one factorization; the
+    # depleted region gets its own
+    shapes, real_splu = [], anderson.splu
+
+    def counted(a):
+        shapes.append(a.shape)
+        return real_splu(a)
+
+    monkeypatch.setattr(anderson, "splu", counted)
+    region = anderson.make_region(2, 3, [(1, 0)])
+    sample = anderson.sample_disorder(region, 36)
+    err = anderson.verify_depleted_identity(region, LAM, sample, Z, (0, 0), (2, 1))
+    assert err < 1e-12
+    assert shapes == [(48, 48), (47, 47)]
+
+
 def test_depleted_identity_rejects_equal_points():
     region = anderson.make_region(2, 2)
     sample = anderson.sample_disorder(region, 1)

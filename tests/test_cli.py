@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, formats, config merging, exit codes."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -57,6 +58,19 @@ def test_saw_csv_header_exact(capsys):
     assert lines[0] == "n,c_n"
     assert lines[1] == "0,1"
     assert lines[-1] == "5,284"
+
+
+def test_saw_nmax_zero_writes_json(capsys):
+    doc = run_json(["saw", "--dim", "2", "--nmax", "0"], capsys)
+    assert doc["result"]["series"]["totals"] == ["1"]
+    assert doc["result"]["connective_upper_bounds"] == []
+    assert doc["result"]["trivial_upper_bound"] == 3.0
+
+
+def test_verify_decay_nmax_zero_exits_2(capsys):
+    code, _, err = run_main(["verify", "--only", "decay", "--nmax", "0"], capsys)
+    assert code == 2
+    assert "length-1" in err
 
 
 def test_saw_artifact_envelope(capsys):
@@ -321,6 +335,44 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert doc["config"]["lambda"] == 12.5
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("lambda", 12.5, "lambda"), ("lambda_", 12.5, "lambda"),
+    ("z-real", 0.5, "z_real"), ("z_real", 0.5, "z_real"),
+    ("memory-budget", 10**6, "memory_budget"), ("n_env", 3, "n_env"),
+])
+def test_config_key_names(tmp_path, capsys, key, value, shown):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    doc = run_json(["saw", "--dim", "2", "--nmax", "3", "--config", str(cfg)],
+                   capsys)
+    assert doc["config"][shown] == value
+
+
+def test_green_config_file_matches_flags(tmp_path, capsys):
+    flags = run_json(["green", "--dim", "2", "--L", "3", "--seed", "5",
+                      "--x", "2,0", "--y", "0,0", "--deleted", "1,1"], capsys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": 2, "L": 3, "seed": 5, "x": [2, 0],
+                               "y": [0, 0], "deleted": [[1, 1]]}))
+    from_file = run_json(["green", "--config", str(cfg)], capsys)
+    assert from_file["result"] == flags["result"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_format_exits_2(tmp_path, capsys, source):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    extra = ["--format", "xml"] if source == "flag" else ["--config", str(cfg)]
+    try:
+        code = cli.main(["saw", "--dim", "2", "--nmax", "3"] + extra)
+    except SystemExit as exc:  # an argparse error exits 2 the same way
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "xml" in out.err
+
+
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -346,6 +398,50 @@ def test_bad_threads_env_exits_2(capsys, monkeypatch):
     code, _, err = run_main(["saw", "--dim", "2", "--nmax", "3"], capsys)
     assert code == 2
     assert "ANDERSON_THREADS" in err
+
+
+_COMMON_FLAGS = [("--config", "config", str), ("--format", "format", str),
+                 ("--out", "out", str), ("--seed", "seed", int),
+                 ("--workers", "workers", int)]
+
+# every subcommand's (option string, dest, type), frozen from the parser that
+# declared each flag by hand (its text flags had type None, which argparse
+# treats as str)
+_FLAGS = {
+    "saw": [("--dim", "dim", int), ("--nmax", "nmax", int),
+            ("--memory-budget", "memory_budget", int)],
+    "critical": [("--dim", "dim", int), ("--dims", "dims", str),
+                 ("--mu", "mu", float)],
+    "green": [("--dim", "dim", int), ("--L", "L", int),
+              ("--lambda", "lambda_", float), ("--z-real", "z_real", float),
+              ("--z-imag", "z_imag", float), ("--x", "x", str),
+              ("--y", "y", str), ("--deleted", "deleted", str)],
+    "moment": [("--dim", "dim", int), ("--L", "L", int),
+               ("--lambda", "lambda_", float), ("--s", "s", float),
+               ("--z-real", "z_real", float), ("--z-imag", "z_imag", float),
+               ("--samples", "samples", int), ("--distances", "distances", str),
+               ("--nmax", "nmax", int)],
+    "verify": [("--dim", "dim", int), ("--L", "L", int),
+               ("--lambda", "lambda_", float), ("--s", "s", float),
+               ("--z-real", "z_real", float), ("--z-imag", "z_imag", float),
+               ("--samples", "samples", int), ("--eps", "eps", float),
+               ("--mu", "mu", float), ("--trials", "trials", int),
+               ("--nmax", "nmax", int), ("--n-env", "n_env", int),
+               ("--n-omega", "n_omega", int), ("--only", "only", str)],
+}
+
+
+def test_subcommand_flags_pinned():
+    top = cli.build_parser()
+    (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(_FLAGS)
+    for command, flags in _FLAGS.items():
+        got = [(a.option_strings[0], a.dest, a.type or str)
+               for a in sub.choices[command]._actions
+               if not isinstance(a, argparse._HelpAction)]
+        assert got == _COMMON_FLAGS + flags, command
+        assert all(len(a.option_strings) == 1
+                   for a in sub.choices[command]._actions[1:])
 
 
 def test_version_flag():

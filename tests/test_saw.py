@@ -123,6 +123,14 @@ def test_connective_bounds_best(series_d2):
     assert bounds.best == pytest.approx(expect, rel=1e-12)
 
 
+def test_connective_bounds_empty_without_length_1_counts():
+    bounds = saw.connective_upper_bounds(saw.enumerate_walks(2, 0))
+    assert bounds.pairs == []
+    assert bounds.trivial == 3.0
+    with pytest.raises(ValueError, match="length-1"):
+        bounds.best
+
+
 def test_correlation_partial_frozen():
     series = saw.enumerate_walks(2, 12)
     val = saw.correlation(series, 0.2, (1, 0))
