@@ -7,9 +7,13 @@ same config reproduces it byte-identically apart from the wallclock block.
 
 Configuration precedence: built-in defaults < --config JSON file < explicit
 flags.  Config-file keys are the flag names with _ for - ("z_real" or
-"z-real", "lambda"); an unknown key or format exits 2.  Each setting's
-default, flag type and help are declared once, in _SETTINGS, and each
-subcommand's flags in _COMMANDS: a new setting goes there.
+"z-real", "lambda"); an unknown key or format exits 2.  A config-file value
+is read as the text of its flag and converted by the flag's type, so a
+value the flag would reject exits 2; a JSON list joins with ',' and a list
+of lists with ';' ([[1, 0], [0, 2]] is "1,0;0,2").  A config run therefore
+echoes exactly what the equivalent flags echo.  Each setting's default, flag
+type and help are declared once, in _SETTINGS, and each subcommand's flags
+in _COMMANDS: a new setting goes there.
 ANDERSON_THREADS caps worker-pool parallelism.
 
 Exit codes: 0 success, 1 a bound check failed, 2 bad input, 3 resource
@@ -23,6 +27,7 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from functools import cached_property
 from typing import Optional
@@ -42,17 +47,17 @@ _BOX_L = {"identity": 5, "conditional": 4, "moments": 8, "green": 6}
 
 
 def _box_L(cfg: dict, use: str) -> int:
-    return int(cfg["L"]) if cfg["L"] is not None else _BOX_L[use]
+    return cfg["L"] if cfg["L"] is not None else _BOX_L[use]
 
 
 def _nmax(cfg: dict) -> int:
     if cfg["nmax"] is not None:
-        return int(cfg["nmax"])
-    return saw.default_max_length(int(cfg["dim"]))
+        return cfg["nmax"]
+    return saw.default_max_length(cfg["dim"])
 
 
 def _series(cfg: dict) -> saw.WalkSeries:
-    return saw.enumerate_walks(int(cfg["dim"]), _nmax(cfg),
+    return saw.enumerate_walks(cfg["dim"], _nmax(cfg),
                                memory_budget=cfg["memory_budget"])
 
 
@@ -62,33 +67,39 @@ def _axis_pairs(dim: int, dists) -> list:
     return [((d,) + (0,) * (dim - 1), origin) for d in dists]
 
 
-def _parse_int_list(value) -> list[int]:
-    """Accept '2..6', '2,4,6', '3', or a JSON list from a config file."""
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    text = str(value).strip()
+def _parse_int_list(text: str) -> list[int]:
+    """Accept '2..6', '2,4,6' or '3'."""
+    text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _parse_point(value) -> tuple[int, ...]:
-    """Accept '1,0' or a JSON list [1, 0] from a config file."""
-    if not isinstance(value, (list, tuple)):
-        value = str(value).split(",")
-    return tuple(int(v) for v in value)
+def _parse_point(text: str) -> tuple[int, ...]:
+    """Accept '1,0'."""
+    return tuple(int(v) for v in text.split(","))
 
 
-def _parse_points(value) -> list[tuple[int, ...]]:
-    """Accept '1,0;0,2' or a JSON list [[1, 0], [0, 2]] from a config file."""
-    if not isinstance(value, (list, tuple)):
-        value = [tok for tok in str(value).split(";") if tok]
-    return [_parse_point(p) for p in value]
+def _parse_points(text: str) -> list[tuple[int, ...]]:
+    """Accept '1,0;0,2'."""
+    return [_parse_point(tok) for tok in text.split(";") if tok]
 
 
-def _artifact(command: str, cfg: dict, result: dict, t0: float,
-              formulas: Optional[dict] = None) -> dict:
+def _destination(out: Optional[str]):
+    """The --out file, or stdout (left open) when out is unset."""
+    return open(out, "w") if out else nullcontext(sys.stdout)
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    with _destination(out) as fh:
+        fh.write(text)
+
+
+def _emit_artifact(command: str, cfg: dict, result: dict, t0: float,
+                   formulas: Optional[dict] = None) -> None:
+    """Stream the JSON artifact: the encoder's chunks are written as they
+    come, never joined into one string."""
     shown = {_name(k): v for k, v in cfg.items() if not k.startswith("_")}
     doc = {
         "command": command,
@@ -103,19 +114,9 @@ def _artifact(command: str, cfg: dict, result: dict, t0: float,
     }
     if formulas:
         doc["formulas"] = formulas
-    return doc
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_artifact(doc: dict, cfg: dict) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg["out"])
+    with _destination(cfg["out"]) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # --- subcommands ---
@@ -134,20 +135,20 @@ def cmd_saw(cfg: dict) -> int:
         "connective_upper_bounds": [[n, b] for n, b in bounds.pairs],
         "trivial_upper_bound": bounds.trivial,
     }
-    _emit_artifact(_artifact("saw", cfg, result, t0), cfg)
+    _emit_artifact("saw", cfg, result, t0)
     return EXIT_OK
 
 
 def cmd_critical(cfg: dict) -> int:
     t0 = time.monotonic()
     if cfg["mu"] is not None:
-        dims = [int(cfg["dim"])]
-        mus = {dims[0]: float(cfg["mu"])}
+        dims = [cfg["dim"]]
+        mus = {dims[0]: cfg["mu"]}
     else:
         if cfg["dims"] is not None:
             dims = _parse_int_list(cfg["dims"])
         elif "dim" in cfg["_explicit"]:
-            dims = [int(cfg["dim"])]
+            dims = [cfg["dim"]]
         else:
             dims = sorted(critical.DEFAULT_MU_UPPER)
         missing = [d for d in dims if d not in critical.DEFAULT_MU_UPPER]
@@ -161,7 +162,7 @@ def cmd_critical(cfg: dict) -> int:
         _emit(critical.table_to_csv(reports), cfg["out"])
         return EXIT_OK
     result = {"reports": [r.to_json_dict() for r in reports]}
-    _emit_artifact(_artifact("critical", cfg, result, t0), cfg)
+    _emit_artifact("critical", cfg, result, t0)
     return EXIT_OK
 
 
@@ -169,33 +170,33 @@ def cmd_green(cfg: dict) -> int:
     t0 = time.monotonic()
     if cfg["format"] == "csv":
         raise ValueError("green supports json output only")
-    dim = int(cfg["dim"])
+    dim = cfg["dim"]
     L = _box_L(cfg, "green")
     deleted = _parse_points(cfg["deleted"]) if cfg["deleted"] else ()
     region = anderson.make_region(dim, L, deleted)
-    sample = anderson.sample_disorder(region, int(cfg["seed"]))
-    z = complex(float(cfg["z_real"]), float(cfg["z_imag"]))
+    sample = anderson.sample_disorder(region, cfg["seed"])
+    z = complex(cfg["z_real"], cfg["z_imag"])
     x = _parse_point(cfg["x"]) if cfg["x"] else (1,) + (0,) * (dim - 1)
     y = _parse_point(cfg["y"]) if cfg["y"] else (0,) * dim
-    ev = anderson.green(region, float(cfg["lambda_"]), sample, z, x, y)
+    ev = anderson.green(region, cfg["lambda_"], sample, z, x, y)
     result = {"sample": sample.to_json_dict(), "evaluation": ev.to_json_dict()}
-    _emit_artifact(_artifact("green", cfg, result, t0), cfg)
+    _emit_artifact("green", cfg, result, t0)
     return EXIT_OK
 
 
 def cmd_moment(cfg: dict) -> int:
     t0 = time.monotonic()
-    dim = int(cfg["dim"])
+    dim = cfg["dim"]
     L = _box_L(cfg, "moments")
-    lam = float(cfg["lambda_"])
-    z = complex(float(cfg["z_real"]), float(cfg["z_imag"]))
-    s = float(cfg["s"]) if cfg["s"] is not None else critical.s_crit(lam)
+    lam = cfg["lambda_"]
+    z = complex(cfg["z_real"], cfg["z_imag"])
+    s = cfg["s"] if cfg["s"] is not None else critical.s_crit(lam)
     dists = _parse_int_list(cfg["distances"])
     if any(d < 0 or d > L for d in dists):
         raise ValueError(f"distances must lie in [0, L={L}]")
     region = anderson.make_region(dim, L)
     pairs = _axis_pairs(dim, dists)
-    n_samples, seed = int(cfg["samples"]), int(cfg["seed"])
+    n_samples, seed = cfg["samples"], cfg["seed"]
     ests, note = None, "ceiling attaches only at s = s_crit(lambda)"
     if s == critical.s_crit(lam):
         series = _series(cfg)
@@ -212,8 +213,7 @@ def cmd_moment(cfg: dict) -> int:
         _emit(moments.estimates_to_csv(ests), cfg["out"])
         return EXIT_OK
     result = {"estimates": [e.to_json_dict() for e in ests], "note": note}
-    _emit_artifact(_artifact("moment", cfg, result, t0,
-                             formulas=moments.CEILING_FORMULAS), cfg)
+    _emit_artifact("moment", cfg, result, t0, formulas=moments.CEILING_FORMULAS)
     return EXIT_OK
 
 
@@ -243,7 +243,7 @@ def _identity_regions(dim: int, L: int, seed: int, count: int):
                 deleted.append(cand)
         region = anderson.make_region(dim, L, deleted)
         sample = anderson.sample_disorder(region, substream(s0, 1))
-        x = region.sites[int(unit_open(s0, (2,)) * region.n_sites)]
+        x = _random_site(region, s0, 2)
         nearby = [p for p in region.sites
                   if 1 <= sum(abs(a - b) for a, b in zip(p, x)) <= 2]
         if not nearby:
@@ -259,15 +259,15 @@ class _VerifyRun:
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        self.dim = int(cfg["dim"])
-        self.lam = float(cfg["lambda_"])
-        self.z = complex(float(cfg["z_real"]), float(cfg["z_imag"]))
-        self.seed = int(cfg["seed"])
-        self.eps = float(cfg["eps"])
+        self.dim = cfg["dim"]
+        self.lam = cfg["lambda_"]
+        self.z = complex(cfg["z_real"], cfg["z_imag"])
+        self.seed = cfg["seed"]
+        self.eps = cfg["eps"]
         self.box_estimates = None  # set by the ceiling check, read by decay
 
     def trials(self, default: int) -> int:
-        return int(self.cfg["trials"]) if self.cfg["trials"] is not None else default
+        return self.cfg["trials"] if self.cfg["trials"] is not None else default
 
     @cached_property
     def series(self) -> saw.WalkSeries:
@@ -286,7 +286,7 @@ class _VerifyRun:
             box = anderson.Region(dimension=self.dim, L=_box_L(self.cfg, "moments"))
             self.box_estimates = moments.estimate_moments(
                 box, self.lam, critical.s_crit(self.lam), self.z, self.pairs,
-                int(self.cfg["samples"]), substream(self.seed, 16),
+                self.cfg["samples"], substream(self.seed, 16),
                 self.cfg["workers"])
         return self.box_estimates
 
@@ -342,30 +342,27 @@ def _check_schur(run: _VerifyRun) -> tuple[str, dict]:
 
 def _check_apriori(run: _VerifyRun) -> tuple[str, dict]:
     n_b = run.trials(100)
-    max_ratio, sat_err = 0.0, 0.0
-    for s_val in (0.3, 0.5, 0.7, 0.9):
-        for lam_val in (10.0, 30.0, 100.0):
-            grid = moments.random_b_disc(run.dim, lam_val, n_b, substream(run.seed, 14))
-            chk = moments.check_apriori(lam_val, s_val, grid)
-            max_ratio = max(max_ratio, chk.max_ratio)
-            sat = moments.apriori_integral(lam_val, s_val, 0j) / chk.bound
-            sat_err = max(sat_err, abs(sat - 1.0))
-    ok = max_ratio <= 1.0 + 1e-8 and sat_err <= 1e-10
-    return _status(ok), {"b_per_grid": n_b, "max_ratio": max_ratio,
-                         "saturation_error": sat_err}
+    chks = [moments.check_apriori(lam, s, moments.random_b_disc(
+                run.dim, lam, n_b, substream(run.seed, 14)))
+            for s in (0.3, 0.5, 0.7, 0.9) for lam in (10.0, 30.0, 100.0)]
+    sat_err = max(abs(moments.apriori_integral(c.lam, c.s, 0j) / c.bound - 1.0)
+                  for c in chks)
+    return _status(all(c.ok for c in chks) and sat_err <= 1e-10), {
+        "b_per_grid": n_b, "max_ratio": max(c.max_ratio for c in chks),
+        "saturation_error": sat_err}
 
 
 def _check_drb(run: _VerifyRun) -> tuple[str, dict]:
     cfg, dim = run.cfg, run.dim
     region = anderson.Region(dimension=dim, L=_box_L(cfg, "conditional"))
-    s_val = float(cfg["s"]) if cfg["s"] is not None else 0.7
+    s_val = cfg["s"] if cfg["s"] is not None else 0.7
     x = (0,) * dim
     y = (1, 1) + (0,) * (dim - 2) if dim >= 2 else (1,)
     rep = moments.check_drb_conditional(region, run.lam, s_val, run.z, x, y,
-                                        n_omega_x=int(cfg["n_omega"]),
-                                        n_env=int(cfg["n_env"]),
+                                        n_omega_x=cfg["n_omega"],
+                                        n_env=cfg["n_env"],
                                         seed=substream(run.seed, 15))
-    return _status(rep.ok), {"environments": int(cfg["n_env"]),
+    return _status(rep.ok), {"environments": cfg["n_env"],
                              "min_margin": min(rep.margins), "tolerance": rep.tol}
 
 
@@ -377,7 +374,7 @@ def _check_ceiling(run: _VerifyRun) -> tuple[str, dict]:
     family = moments.default_region_family(
         run.dim, _box_L(cfg, "moments"), keep=[p for pr in pairs for p in pr],
         seed=substream(run.seed, 17))
-    n_samples = int(cfg["samples"])
+    n_samples = cfg["samples"]
     try:
         ests = moments.check_theorem_ceiling(family, run.lam, run.z, pairs,
                                              n_samples, substream(run.seed, 16),
@@ -397,7 +394,7 @@ def _check_decay(run: _VerifyRun) -> tuple[str, dict]:
         return skip
     if len(run.pairs) < 3:
         return "skipped", {"reason": "need >= 3 distances"}
-    mu_hat = (float(run.cfg["mu"]) if run.cfg["mu"] is not None
+    mu_hat = (run.cfg["mu"] if run.cfg["mu"] is not None
               else saw.connective_upper_bounds(run.series).best)
     fit = moments.fit_decay(run.box_moments(), run.lam, mu_hat, run.eps)
     return _status(fit.dominates_reference()), fit.to_json_dict() | {"mu_upper": mu_hat}
@@ -418,7 +415,7 @@ _CHECKS = {
 def run_verify(cfg: dict) -> dict:
     names = list(_CHECKS)
     if cfg["only"]:
-        only = {tok.strip() for tok in str(cfg["only"]).split(",") if tok.strip()}
+        only = {tok.strip() for tok in cfg["only"].split(",") if tok.strip()}
         bad = only - _CHECKS.keys()
         if bad:
             raise ValueError(f"unknown checks for --only: {sorted(bad)}")
@@ -437,8 +434,7 @@ def cmd_verify(cfg: dict) -> int:
     if cfg["format"] == "csv":
         raise ValueError("verify supports json output only")
     result = run_verify(cfg)
-    _emit_artifact(_artifact("verify", cfg, result, t0,
-                             formulas=moments.CEILING_FORMULAS), cfg)
+    _emit_artifact("verify", cfg, result, t0, formulas=moments.CEILING_FORMULAS)
     return EXIT_OK if result["all_passed"] else EXIT_BOUND_FAILED
 
 
@@ -515,6 +511,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _flag_text(value) -> str:
+    """A config-file value as the text its flag would take: a JSON list joins
+    with ',', a list of lists with ';' ([[1, 0], [0, 2]] -> '1,0;0,2')."""
+    if isinstance(value, list):
+        sep = ";" if any(isinstance(v, list) for v in value) else ","
+        return sep.join(_flag_text(v) for v in value)
+    return str(value)
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, echoed into artifacts.
 
@@ -534,6 +539,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
             key = names.get(name.replace("-", "_"))
             if key is None:
                 raise ValueError(f"unknown config key {name!r}")
+            if val is not None:
+                kind, text = _SETTINGS[key][1], _flag_text(val)
+                try:
+                    val = kind(text)
+                except ValueError:
+                    raise ValueError(f"config key {name!r}: {text!r} is not "
+                                     f"a valid {kind.__name__}") from None
             cfg[key] = val
             explicit.add(key)
     for key in _SETTINGS:

@@ -27,7 +27,7 @@ mass m_eps(lambda) = -ln gamma(lambda) - ln(mu + eps); the fit must dominate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -97,10 +97,7 @@ class MomentEstimate:
     def with_ceiling(self, value: float, kind: str) -> "MomentEstimate":
         if kind not in CEILING_FORMULAS:
             raise ValueError(f"unknown ceiling kind {kind!r}")
-        return MomentEstimate(s=self.s, z=self.z, x=self.x, y=self.y,
-                              n_samples=self.n_samples, mean=self.mean,
-                              stderr=self.stderr, ceiling=value,
-                              ceiling_kind=kind)
+        return replace(self, ceiling=value, ceiling_kind=kind)
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,11 +173,6 @@ def estimates_to_csv(estimates: Iterable[MomentEstimate]) -> str:
 # --- a priori single-site bound ---
 
 
-def apriori_bound(lam: float, s: float) -> float:
-    """Right side 1/((1-s) lambda^s) of the single-site bound."""
-    return gamma_big(s, lam)
-
-
 def apriori_integral(lam: float, s: float, b: complex, tol: float = 1e-10) -> float:
     """(1/2) int_{-1}^{1} |lambda v - b|^{-s} dv by adaptive quadrature.
 
@@ -232,7 +224,7 @@ def check_apriori(lam: float, s: float, b_values: Sequence[complex]) -> AprioriC
     """Quadrature-vs-bound ratios over a grid of complex B."""
     if len(b_values) == 0:
         raise ValueError("need at least one B value")
-    bound = apriori_bound(lam, s)
+    bound = gamma_big(s, lam)
     ratios = [(complex(b), apriori_integral(lam, s, b) / bound) for b in b_values]
     return AprioriCheck(lam=lam, s=s, bound=bound, ratios=ratios)
 

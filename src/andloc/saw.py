@@ -2,8 +2,9 @@
 
 A self-avoiding walk (SAW) of length n is a nearest-neighbor path
 (w_0 = 0, w_1, ..., w_n) visiting n+1 distinct lattice points.  This module
-counts them exactly and evaluates the generating functions that control the
-fractional-moment bounds elsewhere in the package:
+counts them exactly and evaluates the generating function that controls the
+fractional-moment bounds elsewhere in the package, with the tail of the
+susceptibility chi as its truncation bound:
 
     C_gamma(x) = sum_n gamma^n #S_n(x, 0)      (endpoint-resolved correlation)
     chi(gamma) = sum_n gamma^n c_n             (susceptibility)
@@ -89,9 +90,6 @@ class WalkSeries:
     totals: list[int]
     endpoints: dict[Point, list[int]]
 
-    def endpoint_counts(self, point: Point) -> list[int]:
-        return list(self.endpoints.get(tuple(point), [0] * (self.max_length + 1)))
-
     def to_json_dict(self) -> dict:
         eps = sorted(self.endpoints.items())
         return {
@@ -132,7 +130,7 @@ class CorrelationValue:
     """
 
     gamma: float
-    point: Optional[Point]
+    point: Point
     partial_sum: float
     tail_bound: float
     converged: bool
@@ -317,14 +315,6 @@ def correlation(series: WalkSeries, gamma, point) -> CorrelationValue:
     partial = _partial(counts, gamma) if counts else (0 * gamma if isinstance(gamma, Fraction) else 0.0)
     tail, ok = _tail_bound(series, gamma)
     return CorrelationValue(gamma=gamma, point=p, partial_sum=partial,
-                            tail_bound=tail, converged=ok)
-
-
-def susceptibility(series: WalkSeries, gamma) -> CorrelationValue:
-    """Truncated chi(gamma) = sum_n gamma^n c_n with the same tail bound."""
-    partial = _partial(series.totals, gamma)
-    tail, ok = _tail_bound(series, gamma)
-    return CorrelationValue(gamma=gamma, point=None, partial_sum=partial,
                             tail_bound=tail, converged=ok)
 
 

@@ -137,7 +137,7 @@ def test_criterion_5_integral_bound():
     failures = []
     for s in (0.3, 0.5, 0.7, 0.9):
         for lam in (10.0, 30.0, 100.0):
-            bound = moments.apriori_bound(lam, s)
+            bound = critical.gamma_big(s, lam)
             sat = moments.apriori_integral(lam, s, 0j)
             if abs(sat / bound - 1.0) > 1e-10:
                 failures.append(f"s={s}, lam={lam}: saturation off, "

@@ -350,12 +350,55 @@ def test_config_key_names(tmp_path, capsys, key, value, shown):
 
 def test_green_config_file_matches_flags(tmp_path, capsys):
     flags = run_json(["green", "--dim", "2", "--L", "3", "--seed", "5",
-                      "--x", "2,0", "--y", "0,0", "--deleted", "1,1"], capsys)
+                      "--lambda", "30", "--x", "2,0", "--y", "0,0",
+                      "--deleted", "1,1"], capsys)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dim": 2, "L": 3, "seed": 5, "x": [2, 0],
-                               "y": [0, 0], "deleted": [[1, 1]]}))
+    cfg.write_text(json.dumps({"dim": 2, "L": 3, "seed": 5, "lambda": 30,
+                               "x": [2, 0], "y": [0, 0], "deleted": [[1, 1]]}))
     from_file = run_json(["green", "--config", str(cfg)], capsys)
     assert from_file["result"] == flags["result"]
+    assert from_file["config"] == flags["config"]
+    assert from_file["config"]["lambda"] == 30.0
+    assert from_file["config"]["deleted"] == "1,1"
+
+
+def test_moment_config_file_matches_flags(tmp_path, capsys):
+    flags = run_json(["moment", "--dim", "2", "--L", "3", "--lambda", "30",
+                      "--samples", "6", "--distances", "1,2", "--nmax", "6"],
+                     capsys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": 2, "L": 3, "lambda": 30, "samples": 6,
+                               "distances": [1, 2], "nmax": 6}))
+    from_file = run_json(["moment", "--config", str(cfg)], capsys)
+    for doc in (flags, from_file):
+        doc.pop("wallclock")
+        doc["config"].pop("out")
+    assert from_file == flags
+
+
+@pytest.mark.parametrize("args, file_cfg, code, shown", [
+    (["saw", "--dim", "2", "--nmax", "2"], {"workers": "2"}, 0, ("workers", 2)),
+    (["saw", "--nmax", "3"], {"dim": 2.9}, 2, None),
+    (["saw", "--nmax", "2"], {"dim": True}, 2, None),
+    (["verify", "--n-env", "2", "--n-omega", "48"], {"only": ["drb"]}, 0,
+     ("only", "drb")),
+], ids=["workers-text", "dim-float", "dim-bool", "only-list"])
+def test_config_values_take_their_flag_type(tmp_path, capsys, monkeypatch,
+                                            args, file_cfg, code, shown):
+    monkeypatch.delenv("ANDERSON_THREADS", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    got, out, err = run_main(args + ["--config", str(cfg)], capsys)
+    assert got == code, err
+    if code == 2:
+        assert out == ""
+        assert "'dim'" in err
+        return
+    doc = json.loads(out)
+    key, value = shown
+    assert doc["config"][key] == value
+    if args[0] == "verify":
+        assert [c["name"] for c in doc["result"]["checks"]] == ["drb"]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -107,7 +107,7 @@ def test_apriori_saturated_at_zero():
     for s in (0.3, 0.5, 0.7, 0.9):
         for lam in (10.0, 30.0, 100.0):
             val = moments.apriori_integral(lam, s, 0j)
-            bound = moments.apriori_bound(lam, s)
+            bound = critical.gamma_big(s, lam)
             assert val == pytest.approx(bound, rel=1e-10)
 
 
@@ -125,7 +125,7 @@ def test_apriori_real_b_inside_support():
     # real b inside (-lam, lam) puts the singularity in the interval
     lam, s = 20.0, 0.6
     val = moments.apriori_integral(lam, s, 7.5 + 0j)
-    assert 0 < val <= moments.apriori_bound(lam, s) * (1 + 1e-10)
+    assert 0 < val <= critical.gamma_big(s, lam) * (1 + 1e-10)
 
 
 def test_apriori_far_field_scaling():

@@ -21,8 +21,6 @@ RECURSIVE_D3_N8 = [1, 6, 30, 150, 726, 3534, 16926, 81390, 387966]
 ENDPOINT_10_D2 = [1, 0, 2, 0, 6, 0, 28, 0, 140, 0, 744, 0]
 # frozen oracles.correlation_partial(2, 12, 0.2, (1, 0))
 CORR_PARTIAL_D2 = 0.21836531712000004
-# frozen oracles.susceptibility_partial(2, 10, 0.1)
-CHI_PARTIAL_D2 = 1.569917038
 
 
 def test_totals_match_brute_force_d2():
@@ -64,7 +62,7 @@ def test_endpoint_counts_match_recursive_oracle(d, n_max):
 
 
 def test_endpoint_counts_axis_point(series_d2):
-    counts = series_d2.endpoint_counts((1, 0))
+    counts = series_d2.endpoints[(1, 0)]
     assert counts[1:13] == ENDPOINT_10_D2
 
 
@@ -137,13 +135,6 @@ def test_correlation_partial_frozen():
     assert val.partial_sum == pytest.approx(CORR_PARTIAL_D2, rel=1e-12)
     assert val.converged
     assert val.upper_bound >= val.partial_sum
-
-
-def test_susceptibility_partial_frozen():
-    series = saw.enumerate_walks(2, 10)
-    val = saw.susceptibility(series, 0.1)
-    assert val.partial_sum == pytest.approx(CHI_PARTIAL_D2, rel=1e-12)
-    assert val.converged
 
 
 def test_correlation_tail_formula():
