@@ -50,14 +50,8 @@ def _box_L(cfg: dict, use: str) -> int:
     return cfg["L"] if cfg["L"] is not None else _BOX_L[use]
 
 
-def _nmax(cfg: dict) -> int:
-    if cfg["nmax"] is not None:
-        return cfg["nmax"]
-    return saw.default_max_length(cfg["dim"])
-
-
 def _series(cfg: dict) -> saw.WalkSeries:
-    return saw.enumerate_walks(cfg["dim"], _nmax(cfg),
+    return saw.enumerate_walks(cfg["dim"], cfg["nmax"],
                                memory_budget=cfg["memory_budget"])
 
 
@@ -227,13 +221,14 @@ def _random_site(region: anderson.Region, seed: int, tag: int) -> anderson.Point
 def _identity_regions(dim: int, L: int, seed: int, count: int):
     """Deterministic stream of (region, sample, x, y) cases.
 
-    Regions are boxes with 0-2 random deletions; pairs keep l1 distance <= 2
-    so that both identity sides stay far above roundoff at any lambda.
+    Regions are boxes with 0-2 random deletions, never every site; pairs keep
+    l1 distance <= 2 so that both identity sides stay far above roundoff at
+    any lambda.  A case without such a pair is dropped.
     """
     for t in range(count):
         s0 = substream(seed, t)
         box = anderson.Region(dimension=dim, L=L)
-        n_del = t % 3
+        n_del = min(t % 3, box.n_sites - 1)
         deleted = []
         k = 0
         while len(deleted) < n_del:
@@ -302,6 +297,14 @@ def _below_e(run: _VerifyRun) -> Optional[tuple[str, dict]]:
     return None
 
 
+def _identity_verdict(ok: bool, detail: dict) -> tuple[str, dict]:
+    """pass or fail, or skipped when the case stream gave no case."""
+    if detail["cases"] == 0:
+        return "skipped", {"reason": "no case ran: trials is 0, or no two sites "
+                                     "of the box lie within l1 distance 2"}
+    return _status(ok), detail
+
+
 def _check_depleted(run: _VerifyRun) -> tuple[str, dict]:
     worst, cases = 0.0, 0
     for region, sample, x, y in _identity_regions(
@@ -310,8 +313,8 @@ def _check_depleted(run: _VerifyRun) -> tuple[str, dict]:
         worst = max(worst, anderson.verify_depleted_identity(
             region, run.lam, sample, run.z, x, y))
         cases += 1
-    return _status(worst < 1e-9), {"cases": cases, "max_discrepancy": worst,
-                                   "tolerance": 1e-9}
+    return _identity_verdict(worst < 1e-9, {
+        "cases": cases, "max_discrepancy": worst, "tolerance": 1e-9})
 
 
 def _check_resolvent(run: _VerifyRun) -> tuple[str, dict]:
@@ -325,8 +328,8 @@ def _check_resolvent(run: _VerifyRun) -> tuple[str, dict]:
         worst = max(worst, anderson.verify_resolvent_expansion(
             region, run.lam, sample, run.z, x))
         cases += 1
-    return _status(worst < 1e-9), {"cases": cases, "max_discrepancy": worst,
-                                   "tolerance": 1e-9}
+    return _identity_verdict(worst < 1e-9, {
+        "cases": cases, "max_discrepancy": worst, "tolerance": 1e-9})
 
 
 def _check_schur(run: _VerifyRun) -> tuple[str, dict]:
@@ -337,7 +340,7 @@ def _check_schur(run: _VerifyRun) -> tuple[str, dict]:
         all_ok = all_ok and anderson.verify_schur_diagonal(
             region, run.lam, sample, run.z, x)
         cases += 1
-    return _status(all_ok), {"cases": cases, "tolerance": 1e-9}
+    return _identity_verdict(all_ok, {"cases": cases, "tolerance": 1e-9})
 
 
 def _check_apriori(run: _VerifyRun) -> tuple[str, dict]:
@@ -370,9 +373,11 @@ def _check_ceiling(run: _VerifyRun) -> tuple[str, dict]:
     skip = _below_e(run)
     if skip:
         return skip
-    cfg, pairs = run.cfg, run.pairs
+    cfg, pairs, L = run.cfg, run.pairs, _box_L(run.cfg, "moments")
+    if not pairs:
+        return "skipped", {"reason": f"no distance lies inside the box (L = {L})"}
     family = moments.default_region_family(
-        run.dim, _box_L(cfg, "moments"), keep=[p for pr in pairs for p in pr],
+        run.dim, L, keep=[p for pr in pairs for p in pr],
         seed=substream(run.seed, 17))
     n_samples = cfg["samples"]
     try:
@@ -572,8 +577,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except anderson.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            critical.NoRootError, moments.InsufficientDataError) as exc:
+    except (ValueError, KeyError, OSError, critical.NoRootError,
+            moments.InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

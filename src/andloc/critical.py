@@ -133,18 +133,17 @@ def mass(lam: float, mu_upper: float, eps: float) -> MassValue:
 # --- threshold table ---
 
 
-def round_up_last_digit(x: float, decimals: int = 1) -> float:
-    """Smallest k / 10**decimals whose float is >= x (reporting contract:
-    thresholds are always rounded against safety margins, never below)."""
-    scale = 10**decimals
-    k = math.ceil(x * scale)
-    # x * scale is rounded, so k can be one off either way; settle it on the
+def round_up_last_digit(x: float) -> float:
+    """Smallest k / 10 whose float is >= x (reporting contract: thresholds
+    are always rounded against safety margins, never below)."""
+    k = math.ceil(x * 10)
+    # x * 10 is rounded, so k can be one off either way; settle it on the
     # floats that are actually returned
-    while (k - 1) / scale >= x:
+    while (k - 1) / 10 >= x:
         k -= 1
-    while k / scale < x:
+    while k / 10 < x:
         k += 1
-    return k / scale
+    return k / 10
 
 
 @dataclass

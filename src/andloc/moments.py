@@ -40,7 +40,6 @@ from .critical import gamma_big, gamma_fn, mass, s_crit
 from .parallel import map_ordered, resolve_workers
 from .rng import substream, unit_open
 
-DEFAULT_Z = 0.01j
 _DELETION_VARIANTS = 2  # boxes minus one random site in default_region_family
 
 #: formulas behind every ceiling this module attaches (recorded in artifacts)
@@ -75,7 +74,11 @@ class MomentEstimate:
     mean: float
     stderr: Optional[float]
     ceiling: Optional[float] = None
-    ceiling_kind: str = "none"  # "saw_theorem" | "apriori" | "none"
+
+    @property
+    def ceiling_kind(self) -> str:
+        """The CEILING_FORMULAS key of the ceiling, or "none" when unset."""
+        return "none" if self.ceiling is None else "saw_theorem"
 
     @property
     def distance(self) -> int:
@@ -94,10 +97,9 @@ class MomentEstimate:
         m = self.margin
         return None if m is None else m >= 0.0
 
-    def with_ceiling(self, value: float, kind: str) -> "MomentEstimate":
-        if kind not in CEILING_FORMULAS:
-            raise ValueError(f"unknown ceiling kind {kind!r}")
-        return replace(self, ceiling=value, ceiling_kind=kind)
+    def with_ceiling(self, value: float) -> "MomentEstimate":
+        """This estimate against the walk-expansion ceiling value."""
+        return replace(self, ceiling=value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,6 +143,8 @@ def estimate_moments(region: Region, lam: float, s: float, z: complex,
         raise ValueError(f"s must lie in (0, 1), got {s}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if not pairs:
+        raise ValueError("need at least one (x, y) pair")
     pairs = [(tuple(x), tuple(y)) for x, y in pairs]
     for x, y in pairs:
         if x not in region.index or y not in region.index:
@@ -173,7 +177,7 @@ def estimates_to_csv(estimates: Iterable[MomentEstimate]) -> str:
 # --- a priori single-site bound ---
 
 
-def apriori_integral(lam: float, s: float, b: complex, tol: float = 1e-10) -> float:
+def apriori_integral(lam: float, s: float, b: complex) -> float:
     """(1/2) int_{-1}^{1} |lambda v - b|^{-s} dv by adaptive quadrature.
 
     The integrand peaks (for Im b = 0: diverges integrably) at v0 = Re(b)/lambda;
@@ -185,6 +189,7 @@ def apriori_integral(lam: float, s: float, b: complex, tol: float = 1e-10) -> fl
         raise ValueError(f"s must lie in (0, 1), got {s}")
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    tol = 1e-10  # absolute quadrature tolerance
     b = complex(b)
     v0 = b.real / lam
     if b.imag == 0.0 and -1.0 < v0 < 1.0:
@@ -298,7 +303,7 @@ def check_theorem_ceiling(regions: Sequence[Region], lam: float, z: complex,
         ests = estimate_moments(region, lam, s, z, pairs, n_samples, seed, workers)
         for est in ests:
             diff = tuple(a - b for a, b in zip(est.x, est.y))
-            out.append(est.with_ceiling(ceilings[diff], "saw_theorem"))
+            out.append(est.with_ceiling(ceilings[diff]))
     return out
 
 
@@ -319,9 +324,10 @@ class DecayFit:
     residuals: list[float]
     chi2: float
 
-    def dominates_reference(self, n_sigma: float = 2.0) -> bool:
-        """Fitted decay at least as fast as the proved mass, within fit error."""
-        return self.fitted_rate >= self.reference_rate - n_sigma * self.rate_stderr
+    def dominates_reference(self) -> bool:
+        """Fitted decay at least as fast as the proved mass, within two
+        standard errors of the fitted rate."""
+        return self.fitted_rate >= self.reference_rate - 2.0 * self.rate_stderr
 
     def to_json_dict(self) -> dict:
         return {
@@ -339,7 +345,7 @@ class DecayFit:
 
 
 def fit_decay(estimates: Sequence[MomentEstimate], lam: float, mu_upper: float,
-              eps: float = 0.01) -> DecayFit:
+              eps: float) -> DecayFit:
     """Fit the measured decay rate and compare with m_eps(lambda).
 
     Weights are 1/sigma of ln(mean) (delta method sigma = stderr/mean) when
@@ -406,7 +412,7 @@ class DrbCheck:
 
 
 def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
-                          x, y, n_omega_x: int = 256, n_env: int = 20,
+                          x, y, n_omega_x: int, n_env: int,
                           seed: int = 0) -> DrbCheck:
     """Conditional bound under fixed environments, checked by quadrature.
 
@@ -422,6 +428,8 @@ def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
         raise ValueError("the conditional bound compares x != y")
     if x not in region.index or y not in region.index:
         raise ValueError("x and y must lie in the region")
+    if n_env < 1:
+        raise ValueError(f"n_env must be >= 1, got {n_env}")
     tol = 1e-6
     factor = gamma_big(s, lam)
     depleted = region.without(x)

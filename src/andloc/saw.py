@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 Point = tuple[int, ...]
@@ -165,25 +164,12 @@ def _canonical_counts(dimension: int,
     counts[0][origin] = 1
     # orbit[k]: walks in the orbit of a canonical walk that uses k axes
     orbit = [2**k * math.perm(d, k) for k in range(d + 1)]
-    # moves[k]: (delta, axes in use after it) from a walk that uses k < d axes
-    moves = [[(s, k) for t in strides[:k] for s in (t, -t)] + [(strides[k], k + 1)]
-             for k in range(d)]
-    deltas = [s for t in strides for s in (t, -t)]
-    full = orbit[d]
+    # moves[k]: (delta, axes in use after it) from a walk that uses k axes;
+    # below k = d the last move is the first step along axis k
+    moves = [[(s, k) for t in strides[:k] for s in (t, -t)]
+             + ([(strides[k], k + 1)] if k < d else [])
+             for k in range(d + 1)]
     visited = {origin}
-
-    def dfs(pos: int, depth: int) -> None:  # every axis in use
-        nxt = depth + 1
-        cn = counts[nxt]
-        for dp in deltas:
-            q = pos + dp
-            if q in visited:
-                continue
-            cn[q] = cn.get(q, 0) + full
-            if nxt < n_max:
-                visited.add(q)
-                dfs(q, nxt)
-                visited.discard(q)
 
     def grow(pos: int, depth: int, k: int) -> None:  # axes 0..k-1 in use
         nxt = depth + 1
@@ -195,10 +181,7 @@ def _canonical_counts(dimension: int,
             cn[q] = cn.get(q, 0) + orbit[kk]
             if nxt < n_max:
                 visited.add(q)
-                if kk < d:
-                    grow(q, nxt, kk)
-                else:
-                    dfs(q, nxt)
+                grow(q, nxt, kk)
                 visited.discard(q)
 
     if n_max > 0:
@@ -290,10 +273,7 @@ def _tail_bound(series: WalkSeries, gamma) -> tuple[float, bool]:
 
 def _partial(counts: Iterable[int], gamma):
     # duck-typed so Fraction gamma gives an exact rational partial sum
-    if isinstance(gamma, Fraction):
-        acc = Fraction(0)
-    else:
-        acc = 0.0
+    acc = 0 * gamma
     power = gamma**0
     for c in counts:
         if c:
@@ -311,8 +291,7 @@ def correlation(series: WalkSeries, gamma, point) -> CorrelationValue:
     p = tuple(int(v) for v in point)
     if len(p) != series.dimension:
         raise ValueError(f"point {p} does not have dimension {series.dimension}")
-    counts = series.endpoints.get(p, None)
-    partial = _partial(counts, gamma) if counts else (0 * gamma if isinstance(gamma, Fraction) else 0.0)
+    partial = _partial(series.endpoints.get(p, ()), gamma)
     tail, ok = _tail_bound(series, gamma)
     return CorrelationValue(gamma=gamma, point=p, partial_sum=partial,
                             tail_bound=tail, converged=ok)

@@ -155,8 +155,7 @@ def test_criterion_6_walk_ceiling(series_d2, mc_estimates):
     failures = []
     for est in mc_estimates:
         diff = tuple(a - b for a, b in zip(est.x, est.y))
-        capped = est.with_ceiling(
-            moments.ceiling_value(series_d2, MC_LAM, diff), "saw_theorem")
+        capped = est.with_ceiling(moments.ceiling_value(series_d2, MC_LAM, diff))
         if not capped.ok:
             failures.append(
                 f"distance {capped.distance}: mean-3se "
@@ -172,7 +171,7 @@ def test_criterion_7_decay_dominance(series_d2, mc_estimates):
     fit = moments.fit_decay(mc_estimates, MC_LAM, mu_hat, eps=0.01)
     if not fit.reference_positive:
         failures.append(f"reference rate {fit.reference_rate} not positive")
-    if not fit.dominates_reference(n_sigma=2.0):
+    if not fit.dominates_reference():
         failures.append(
             f"fitted rate {fit.fitted_rate:.4f} +- {fit.rate_stderr:.4f} "
             f"below reference {fit.reference_rate:.4f}")

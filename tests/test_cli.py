@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
 
 import andloc
 from andloc import anderson, cli, critical, saw
@@ -188,6 +190,77 @@ def test_verify_identity_checks_pass_at_weak_coupling(capsys):
     doc = run_json(["verify", "--only", "depleted,schur", "--trials", "5",
                     "--lambda", "5"], capsys)
     assert doc["result"]["all_passed"]
+
+
+_PATTERN = anderson.Region.pattern.func
+_BUILD = anderson.build_hamiltonian
+
+
+def _pattern_without_axis0_hops(region):
+    """Region.pattern with every hop along axis 0 left out."""
+    a = _PATTERN(region)[0].tocoo()
+    sites = np.array(region.sites)
+    keep = sites[a.row, 0] == sites[a.col, 0]
+    b = csc_matrix((a.data[keep], (a.row[keep], a.col[keep])), shape=a.shape)
+    col_of = np.repeat(np.arange(b.shape[1]), np.diff(b.indptr))
+    return b, np.flatnonzero(b.indices == col_of)
+
+
+def _doubled_diagonal(region, lam, sample, z=0.0):
+    """build_hamiltonian with its diagonal written as 2*lam*omega - z."""
+    return _BUILD(region, 2 * lam, sample, z)
+
+
+@pytest.mark.parametrize("planted, caught", [
+    ("pattern", "depleted,resolvent"),
+    ("diagonal", "schur"),
+])
+def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
+                                                caught):
+    if planted == "pattern":
+        monkeypatch.setattr(anderson.Region, "pattern",
+                            property(_pattern_without_axis0_hops))
+    else:
+        monkeypatch.setattr(anderson, "build_hamiltonian", _doubled_diagonal)
+    code, out, _ = run_main(["verify", "--only", caught, "--trials", "6"], capsys)
+    assert code == 1
+    checks = json.loads(out)["result"]["checks"]
+    assert [c["name"] for c in checks] == caught.split(",")
+    assert all(c["status"] == "fail" for c in checks)
+
+
+@pytest.mark.parametrize("args, file_cfg, code, shown", [
+    (["verify", "--only", "depleted,resolvent,schur", "--L", "0"], None, 0,
+     "no case ran"),
+    (["verify", "--only", "depleted", "--trials", "0"], None, 0, "no case ran"),
+    (["verify", "--only", "schur", "--L", "0", "--trials", "1"], None, 0,
+     "no case ran"),
+    (["verify", "--only", "ceiling"], {"distances": "20..21"}, 0,
+     "no distance lies inside the box"),
+    (["moment", "--distances", ","], None, 2, "pair"),
+    (["verify", "--only", "drb", "--n-env", "0"], None, 2, "n_env"),
+], ids=["identity-L0", "depleted-trials0", "schur-L0", "ceiling-far",
+        "moment-no-distance", "drb-n-env-0"])
+def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
+                                               args, file_cfg, code, shown):
+    # an uncaught exception fails the test before any assert
+    def no_sampling(task):
+        raise AssertionError("Monte Carlo ran on a degenerate input")
+
+    monkeypatch.delenv("ANDERSON_THREADS", raising=False)
+    monkeypatch.setattr(cli.moments, "_moment_chunk", no_sampling)
+    if file_cfg is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        args = args + ["--config", str(cfg)]
+    got, out, err = run_main(args, capsys)
+    assert got == code, err
+    if code == 2:
+        assert out == "" and err.startswith("error:") and shown in err
+    else:
+        checks = json.loads(out)["result"]["checks"]
+        assert checks and all(c["status"] == "skipped" for c in checks)
+        assert all(shown in c["detail"]["reason"] for c in checks)
 
 
 def test_verify_apriori_and_drb(capsys):

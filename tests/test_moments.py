@@ -91,13 +91,11 @@ def test_with_ceiling_and_margin():
     region = small_region()
     est = moments.estimate_moments(region, 30.0, 0.5, Z, [((1, 0), (0, 0))],
                                    n_samples=8, seed=0)[0]
-    assert est.ceiling is None and est.ok is None
-    capped = est.with_ceiling(10.0, "saw_theorem")
-    assert capped.ceiling == 10.0
+    assert est.ceiling is None and est.ok is None and est.ceiling_kind == "none"
+    capped = est.with_ceiling(10.0)
+    assert capped.ceiling == 10.0 and capped.ceiling_kind == "saw_theorem"
     assert capped.margin == pytest.approx(10.0 - (capped.mean - 3 * capped.stderr))
     assert capped.ok
-    with pytest.raises(ValueError):
-        est.with_ceiling(1.0, "bogus")
 
 
 # --- a priori integral bound ---
@@ -250,13 +248,13 @@ def test_fit_decay_weighted_matches_reference_rate():
 
 def test_fit_decay_needs_three_distances():
     with pytest.raises(moments.InsufficientDataError):
-        moments.fit_decay(_synthetic([0.5, 0.1]), 30.0, 2.88)
+        moments.fit_decay(_synthetic([0.5, 0.1]), 30.0, 2.88, eps=0.01)
 
 
 def test_fit_decay_rejects_nonpositive_means():
     ests = _synthetic([0.5, 0.1, 0.0, 0.01])
     with pytest.raises(ValueError):
-        moments.fit_decay(ests, 30.0, 2.88)
+        moments.fit_decay(ests, 30.0, 2.88, eps=0.01)
 
 
 # --- conditional single-site bound ---
@@ -291,6 +289,8 @@ def test_drb_conditional_2d_box():
 def test_drb_rejects_bad_pairs():
     region = small_region()
     with pytest.raises(ValueError):
-        moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (0, 0))
+        moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (0, 0),
+                                      n_omega_x=32, n_env=2)
     with pytest.raises(ValueError):
-        moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (9, 9))
+        moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (9, 9),
+                                      n_omega_x=32, n_env=2)
