@@ -10,9 +10,16 @@ elements of the resolvent,
 
     G_z(x, y) = <delta_x, (H - z)^{-1} delta_y>,
 
-computed by a direct sparse complex factorization, one column per right-hand
-side, with the residual recorded.  G_z(x, y) = 0 by convention when x or y is
-outside the region.
+computed by one of two direct solvers, each serving one role:
+
+  * ResolventColumns, a sparse LU (splu) of one sample's H - z, serves green,
+    the identity verifiers below and the conditional-bound check;
+  * SliceSweep, a block-tridiagonal sweep over the box's slices along axis 0
+    batched over samples, is the Monte Carlo solver (moments.estimate_moments).
+
+Both check each column's residual against the sparse H of Region.pattern,
+refine a column once when it exceeds 1e-10, and then raise SolverError
+(SingularSystemError at real z) if it still does.  G_z(x, y) = 0 by convention when x or y is outside the region.
 
 Two exact operator identities are exposed as verifiers (both sides computed
 independently, discrepancy returned):
@@ -51,6 +58,8 @@ Point = tuple[int, ...]
 _RESIDUAL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 _SCHUR_RTOL = 1e-9
+#: byte cap on the slice inverses one SliceSweep stores; sets sweep_batch
+_SWEEP_BYTES = 1 << 20
 
 
 class SolverError(Exception):
@@ -125,6 +134,22 @@ class Region:
                         (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
         col_of = np.repeat(np.arange(n), np.diff(a.indptr))
         return a, np.flatnonzero(a.indices == col_of)
+
+    @cached_property
+    def slices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box cut into its 2L+1 slices along axis 0, for SliceSweep: the
+        hops inside each slice, shape (2L+1, m, m), and the hops from each
+        slice to the next, shape (2L, m), where m = (2L+1)^(d-1) and a hop is
+        1.0 when both its ends survive, else 0.0.  Transverse positions are
+        in the C order of the box array."""
+        keep = (self.grid >= 0).reshape(2 * self.L + 1, -1)
+        g = np.arange(keep.shape[1]).reshape((2 * self.L + 1,) * (self.dimension - 1))
+        t = np.zeros((keep.shape[1],) * 2)
+        for axis in range(self.dimension - 1):
+            h = np.swapaxes(g, 0, axis)
+            t[h[:-1], h[1:]] = t[h[1:], h[:-1]] = 1.0
+        intra = t * (keep[:, :, None] & keep[:, None, :])
+        return intra, (keep[:-1] & keep[1:]).astype(float)
 
     @property
     def n_sites(self) -> int:
@@ -289,13 +314,109 @@ class ResolventColumns:
             u = u - self._lu.solve(r)
             r = self._a @ u - b
             res = float(np.linalg.norm(r))
-        if not np.isfinite(res) or res > _RESIDUAL_TOL:
-            if self.z.imag == 0.0:
+        _check_residual(self.z, res)
+        return u, res
+
+
+def _check_residual(z: complex, res: float) -> None:
+    """The residual contract: raise unless res is finite and <= 1e-10."""
+    if np.isfinite(res) and res <= _RESIDUAL_TOL:
+        return
+    if z.imag == 0.0:
+        raise SingularSystemError(
+            f"real z = {z.real} sits at/near an eigenvalue (residual {res:.3e})")
+    raise SolverError(f"residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e} at z = {z}")
+
+
+def sweep_batch(region: Region) -> int:
+    """Samples per SliceSweep on this region: as many as keep the stored
+    slice inverses within _SWEEP_BYTES, and at least one."""
+    n, m = region.slices[0].shape[:2]
+    return max(1, _SWEEP_BYTES // (16 * n * m * m))
+
+
+class SliceSweep:
+    """Block-tridiagonal factorization of (H - z) on one region for a batch
+    of disorder samples (MacKinnon & Kramer, PRL 47:1546, 1981).
+
+    The box is cut into its slices along axis 0 (Region.slices); a deleted
+    site gets diagonal 1 and no hops, so it decouples exactly.  The forward
+    sweep stores S_i^{-1} for S_0 = D_0, S_i = D_i - C S_{i-1}^{-1} C, one
+    stacked inverse per slice; a column is then one forward and one back
+    substitution.  Every stacked call works matrix by matrix, so a sample's
+    columns do not depend on the batch it shares.
+    """
+
+    def __init__(self, region: Region, lam: float, omegas: np.ndarray, z: complex):
+        if region.n_sites == 0:
+            raise ValueError("region has no sites")
+        self.region = region
+        self.z = complex(z)
+        intra, self._inter = region.slices
+        n, m = intra.shape[:2]
+        batch = len(omegas)
+        keep = region.grid.reshape(n, m) >= 0
+        diag = np.where(keep, lam * omegas.reshape(batch, n, m) - self.z, 1.0)
+        self._at = np.flatnonzero(keep)  # box position of each region site
+        self._diag = diag.reshape(batch, n * m)[:, self._at].T  # (n_sites, batch)
+        a, diag_slots = region.pattern
+        self._hops = a.copy()
+        self._hops.data[diag_slots] = 0.0
+        couple = self._inter[:, :, None] * self._inter[:, None, :]
+        self._inv = np.empty((n, batch, m, m), dtype=complex)
+        s = np.empty((batch, m, m), dtype=complex)
+        for i in range(n):
+            s[:] = intra[i]
+            s.reshape(batch, m * m)[:, ::m + 1] += diag[:, i]
+            if i:
+                s -= self._inv[i - 1] * couple[i - 1]
+            try:
+                self._inv[i] = np.linalg.inv(s)
+            except np.linalg.LinAlgError as exc:  # exactly singular slice block
                 raise SingularSystemError(
-                    f"real z = {self.z.real} sits at/near an eigenvalue "
-                    f"(residual {res:.3e})")
-            raise SolverError(
-                f"residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e} at z = {self.z}")
+                    f"(H - z) singular at z = {self.z}: slice {i}: {exc}") from exc
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Forward and back substitution of (n_sites, batch, k) right-hand
+        sides; returns the solutions in the same layout."""
+        inv, inter = self._inv, self._inter
+        n, batch, m, _ = inv.shape
+        k = rhs.shape[2]
+        g = np.zeros((n * m, batch, k), dtype=complex)
+        g[self._at] = rhs
+        g = np.ascontiguousarray(g.reshape(n, m, batch, k).transpose(0, 2, 1, 3))
+        for i in range(1, n):
+            g[i] -= inter[i - 1][:, None] * (inv[i - 1] @ g[i - 1])
+        g[n - 1] = inv[n - 1] @ g[n - 1]
+        for i in range(n - 2, -1, -1):
+            g[i] = inv[i] @ (g[i] - inter[i][:, None] * g[i + 1])
+        return g.transpose(0, 2, 1, 3).reshape(n * m, batch, k)[self._at]
+
+    def _residual(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """(H - z) u - rhs from the region's sparse pattern, not the slices."""
+        n_sites, batch, k = u.shape
+        r = (self._hops @ u.reshape(n_sites, batch * k)).reshape(u.shape)
+        return r + self._diag[:, :, None] * u - rhs
+
+    def columns(self, ys: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+        """u[:, b, j] = (H_b - z)^{-1} delta_{ys[j]} over region sites for
+        sample b of the batch, and each column's residual norm, shape
+        (batch, len(ys)); refined and checked as ResolventColumns.column."""
+        n_sites, batch = self._diag.shape
+        rhs = np.zeros((n_sites, batch, len(ys)), dtype=complex)
+        for j, y in enumerate(ys):
+            iy = self.region.index.get(tuple(y))
+            if iy is None:
+                raise ValueError(f"site {y} is not in the region")
+            rhs[iy, :, j] = 1.0
+        u = self._solve(rhs)
+        r = self._residual(u, rhs)
+        res = np.linalg.norm(r, axis=0)
+        rough = res > _RESIDUAL_TOL
+        if rough.any():  # one refinement step, on the columns that need it
+            u = np.where(rough, u - self._solve(r), u)
+            res = np.linalg.norm(self._residual(u, rhs), axis=0)
+        _check_residual(self.z, float(np.max(res)))  # NaN propagates to the max
         return u, res
 
 

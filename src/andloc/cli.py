@@ -172,6 +172,10 @@ def cmd_green(cfg: dict) -> int:
     z = complex(cfg["z_real"], cfg["z_imag"])
     x = _parse_point(cfg["x"]) if cfg["x"] else (1,) + (0,) * (dim - 1)
     y = _parse_point(cfg["y"]) if cfg["y"] else (0,) * dim
+    for flag, p in (("--x", x), ("--y", y)):
+        if len(p) != dim:
+            raise ValueError(f"{flag} {','.join(map(str, p))} has {len(p)} "
+                             f"coordinate(s); --dim is {dim}")
     ev = anderson.green(region, cfg["lambda_"], sample, z, x, y)
     result = {"sample": sample.to_json_dict(), "evaluation": ev.to_json_dict()}
     _emit_artifact("green", cfg, result, t0)

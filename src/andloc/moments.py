@@ -16,7 +16,10 @@ This module estimates the left sides by Monte Carlo (counter-based seeds,
 sample k is a pure function of (seed, k); means reduce in index order so
 results are bit-identical for any worker count) and evaluates the right
 sides by quadrature or from exact walk counts, keeping the two routes
-independent.
+independent.  The Monte Carlo solves go through anderson.SliceSweep, a
+batch of samples at a time; the conditional-bound check solves one
+environment at a time with the sparse LU (anderson.ResolventColumns), which
+also serves green and the identity checks.
 
 The ceiling uses the truncated walk series plus its rigorous tail bound, so
 what is checked is a true upper bound, only slightly weakened by truncation.
@@ -35,7 +38,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from . import saw
-from .anderson import Point, Region, ResolventColumns, green, sample_disorder
+from .anderson import (Point, Region, ResolventColumns, SliceSweep, green,
+                       sample_disorder, sweep_batch)
 from .critical import gamma_big, gamma_fn, mass, s_crit
 from .parallel import map_ordered, resolve_workers
 from .rng import substream, unit_open
@@ -120,13 +124,16 @@ class MomentEstimate:
 def _moment_chunk(task) -> np.ndarray:
     region, lam, s, z, pairs, seed, k0, k1 = task
     ys = list(dict.fromkeys(y for _, y in pairs))
+    rows = [region.index[x] for x, _ in pairs]
+    cols = [ys.index(y) for _, y in pairs]
     out = np.empty((k1 - k0, len(pairs)), dtype=float)
-    for i, k in enumerate(range(k0, k1)):
-        sample = sample_disorder(region, substream(seed, k))
-        solver = ResolventColumns(region, lam, sample, z)
-        cols = {y: solver.column(y)[0] for y in ys}
-        for j, (x, y) in enumerate(pairs):
-            out[i, j] = abs(cols[y][region.index[x]]) ** s
+    step = sweep_batch(region)
+    for a in range(k0, k1, step):
+        b = min(a + step, k1)
+        omegas = np.stack([sample_disorder(region, substream(seed, k)).omega
+                           for k in range(a, b)])
+        u, _ = SliceSweep(region, lam, omegas, z).columns(ys)
+        out[a - k0:b - k0] = np.abs(u[rows, :, cols].T) ** s
     return out
 
 

@@ -12,7 +12,7 @@ import pytest
 from scipy.sparse import csc_matrix
 
 import andloc
-from andloc import anderson, cli, critical, saw
+from andloc import anderson, cli, critical, moments, saw
 from andloc.rng import site_uniform
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -154,6 +154,17 @@ def test_green_singular_exits_4(capsys):
     assert "singular" in err.lower()
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["--x", "1"], "--x"),
+    (["--y", "0,0,0"], "--y"),
+    (["--dim", "3", "--x", "1,0,0", "--y", "0,0"], "--y"),
+], ids=["x-short", "y-long", "y-short-3d"])
+def test_green_point_of_wrong_arity_exits_2(capsys, args, flag):
+    code, out, err = run_main(["green"] + args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} ")
+
+
 def test_moment_csv_and_ceiling(capsys):
     code, out, _ = run_main(["moment", "--dim", "2", "--L", "4", "--samples",
                              "12", "--distances", "1..3", "--nmax", "8",
@@ -211,17 +222,40 @@ def _doubled_diagonal(region, lam, sample, z=0.0):
     return _BUILD(region, 2 * lam, sample, z)
 
 
+_CHUNK = moments._moment_chunk
+
+
+def _inflated_chunk(task):
+    """_moment_chunk with every |G|^s value 1e4 times too large."""
+    return 1e4 * _CHUNK(task)
+
+
+def _flat_chunk(task):
+    """_moment_chunk with the first pair's values in every column, so that
+    every distance has the same mean."""
+    vals = _CHUNK(task)
+    return np.repeat(vals[:, :1], vals.shape[1], axis=1)
+
+
+#: planted defect -> (owner, attribute, replacement) for monkeypatch.setattr
+_PLANTS = {
+    "pattern": (anderson.Region, "pattern", property(_pattern_without_axis0_hops)),
+    "diagonal": (anderson, "build_hamiltonian", _doubled_diagonal),
+    "inflated": (moments, "_moment_chunk", _inflated_chunk),
+    "flat": (moments, "_moment_chunk", _flat_chunk),
+}
+
+
 @pytest.mark.parametrize("planted, caught", [
     ("pattern", "depleted,resolvent"),
     ("diagonal", "schur"),
+    ("inflated", "ceiling"),
+    ("flat", "decay"),
 ])
 def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
                                                 caught):
-    if planted == "pattern":
-        monkeypatch.setattr(anderson.Region, "pattern",
-                            property(_pattern_without_axis0_hops))
-    else:
-        monkeypatch.setattr(anderson, "build_hamiltonian", _doubled_diagonal)
+    monkeypatch.delenv("ANDERSON_THREADS", raising=False)  # chunks run here
+    monkeypatch.setattr(*_PLANTS[planted])
     code, out, _ = run_main(["verify", "--only", caught, "--trials", "6"], capsys)
     assert code == 1
     checks = json.loads(out)["result"]["checks"]

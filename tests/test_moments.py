@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from andloc import anderson, critical, moments, saw
+from andloc.rng import substream
 
 Z = 0.01j
 
@@ -96,6 +97,115 @@ def test_with_ceiling_and_margin():
     assert capped.ceiling == 10.0 and capped.ceiling_kind == "saw_theorem"
     assert capped.margin == pytest.approx(10.0 - (capped.mean - 3 * capped.stderr))
     assert capped.ok
+
+
+# --- the slice sweep against the sparse LU ---
+
+SWEEP_LAM = 30.0
+SWEEP_SEED = 11
+SWEEP_SAMPLES = 12
+_FAMILY = moments.default_region_family(2, 4, keep=[(0, 0), (4, 0)], seed=2)
+SWEEP_REGIONS = {
+    "box": _FAMILY[0],
+    "box-minus-site": _FAMILY[1],
+    "half-box": _FAMILY[3],
+    "d1-L0": anderson.Region(dimension=1, L=0),
+    "d1-L6": anderson.Region(dimension=1, L=6),
+    "d3-L2": anderson.Region(dimension=3, L=2),
+}
+
+
+def _sweep_pairs(region):
+    """x = k e_1 for k = 0..min(L, 3) against y = 0 and, when L > 0, y = L e_1:
+    two right-hand sides in different slices."""
+    d, L = region.dimension, region.L
+    axis = [(k,) + (0,) * (d - 1) for k in range(min(L, 3) + 1)]
+    ys = [(0,) * d] + ([(L,) + (0,) * (d - 1)] if L else [])
+    return [(x, y) for y in ys for x in axis]
+
+
+def _sweep_task(region, k0=0, k1=SWEEP_SAMPLES):
+    return (region, SWEEP_LAM, critical.s_crit(SWEEP_LAM), Z, _sweep_pairs(region),
+            SWEEP_SEED, k0, k1)
+
+
+@pytest.mark.parametrize("name", SWEEP_REGIONS)
+def test_sweep_matches_sparse_lu(name):
+    region = SWEEP_REGIONS[name]
+    pairs = _sweep_pairs(region)
+    ys = list(dict.fromkeys(y for _, y in pairs))
+    s = critical.s_crit(SWEEP_LAM)
+    samples = [anderson.sample_disorder(region, substream(SWEEP_SEED, k))
+               for k in range(SWEEP_SAMPLES)]
+    want = np.empty((SWEEP_SAMPLES, len(pairs)))
+    for k, sample in enumerate(samples):
+        lu = anderson.ResolventColumns(region, SWEEP_LAM, sample, Z)
+        for j, (x, y) in enumerate(pairs):
+            want[k, j] = abs(lu.column(y)[0][region.index[x]]) ** s
+    got = moments._moment_chunk(_sweep_task(region))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    # every column meets the contract against the sparse H, not the slices
+    omegas = np.stack([sample.omega for sample in samples])
+    u, res = anderson.SliceSweep(region, SWEEP_LAM, omegas, Z).columns(ys)
+    assert u.shape == (region.n_sites, SWEEP_SAMPLES, len(ys))
+    for k, sample in enumerate(samples):
+        h = anderson.build_hamiltonian(region, SWEEP_LAM, sample, Z)
+        for j, y in enumerate(ys):
+            e = np.zeros(region.n_sites)
+            e[region.index[y]] = 1.0
+            assert np.linalg.norm(h @ u[:, k, j] - e) <= 1e-10
+            assert res[k, j] <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["box", "half-box", "d3-L2"])
+def test_sweep_values_independent_of_batching(name, monkeypatch):
+    region = SWEEP_REGIONS[name]
+    whole = moments._moment_chunk(_sweep_task(region))
+    assert anderson.sweep_batch(region) > 1
+    shifted = moments._moment_chunk(_sweep_task(region, k0=5))
+    assert np.array_equal(shifted, whole[5:])
+    monkeypatch.setattr(anderson, "_SWEEP_BYTES", 1)  # one sample per sweep
+    assert anderson.sweep_batch(region) == 1
+    assert np.array_equal(moments._moment_chunk(_sweep_task(region)), whole)
+
+
+_SLICES = anderson.Region.slices.func
+
+
+def _slices_without_hop_at_origin(region):
+    """Region.slices without the hop from the origin to e_1."""
+    intra, inter = _SLICES(region)
+    inter = inter.copy()
+    inter[region.L, (inter.shape[1] - 1) // 2] = 0.0
+    return intra, inter
+
+
+def test_sweep_dropped_hop_fails_residual_contract(monkeypatch):
+    monkeypatch.setattr(anderson.Region, "slices",
+                        property(_slices_without_hop_at_origin))
+    with pytest.raises(anderson.SolverError, match="residual") as info:
+        moments.estimate_moments(small_region(), 30.0, 0.5, Z,
+                                 [((1, 0), (0, 0))], 4, seed=0)
+    assert type(info.value) is anderson.SolverError
+
+
+def _eigenvalue_seen_from_origin(region, lam, seed):
+    """The eigenvalue of H (sample 0 of seed) whose eigenvector weighs most
+    at the origin."""
+    sample = anderson.sample_disorder(region, substream(seed, 0))
+    h = anderson.build_hamiltonian(region, lam, sample).toarray()
+    w, v = np.linalg.eigh(h)
+    return float(w[np.argmax(np.abs(v[region.index[(0,) * region.dimension]]))])
+
+
+@pytest.mark.parametrize("dim, L", [(1, 0), (2, 2)])
+def test_estimate_at_real_eigenvalue_is_singular(dim, L):
+    region = anderson.Region(dimension=dim, L=L)
+    z = _eigenvalue_seen_from_origin(region, 30.0, seed=4)
+    origin = (0,) * dim
+    with pytest.raises(anderson.SingularSystemError):
+        moments.estimate_moments(region, 30.0, 0.5, z, [(origin, origin)], 1, seed=4)
 
 
 # --- a priori integral bound ---
