@@ -136,6 +136,9 @@ def cmd_saw(cfg: dict) -> int:
 def cmd_critical(cfg: dict) -> int:
     t0 = time.monotonic()
     if cfg["mu"] is not None:
+        if cfg["dims"] is not None:
+            raise ValueError("--mu gives one dimension's bound; use it with "
+                             "--dim, not --dims")
         dims = [cfg["dim"]]
         mus = {dims[0]: cfg["mu"]}
     else:
@@ -196,7 +199,7 @@ def cmd_moment(cfg: dict) -> int:
     pairs = _axis_pairs(dim, dists)
     n_samples, seed = cfg["samples"], cfg["seed"]
     ests, note = None, "ceiling attaches only at s = s_crit(lambda)"
-    if s == critical.s_crit(lam):
+    if lam > critical.E and s == critical.s_crit(lam):
         series = _series(cfg)
         try:
             ests = moments.check_theorem_ceiling([region], lam, z, pairs, n_samples,

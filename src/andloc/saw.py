@@ -30,13 +30,16 @@ hyperoctahedral group (the 2^d d! signed coordinate permutations): the axes
 first appear in the order 1, 2, ..., d, and the first step along each new
 axis is positive.  Every orbit of walks holds exactly one canonical walk,
 and a canonical walk that uses k axes stands for 2^k d!/(d-k)! walks; it adds
-that weight to its endpoint.  The weighted counts are folded into endpoint
-classes (the sorted |coordinates| of a point), and each class total is split
-evenly over the class's distinct signed permutations, since symmetric points
-end equally many walks.  The split is an exact integer division and raises
-ArithmeticError if it ever leaves a remainder.  Positions are encoded as
-single integers in a box of halfwidth N_max, which a length-N walk cannot
-leave.
+that weight to its endpoint.  Positions are encoded as single integers in a
+box of halfwidth N_max, which a length-N walk cannot leave.
+
+Symmetric points end equally many walks, so the series is stored once per
+endpoint class (the sorted |coordinates| of a point): the weighted counts
+are folded into classes, and each class total is split evenly over the
+class's distinct signed permutations, which gives the count at each of its
+points.  The split is an exact integer division and raises ArithmeticError
+if it ever leaves a remainder.  Per-point counts are expanded from the
+classes only on demand (WalkSeries.endpoints) and for the JSON artifact.
 """
 
 from __future__ import annotations
@@ -80,43 +83,36 @@ def ball_size(dimension: int, radius: int) -> int:
 class WalkSeries:
     """Exact SAW counts up to max_length: totals c_n and endpoint counts.
 
-    endpoints maps a lattice point y to the list [#S_0(y,0), ..., #S_N(y,0)].
-    Points never hit by a walk of length <= N do not appear.
+    classes maps an endpoint class, the sorted |coordinates| of a point, to
+    the list [#S_0(y,0), ..., #S_N(y,0)] shared by every point y of the class
+    (each of its distinct signed permutations).  Classes of points never hit
+    by a walk of length <= N do not appear.
     """
 
     dimension: int
     max_length: int
     totals: list[int]
-    endpoints: dict[Point, list[int]]
+    classes: dict[Point, list[int]]
+
+    @property
+    def endpoints(self) -> dict[Point, list[int]]:
+        """Per-point view {y: counts}, expanded from the classes; read only."""
+        return {y: row for cls, row in self.classes.items()
+                for y in _class_points(cls)}
 
     def to_json_dict(self) -> dict:
-        eps = sorted(self.endpoints.items())
+        # one list of decimal strings per class, shared by its points' entries
+        # (exact counts outgrow 64-bit JSON integers)
+        strings = {cls: [str(c) for c in row] for cls, row in self.classes.items()}
+        points = sorted((y, cls) for cls in self.classes for y in _class_points(cls))
         return {
             "dimension": self.dimension,
             "max_length": self.max_length,
-            # decimal strings: exact counts outgrow 64-bit JSON integers
             "totals": [str(c) for c in self.totals],
             "endpoints": [
-                {"point": list(p), "counts": [str(c) for c in cs]} for p, cs in eps
+                {"point": list(y), "counts": strings[cls]} for y, cls in points
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "WalkSeries":
-        d = int(doc["dimension"])
-        n = int(doc["max_length"])
-        totals = [int(c) for c in doc["totals"]]
-        endpoints = {}
-        for entry in doc["endpoints"]:
-            p = tuple(int(v) for v in entry["point"])
-            if len(p) != d:
-                raise ValueError(f"endpoint {p} does not have dimension {d}")
-            if len(entry["counts"]) != n + 1:
-                raise ValueError(f"counts of endpoint {p} do not match max_length")
-            endpoints[p] = [int(c) for c in entry["counts"]]
-        if len(totals) != n + 1:
-            raise ValueError("totals length does not match max_length")
-        return cls(dimension=d, max_length=n, totals=totals, endpoints=endpoints)
 
 
 @dataclass
@@ -143,8 +139,10 @@ class CorrelationValue:
 
 
 def _estimate_bytes(dimension: int, max_length: int) -> int:
-    # key tuple + count list + integer objects + dict slot, times 1.5 as
-    # headroom for the per-length maps built on the way; deliberately rough
+    # the per-point entries still materialised, one per point of the l1 ball:
+    # in the per-length maps of _canonical_counts and in the artifact's
+    # endpoint list (point, counts, slot); times 1.5 as headroom, and
+    # deliberately rough
     per_entry = 220 + 8 * dimension + 36 * (max_length + 1)
     return int(1.5 * ball_size(dimension, max_length) * per_entry)
 
@@ -233,21 +231,17 @@ def enumerate_walks(dimension: int, max_length: Optional[int] = None, *,
             row[n] += c
 
     # every point of a class ends the same number of walks
-    endpoints: dict[Point, list[int]] = {}
     for cls, row in classes.items():
-        points = _class_points(cls)
-        share = []
+        size = len(_class_points(cls))
         for n, c in enumerate(row):
-            q, r = divmod(c, len(points))
+            q, r = divmod(c, size)
             if r:
                 raise ArithmeticError(
                     f"{c} length-{n} walks to the class of {cls} do not split "
-                    f"evenly over its {len(points)} points")
-            share.append(q)
-        for y in points:
-            endpoints[y] = list(share)
+                    f"evenly over its {size} points")
+            row[n] = q
     return WalkSeries(dimension=dimension, max_length=n_max,
-                      totals=totals, endpoints=endpoints)
+                      totals=totals, classes=classes)
 
 
 # --- series evaluation ---
@@ -291,7 +285,8 @@ def correlation(series: WalkSeries, gamma, point) -> CorrelationValue:
     p = tuple(int(v) for v in point)
     if len(p) != series.dimension:
         raise ValueError(f"point {p} does not have dimension {series.dimension}")
-    partial = _partial(series.endpoints.get(p, ()), gamma)
+    cls = tuple(sorted(abs(v) for v in p))
+    partial = _partial(series.classes.get(cls, ()), gamma)
     tail, ok = _tail_bound(series, gamma)
     return CorrelationValue(gamma=gamma, point=p, partial_sum=partial,
                             tail_bound=tail, converged=ok)

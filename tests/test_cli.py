@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, formats, config merging, exit codes."""
 
 import argparse
+import hashlib
 import json
 import shutil
 import subprocess
@@ -75,6 +76,23 @@ def test_verify_decay_nmax_zero_exits_2(capsys):
     assert "length-1" in err
 
 
+# SHA-256 of the saw artifact up to its "wallclock" key: artifacts stay
+# byte-identical across changes to how the series is computed or stored
+SAW_ARTIFACT_SHA256 = {
+    (3, 6): "1830a7ca59d43020226acdcd3dbcb73b8c8623729b5999a283f31686a60f7a64",
+    (6, 4): "fa1b549648be6cccc6cdbba277013fec614a4a00ba34f84c37109ce09c24475e",
+}
+
+
+@pytest.mark.parametrize("d, n_max", sorted(SAW_ARTIFACT_SHA256))
+def test_saw_artifact_bytes_pinned(capsys, d, n_max):
+    code, out, _ = run_main(["saw", "--dim", str(d), "--nmax", str(n_max)],
+                            capsys)
+    assert code == 0
+    head = out[:out.index('"wallclock"')].encode()
+    assert hashlib.sha256(head).hexdigest() == SAW_ARTIFACT_SHA256[d, n_max]
+
+
 def test_saw_artifact_envelope(capsys):
     doc = run_json(["saw", "--dim", "2", "--nmax", "4"], capsys)
     assert set(doc) >= {"command", "config", "versions", "seed", "result",
@@ -124,6 +142,14 @@ def test_critical_custom_mu(capsys):
     rep = doc["result"]["reports"][0]
     assert rep["mu_upper"] == 4.7114
     assert rep["lambda_and"] == pytest.approx(50.13563175903109, rel=1e-12)
+
+
+def test_critical_mu_with_dims_exits_2(capsys):
+    code, out, err = run_main(["critical", "--dims", "3..4", "--mu", "4.7"],
+                              capsys)
+    assert code == 2
+    assert out == ""
+    assert "--dims" in err
 
 
 def test_critical_unknown_dim_exits_2(capsys):
@@ -178,13 +204,16 @@ def test_moment_csv_and_ceiling(capsys):
 
 
 def test_moment_custom_s_has_no_ceiling(capsys):
-    doc = run_json(["moment", "--dim", "2", "--L", "3", "--samples", "6",
-                    "--s", "0.5", "--distances", "1,2", "--nmax", "6"], capsys)
-    ests = doc["result"]["estimates"]
-    assert all(e["ceiling"] is None for e in ests)
-    assert "s_crit" in doc["result"]["note"]
-    assert doc["formulas"] == {
-        k: v for k, v in cli.moments.CEILING_FORMULAS.items()}
+    # lambda = 2 < e has no s_crit; a given --s still needs none
+    for lam in ("30", "2"):
+        doc = run_json(["moment", "--dim", "2", "--L", "3", "--samples", "6",
+                        "--lambda", lam, "--s", "0.5", "--distances", "1,2",
+                        "--nmax", "6"], capsys)
+        ests = doc["result"]["estimates"]
+        assert all(e["ceiling"] is None for e in ests)
+        assert "s_crit" in doc["result"]["note"]
+        assert doc["formulas"] == {
+            k: v for k, v in cli.moments.CEILING_FORMULAS.items()}
 
 
 def test_verify_identity_checks_pass(capsys):

@@ -3,7 +3,7 @@
 import json
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -200,24 +200,6 @@ def test_bad_arguments():
         saw.enumerate_walks(2, -1)
 
 
-def test_json_roundtrip():
-    series = saw.enumerate_walks(2, 7)
-    doc = series.to_json_dict()
-    text = json.dumps(doc)
-    back = saw.WalkSeries.from_json_dict(json.loads(text))
-    assert back.dimension == series.dimension
-    assert back.max_length == series.max_length
-    assert back.totals == series.totals
-    assert back.endpoints == series.endpoints
-
-
-def test_json_rejects_truncated_counts():
-    doc = saw.enumerate_walks(2, 5).to_json_dict()
-    doc["endpoints"][3]["counts"].pop()
-    with pytest.raises(ValueError, match="max_length"):
-        saw.WalkSeries.from_json_dict(doc)
-
-
 def test_saw_starts_no_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool started for walk enumeration")
@@ -235,3 +217,29 @@ def test_totals_are_endpoint_sums(series_d3):
     counts = series_d3.endpoints
     for n, total in enumerate(series_d3.totals):
         assert total == sum(c[n] for c in counts.values())
+
+
+def test_classes_one_per_sorted_magnitude():
+    # every point with |y|_1 <= N ends a walk of length |y|_1
+    series = saw.enumerate_walks(6, 4)
+    magnitudes = {m for m in combinations_with_replacement(range(5), 6)
+                  if sum(m) <= 4}
+    assert set(series.classes) == magnitudes
+    assert len(series.classes) == 12
+
+
+def test_class_rows_times_sizes_are_totals():
+    series = saw.enumerate_walks(6, 4)
+    for n, total in enumerate(series.totals):
+        assert total == sum(row[n] * len(saw._class_points(cls))
+                            for cls, row in series.classes.items())
+
+
+def test_correlation_invariant_under_signed_permutations(series_d3):
+    gamma = Fraction(1, 7)
+    expect = saw.correlation(series_d3, gamma, (2, -1, 0)).partial_sum
+    assert expect > 0
+    for perm in permutations((2, -1, 0)):
+        for signs in product((1, -1), repeat=3):
+            image = tuple(s * v for s, v in zip(signs, perm))
+            assert saw.correlation(series_d3, gamma, image).partial_sum == expect
