@@ -10,16 +10,15 @@ elements of the resolvent,
 
     G_z(x, y) = <delta_x, (H - z)^{-1} delta_y>,
 
-computed by one of two direct solvers, each serving one role:
-
-  * ResolventColumns, a sparse LU (splu) of one sample's H - z, serves green,
-    the identity verifiers below and the conditional-bound check;
-  * SliceSweep, a block-tridiagonal sweep over the box's slices along axis 0
-    batched over samples, is the Monte Carlo solver (moments.estimate_moments).
-
-Both check each column's residual against the sparse H of Region.pattern,
-refine a column once when it exceeds 1e-10, and then raise SolverError
-(SingularSystemError at real z) if it still does.  G_z(x, y) = 0 by convention when x or y is outside the region.
+computed by one direct solver, ResolventColumns: a block-tridiagonal sweep
+over the box's slices along axis 0, batched over disorder samples, which
+serves green, the identity verifiers below, the conditional-bound check and
+the Monte Carlo moments (through resolvent_entries).  It checks each
+column's residual against the sparse H of Region.pattern, refines a column
+once when it exceeds 1e-10, and then raises SolverError (SingularSystemError
+at real z) if it still does.  A sparse LU (splu) has one role: the
+independent solve on the depleted region in verify_depleted_identity.
+G_z(x, y) = 0 by convention when x or y is outside the region.
 
 Two exact operator identities are exposed as verifiers (both sides computed
 independently, discrepancy returned):
@@ -58,7 +57,7 @@ Point = tuple[int, ...]
 _RESIDUAL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 _SCHUR_RTOL = 1e-9
-#: byte cap on the slice inverses one SliceSweep stores; sets sweep_batch
+#: byte cap on the slice inverses one ResolventColumns stores; sets sweep_batch
 _SWEEP_BYTES = 1 << 20
 
 
@@ -77,8 +76,8 @@ class SingularSystemError(SolverError):
 class Region:
     """Centered box [-L, L]^d minus a set of deleted sites.
 
-    Surviving sites are indexed 0..n_sites-1 in lexicographic box order; the
-    bijection is stable under serialization round-trips.  Box arrays put axis
+    Surviving sites are indexed 0..n_sites-1 in lexicographic box order, a
+    function of (dimension, L, deleted) alone.  Box arrays put axis
     i at coordinate i + L, so their C order is the order of `sites`.
     """
 
@@ -137,11 +136,11 @@ class Region:
 
     @cached_property
     def slices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The box cut into its 2L+1 slices along axis 0, for SliceSweep: the
-        hops inside each slice, shape (2L+1, m, m), and the hops from each
-        slice to the next, shape (2L, m), where m = (2L+1)^(d-1) and a hop is
-        1.0 when both its ends survive, else 0.0.  Transverse positions are
-        in the C order of the box array."""
+        """The box cut into its 2L+1 slices along axis 0, for
+        ResolventColumns: the hops inside each slice, shape (2L+1, m, m), and
+        the hops from each slice to the next, shape (2L, m), where
+        m = (2L+1)^(d-1) and a hop is 1.0 when both its ends survive, else
+        0.0.  Transverse positions are in the C order of the box array."""
         keep = (self.grid >= 0).reshape(2 * self.L + 1, -1)
         g = np.arange(keep.shape[1]).reshape((2 * self.L + 1,) * (self.dimension - 1))
         t = np.zeros((keep.shape[1],) * 2)
@@ -189,10 +188,6 @@ def make_region(dimension: int, L: int, deleted: Iterable[Sequence[int]] = ()) -
     if len(set(dels)) != len(dels):
         raise ValueError("deletion list contains duplicates")
     return Region(dimension=dimension, L=L, deleted=frozenset(dels))
-
-
-def region_from_json_dict(doc: dict) -> Region:
-    return make_region(int(doc["dimension"]), int(doc["L"]), doc.get("deleted", ()))
 
 
 # --- disorder ---
@@ -245,10 +240,6 @@ def sample_disorder(region: Region, seed: int) -> DisorderSample:
                           omega=site_uniform(seed, box.astype(np.uint64)))
 
 
-def sample_from_json_dict(doc: dict) -> DisorderSample:
-    return sample_disorder(region_from_json_dict(doc), int(doc["seed"]))
-
-
 # --- Hamiltonian assembly ---
 
 
@@ -284,40 +275,6 @@ class GreenEvaluation:
         }
 
 
-class ResolventColumns:
-    """Factorization of (H - z) on a region, reusable across right-hand sides."""
-
-    def __init__(self, region: Region, lam: float, sample: DisorderSample, z: complex):
-        if region.n_sites == 0:
-            raise ValueError("region has no sites")
-        self.region = region
-        self.z = complex(z)
-        self._a = build_hamiltonian(region, lam, sample, self.z)
-        try:
-            self._lu = splu(self._a)
-        except RuntimeError as exc:  # exactly singular factorization
-            raise SingularSystemError(
-                f"(H - z) singular at z = {self.z}: {exc}") from exc
-
-    def column(self, y: Point) -> tuple[np.ndarray, float]:
-        """u = (H - z)^{-1} delta_y over region sites, with its residual."""
-        iy = self.region.index.get(tuple(y))
-        if iy is None:
-            raise ValueError(f"site {y} is not in the region")
-        b = np.zeros(self.region.n_sites, dtype=complex)
-        b[iy] = 1.0
-        u = self._lu.solve(b)
-        # one step of iterative refinement tightens marginal solves
-        r = self._a @ u - b
-        res = float(np.linalg.norm(r))
-        if res > _RESIDUAL_TOL:
-            u = u - self._lu.solve(r)
-            r = self._a @ u - b
-            res = float(np.linalg.norm(r))
-        _check_residual(self.z, res)
-        return u, res
-
-
 def _check_residual(z: complex, res: float) -> None:
     """The residual contract: raise unless res is finite and <= 1e-10."""
     if np.isfinite(res) and res <= _RESIDUAL_TOL:
@@ -329,22 +286,24 @@ def _check_residual(z: complex, res: float) -> None:
 
 
 def sweep_batch(region: Region) -> int:
-    """Samples per SliceSweep on this region: as many as keep the stored
-    slice inverses within _SWEEP_BYTES, and at least one."""
+    """Samples per ResolventColumns on this region: as many as keep the
+    stored slice inverses within _SWEEP_BYTES, and at least one."""
     n, m = region.slices[0].shape[:2]
     return max(1, _SWEEP_BYTES // (16 * n * m * m))
 
 
-class SliceSweep:
+class ResolventColumns:
     """Block-tridiagonal factorization of (H - z) on one region for a batch
     of disorder samples (MacKinnon & Kramer, PRL 47:1546, 1981).
 
-    The box is cut into its slices along axis 0 (Region.slices); a deleted
-    site gets diagonal 1 and no hops, so it decouples exactly.  The forward
-    sweep stores S_i^{-1} for S_0 = D_0, S_i = D_i - C S_{i-1}^{-1} C, one
-    stacked inverse per slice; a column is then one forward and one back
-    substitution.  Every stacked call works matrix by matrix, so a sample's
-    columns do not depend on the batch it shares.
+    omegas stacks the samples' box arrays (DisorderSample.omega), shape
+    (batch, 2L+1, ..., 2L+1).  The box is cut into its slices along axis 0
+    (Region.slices); a deleted site gets diagonal 1 and no hops, so it
+    decouples exactly.  The forward sweep stores S_i^{-1} for S_0 = D_0,
+    S_i = D_i - C S_{i-1}^{-1} C, one stacked inverse per slice; a column is
+    then one forward and one back substitution.  Every stacked call works
+    matrix by matrix, so a sample's columns do not depend on the batch it
+    shares.
     """
 
     def __init__(self, region: Region, lam: float, omegas: np.ndarray, z: complex):
@@ -401,7 +360,8 @@ class SliceSweep:
     def columns(self, ys: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
         """u[:, b, j] = (H_b - z)^{-1} delta_{ys[j]} over region sites for
         sample b of the batch, and each column's residual norm, shape
-        (batch, len(ys)); refined and checked as ResolventColumns.column."""
+        (batch, len(ys)).  A column above 1e-10 is refined once; one that
+        still is raises SolverError (SingularSystemError at real z)."""
         n_sites, batch = self._diag.shape
         rhs = np.zeros((n_sites, batch, len(ys)), dtype=complex)
         for j, y in enumerate(ys):
@@ -419,6 +379,27 @@ class SliceSweep:
         _check_residual(self.z, float(np.max(res)))  # NaN propagates to the max
         return u, res
 
+    def column(self, y: Point) -> tuple[np.ndarray, float]:
+        """The column at y of a batch of one sample, with its residual."""
+        u, res = self.columns([y])
+        return u[:, 0, 0], float(res[0, 0])
+
+
+def resolvent_entries(region: Region, lam: float, omegas: Iterable[np.ndarray],
+                      z: complex, pairs: Sequence[tuple[Point, Point]]) -> np.ndarray:
+    """G_z(x, y) for every sample (rows) and (x, y) of pairs (columns), both
+    points in the region.  omegas yields the samples' box arrays; they are
+    drawn and solved sweep_batch(region) at a time, with one column per
+    distinct y, so no more than one batch of them is held at once."""
+    ys = list(dict.fromkeys(tuple(y) for _, y in pairs))
+    rows = [region.index[tuple(x)] for x, _ in pairs]
+    cols = [ys.index(tuple(y)) for _, y in pairs]
+    step, it, blocks = sweep_batch(region), iter(omegas), []
+    while batch := list(itertools.islice(it, step)):
+        u, _ = ResolventColumns(region, lam, np.stack(batch), z).columns(ys)
+        blocks.append(u[rows, :, cols].T)
+    return np.concatenate(blocks)
+
 
 def green(region: Region, lam: float, sample: DisorderSample, z: complex,
           x, y) -> GreenEvaluation:
@@ -426,7 +407,7 @@ def green(region: Region, lam: float, sample: DisorderSample, z: complex,
     x, y = tuple(int(c) for c in x), tuple(int(c) for c in y)
     if x not in region.index or y not in region.index:
         return GreenEvaluation(z=complex(z), x=x, y=y, value=0j, residual=0.0)
-    u, res = ResolventColumns(region, lam, sample, z).column(y)
+    u, res = ResolventColumns(region, lam, sample.omega[None], z).column(y)
     return GreenEvaluation(z=complex(z), x=x, y=y,
                            value=complex(u[region.index[x]]), residual=res)
 
@@ -438,28 +419,32 @@ def verify_depleted_identity(region: Region, lam: float, sample: DisorderSample,
                              z: complex, x, y) -> float:
     """Relative discrepancy of the one-step depletion identity at (x, y).
 
-    Both sides are computed from independent solves: the left from G on the
-    region, the right from G(x, x) (a second column of the same factorization)
-    and a solve on the region with x deleted.
+    The two sides come from two independent solvers: G(x, y) and G(x, x)
+    from one ResolventColumns sweep on the region, and the sum over the
+    neighbors of x from a sparse LU (splu) on the region with x deleted.
     """
-    x, y = tuple(x), tuple(y)
+    x, y, z = tuple(x), tuple(y), complex(z)
     if x == y:
         raise ValueError("the one-step identity needs x != y")
-    if x not in region.index:
+    if x not in region.index or y not in region.index:
         return 0.0  # both sides vanish: G is zero off the region
-    cols = ResolventColumns(region, lam, sample, z)
-    ix = region.index[x]
-    lhs = complex(cols.column(y)[0][ix]) if y in region.index else 0j
-    gxx = complex(cols.column(x)[0][ix])
+    gxx, lhs = resolvent_entries(region, lam, [sample.omega], z,
+                                 [(x, x), (x, y)])[0]
     depleted = region.without(x)
     nbrs = region.neighbors_in(x)
-    if nbrs and y in depleted.index:
-        u, _ = ResolventColumns(depleted, lam, sample, z).column(y)
+    total = 0j
+    if nbrs:
+        a = build_hamiltonian(depleted, lam, sample, z)
+        b = np.zeros(depleted.n_sites, dtype=complex)
+        b[depleted.index[y]] = 1.0
+        try:
+            u = splu(a).solve(b)
+        except RuntimeError as exc:  # exactly singular factorization
+            raise SingularSystemError(f"(H - z) singular at z = {z}: {exc}") from exc
+        _check_residual(z, float(np.linalg.norm(a @ u - b)))
         total = sum(u[depleted.index[q]] for q in nbrs)
-    else:
-        total = 0j
     rhs = -gxx * total
-    return abs(lhs - rhs) / max(abs(lhs), _EPS)
+    return float(abs(lhs - rhs) / max(abs(lhs), _EPS))
 
 
 def verify_schur_diagonal(region: Region, lam: float, sample: DisorderSample,
@@ -467,18 +452,17 @@ def verify_schur_diagonal(region: Region, lam: float, sample: DisorderSample,
     """Check that B = lambda omega(x) - 1/G(x, x) does not depend on omega(x).
 
     Recomputes B at omega(x) and at omega(x) -+ 1 (whichever stays in
-    [-1, 1]) with every other site fixed; True iff they agree to
-    _SCHUR_RTOL.
+    [-1, 1]) with every other site fixed, both in one batch; True iff they
+    agree to _SCHUR_RTOL.
     """
     x = tuple(x)
     if x not in region.index:
         raise ValueError(f"site {x} is not in the region")
     v1 = sample.value(x)
-    bs = []
-    for v in (v1, v1 - 1.0 if v1 >= 0.0 else v1 + 1.0):
-        s = sample.with_site_value(x, v)
-        gxx = green(region, lam, s, z, x, x).value
-        bs.append(lam * v - 1.0 / gxx)
+    vs = (v1, v1 - 1.0 if v1 >= 0.0 else v1 + 1.0)
+    omegas = (sample.with_site_value(x, v).omega for v in vs)
+    gxx = resolvent_entries(region, lam, omegas, z, [(x, x)])[:, 0]
+    bs = [lam * v - 1.0 / complex(g) for v, g in zip(vs, gxx)]
     return abs(bs[0] - bs[1]) <= _SCHUR_RTOL * max(abs(bs[0]), abs(bs[1]))
 
 

@@ -16,10 +16,9 @@ This module estimates the left sides by Monte Carlo (counter-based seeds,
 sample k is a pure function of (seed, k); means reduce in index order so
 results are bit-identical for any worker count) and evaluates the right
 sides by quadrature or from exact walk counts, keeping the two routes
-independent.  The Monte Carlo solves go through anderson.SliceSweep, a
-batch of samples at a time; the conditional-bound check solves one
-environment at a time with the sparse LU (anderson.ResolventColumns), which
-also serves green and the identity checks.
+independent.  Every solve, of the Monte Carlo moments and of the
+conditional-bound check alike, goes through anderson.resolvent_entries: the
+one resolvent solver, a batch of samples at a time.
 
 The ceiling uses the truncated walk series plus its rigorous tail bound, so
 what is checked is a true upper bound, only slightly weakened by truncation.
@@ -38,8 +37,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from . import saw
-from .anderson import (Point, Region, ResolventColumns, SliceSweep, green,
-                       sample_disorder, sweep_batch)
+from .anderson import (Point, Region, green, resolvent_entries,
+                       sample_disorder)
 from .critical import gamma_big, gamma_fn, mass, s_crit
 from .parallel import map_ordered, resolve_workers
 from .rng import substream, unit_open
@@ -123,18 +122,9 @@ class MomentEstimate:
 
 def _moment_chunk(task) -> np.ndarray:
     region, lam, s, z, pairs, seed, k0, k1 = task
-    ys = list(dict.fromkeys(y for _, y in pairs))
-    rows = [region.index[x] for x, _ in pairs]
-    cols = [ys.index(y) for _, y in pairs]
-    out = np.empty((k1 - k0, len(pairs)), dtype=float)
-    step = sweep_batch(region)
-    for a in range(k0, k1, step):
-        b = min(a + step, k1)
-        omegas = np.stack([sample_disorder(region, substream(seed, k)).omega
-                           for k in range(a, b)])
-        u, _ = SliceSweep(region, lam, omegas, z).columns(ys)
-        out[a - k0:b - k0] = np.abs(u[rows, :, cols].T) ** s
-    return out
+    omegas = (sample_disorder(region, substream(seed, k)).omega
+              for k in range(k0, k1))
+    return np.abs(resolvent_entries(region, lam, omegas, z, pairs)) ** s
 
 
 def estimate_moments(region: Region, lam: float, s: float, z: complex,
@@ -426,9 +416,9 @@ def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
     For each environment (all omega except omega(x) frozen), the omega(x)
     average of |G(x, y)|^s is computed by Gauss-Legendre quadrature over
     roughly n_omega_x nodes on panels graded toward the effective pole
-    Re(B)/lambda, each node a fresh full solve; the right side comes from
-    independent solves on the depleted region.  Environment j passes when
-    LHS <= RHS + tol.
+    Re(B)/lambda, all nodes of the environment solved as one batch of
+    samples; the right side comes from a separate solve on the depleted
+    region.  Environment j passes when LHS <= RHS + tol.
     """
     x, y = tuple(x), tuple(y)
     if x == y:
@@ -444,23 +434,23 @@ def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
     margins = []
     for j in range(n_env):
         sample = sample_disorder(region, substream(seed, j))
+        rhs = 0.0
         if nbrs:
-            u, _ = ResolventColumns(depleted, lam, sample, z).column(y)
-            rhs = factor * sum(abs(u[depleted.index[q]]) ** s for q in nbrs)
-        else:
-            rhs = 0.0
+            g = resolvent_entries(depleted, lam, [sample.omega], z,
+                                  [(q, y) for q in nbrs])[0]
+            rhs = factor * float(np.sum(np.abs(g) ** s))
         # effective pole of v -> G(x, y; v): B is omega(x)-independent
         gxx = green(region, lam, sample, z, x, x).value
         b = lam * sample.value(x) - 1.0 / gxx
         panels = _pole_panels(b.real / lam, abs(b.imag) / lam)
-        per = max(4, n_omega_x // len(panels))
-        nodes, weights = leggauss(per)
-        lhs = 0.0
+        nodes, weights = leggauss(max(4, n_omega_x // len(panels)))
+        vs, ws = [], []
         for a_, b_ in panels:
             mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-            for t, w in zip(nodes, weights):
-                v = mid + half * t
-                g = green(region, lam, sample.with_site_value(x, v), z, x, y).value
-                lhs += 0.5 * w * half * abs(g) ** s
+            vs += list(mid + half * nodes)
+            ws += list(0.5 * half * weights)
+        omegas = (sample.with_site_value(x, v).omega for v in vs)
+        g = resolvent_entries(region, lam, omegas, z, [(x, y)])[:, 0]
+        lhs = float(np.dot(ws, np.abs(g) ** s))
         margins.append(rhs - lhs)
     return DrbCheck(ok=all(m >= -tol for m in margins), tol=tol, margins=margins)

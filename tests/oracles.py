@@ -97,13 +97,13 @@ def susceptibility_partial(dimension: int, max_length: int,
     return sum(c * gamma ** n for n, c in enumerate(totals))
 
 
-def dense_green(dimension: int, L: int, deleted, omega: Dict[Point, float],
-                lam: float, z: complex, x: Point, y: Point) -> complex:
-    """Green's function entry via dense inversion of the full matrix.
+def dense_resolvent(dimension: int, L: int, deleted, omega: Dict[Point, float],
+                    lam: float, z: complex) -> tuple[Dict[Point, int], np.ndarray]:
+    """The whole resolvent via dense inversion of the full matrix.
 
     Builds the operator from scratch: lexicographic site order over the box
     minus `deleted`, unit hopping between l1-distance-1 pairs, diagonal
-    lam * omega, then numpy.linalg.inv.
+    lam * omega, then numpy.linalg.inv.  Returns the site index and G.
     """
     deleted = {tuple(p) for p in deleted}
     sites = [p for p in itertools.product(range(-L, L + 1), repeat=dimension)
@@ -116,7 +116,13 @@ def dense_green(dimension: int, L: int, deleted, omega: Dict[Point, float],
         for q, j in index.items():
             if sum(abs(c - d) for c, d in zip(p, q)) == 1:
                 a[i, j] += 1.0
-    g = np.linalg.inv(a)
+    return index, np.linalg.inv(a)
+
+
+def dense_green(dimension: int, L: int, deleted, omega: Dict[Point, float],
+                lam: float, z: complex, x: Point, y: Point) -> complex:
+    """One Green's function entry of dense_resolvent."""
+    index, g = dense_resolvent(dimension, L, deleted, omega, lam, z)
     return complex(g[index[tuple(x)], index[tuple(y)]])
 
 

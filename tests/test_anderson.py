@@ -1,6 +1,5 @@
 """Region geometry, disorder sampling, and Green's function identities."""
 
-import json
 import math
 import warnings
 
@@ -62,12 +61,6 @@ def test_region_neighbors():
     region = anderson.make_region(2, 1, [(1, 0)])
     nbrs = set(region.neighbors_in((0, 0)))
     assert nbrs == {(-1, 0), (0, -1), (0, 1)}
-
-
-def test_region_json_roundtrip():
-    region = anderson.make_region(3, 2, [(0, 0, 0), (1, -1, 2)])
-    back = anderson.region_from_json_dict(json.loads(json.dumps(region.to_json_dict())))
-    assert back == region
 
 
 # --- disorder samples ---
@@ -132,14 +125,6 @@ def test_sample_with_site_value():
     assert t.value((1, 0)) == s.value((1, 0))
     with pytest.raises(ValueError):
         s.with_site_value((0, 0), 1.5)
-
-
-def test_sample_json_roundtrip():
-    region = anderson.make_region(2, 2, [(1, 1)])
-    s = anderson.sample_disorder(region, 9)
-    back = anderson.sample_from_json_dict(json.loads(json.dumps(s.to_json_dict())))
-    assert back.region == region
-    assert np.array_equal(back.omega, s.omega)
 
 
 # --- Hamiltonian and spectrum ---
@@ -222,6 +207,25 @@ def test_matches_dense_oracle_random_regions():
         assert abs(got - want) <= 1e-9 * max(abs(want), 1e-12)
 
 
+def test_green_at_real_z_on_depleted_box():
+    # at real z the slice blocks are real symmetric and indefinite, and the
+    # sweep does not pivot across slices; it must still match a dense inverse
+    lam, deleted = 1.0, [(0, 1), (-2, 2), (3, -1)]
+    region = anderson.make_region(2, 3, deleted)
+    sample = anderson.sample_disorder(region, 37)
+    w = np.linalg.eigvalsh(anderson.build_hamiltonian(region, lam, sample).toarray())
+    k = int(np.argmax(np.diff(w)))
+    z = complex(0.5 * (w[k] + w[k + 1]))  # middle of the widest spectral gap
+    assert z.imag == 0.0 and np.min(np.abs(w - z.real)) > 0.05
+    omega = {p: sample.value(p) for p in region.box_sites()}
+    index, want = oracles.dense_resolvent(2, 3, deleted, omega, lam, z)
+    for x, y in [((0, 0), (0, 0)), ((2, 1), (-3, 0)), ((-1, 3), (1, -3))]:
+        ev = anderson.green(region, lam, sample, z, x, y)
+        ref = want[index[x], index[y]]
+        assert abs(ev.value - ref) <= 1e-9 * abs(ref)
+        assert ev.residual <= 1e-10
+
+
 def test_green_symmetric():
     region = anderson.make_region(2, 3, [(2, 2)])
     sample = anderson.sample_disorder(region, 8)
@@ -233,7 +237,7 @@ def test_green_symmetric():
 def test_green_bounded_by_inverse_imag():
     region = anderson.make_region(2, 3)
     sample = anderson.sample_disorder(region, 13)
-    cols = anderson.ResolventColumns(region, LAM, sample, Z)
+    cols = anderson.ResolventColumns(region, LAM, sample.omega[None], Z)
     u, _ = cols.column((0, 0))
     assert np.max(np.abs(u)) <= 1.0 / Z.imag + 1e-12
 
@@ -264,7 +268,7 @@ def test_singular_system_raises():
 def test_resolvent_columns_shared_factorization():
     region = anderson.make_region(2, 3)
     sample = anderson.sample_disorder(region, 17)
-    cols = anderson.ResolventColumns(region, LAM, sample, Z)
+    cols = anderson.ResolventColumns(region, LAM, sample.omega[None], Z)
     u, res = cols.column((0, 0))
     assert res < 1e-10
     ev = anderson.green(region, LAM, sample, Z, (1, 1), (0, 0))
@@ -290,20 +294,28 @@ def test_depleted_identity_with_deletions():
 
 
 def test_depleted_identity_factors_each_region_once(monkeypatch):
-    # G(x, y) and G(x, x) are two columns of one factorization; the
-    # depleted region gets its own
-    shapes, real_splu = [], anderson.splu
+    # G(x, y) and G(x, x) are two columns of one sweep on the region; the
+    # depleted region gets its own solver, a sparse LU
+    sweeps, lus = [], []
+    real_splu = anderson.splu
+
+    class Counted(anderson.ResolventColumns):
+        def __init__(self, region, *args):
+            sweeps.append(region.n_sites)
+            super().__init__(region, *args)
 
     def counted(a):
-        shapes.append(a.shape)
+        lus.append(a.shape)
         return real_splu(a)
 
+    monkeypatch.setattr(anderson, "ResolventColumns", Counted)
     monkeypatch.setattr(anderson, "splu", counted)
     region = anderson.make_region(2, 3, [(1, 0)])
     sample = anderson.sample_disorder(region, 36)
     err = anderson.verify_depleted_identity(region, LAM, sample, Z, (0, 0), (2, 1))
     assert err < 1e-12
-    assert shapes == [(48, 48), (47, 47)]
+    assert sweeps == [48]
+    assert lus == [(47, 47)]
 
 
 def test_depleted_identity_rejects_equal_points():

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -51,6 +52,25 @@ def test_console_script_on_path():
     proc = subprocess.run(["andloc", "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == andloc.__version__
+
+
+def test_perfbench_trace_installs_against_src(tmp_path):
+    # perfbench's traced rounds rebind andloc names by string; a renamed one
+    # fails here instead of in the next traced benchmark run
+    root = PYPROJECT.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("ANDERSON_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "runner.py"), "--trace", "1",
+         "--", "verify", "--only", "depleted,schur", "--trials", "2", "--L", "2",
+         "--out", str(tmp_path / "verify.json")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["exit"] == 0
+    layers = doc["layers"]
+    assert layers["anderson.ResolventColumns.calls"] > 0
+    assert layers["anderson.splu.calls"] > 0
 
 
 def test_saw_csv_header_exact(capsys):
@@ -233,7 +253,11 @@ def test_verify_identity_checks_pass_at_weak_coupling(capsys):
 
 
 _PATTERN = anderson.Region.pattern.func
+_SLICES = anderson.Region.slices.func
 _BUILD = anderson.build_hamiltonian
+_SWEEP = anderson.ResolventColumns
+_QUAD = moments.quad
+_LEGGAUSS = moments.leggauss
 
 
 def _pattern_without_axis0_hops(region):
@@ -246,9 +270,32 @@ def _pattern_without_axis0_hops(region):
     return b, np.flatnonzero(b.indices == col_of)
 
 
+def _slices_without_axis0_hops(region):
+    """Region.slices with no hop from one slice to the next."""
+    intra, inter = _SLICES(region)
+    return intra, np.zeros_like(inter)
+
+
 def _doubled_diagonal(region, lam, sample, z=0.0):
     """build_hamiltonian with its diagonal written as 2*lam*omega - z."""
     return _BUILD(region, 2 * lam, sample, z)
+
+
+def _sweep_doubled_diagonal(region, lam, omegas, z):
+    """ResolventColumns with its diagonal written as 2*lam*omega - z."""
+    return _SWEEP(region, 2 * lam, omegas, z)
+
+
+def _quad_without_weight(f, a, b, weight=None, wvar=None, **kwargs):
+    """scipy's quad with the algebraic weight dropped."""
+    return _QUAD(f, a, b, **kwargs)
+
+
+def _leggauss_doubled(n):
+    """Gauss-Legendre nodes with weights summing to 4: the omega(x) average
+    loses the density 1/2 of the uniform law."""
+    nodes, weights = _LEGGAUSS(n)
+    return nodes, 2.0 * weights
 
 
 _CHUNK = moments._moment_chunk
@@ -266,25 +313,35 @@ def _flat_chunk(task):
     return np.repeat(vals[:, :1], vals.shape[1], axis=1)
 
 
-#: planted defect -> (owner, attribute, replacement) for monkeypatch.setattr
+#: planted defect -> its (owner, attribute, replacement) triples for
+#: monkeypatch.setattr
 _PLANTS = {
-    "pattern": (anderson.Region, "pattern", property(_pattern_without_axis0_hops)),
-    "diagonal": (anderson, "build_hamiltonian", _doubled_diagonal),
-    "inflated": (moments, "_moment_chunk", _inflated_chunk),
-    "flat": (moments, "_moment_chunk", _flat_chunk),
+    # the region's adjacency, which both solvers read, without axis-0 hops
+    "pattern": [(anderson.Region, "pattern", property(_pattern_without_axis0_hops)),
+                (anderson.Region, "slices", property(_slices_without_axis0_hops))],
+    "diagonal": [(anderson, "ResolventColumns", _sweep_doubled_diagonal)],
+    "lu-diagonal": [(anderson, "build_hamiltonian", _doubled_diagonal)],
+    "weightless": [(moments, "quad", _quad_without_weight)],
+    "density": [(moments, "leggauss", _leggauss_doubled)],
+    "inflated": [(moments, "_moment_chunk", _inflated_chunk)],
+    "flat": [(moments, "_moment_chunk", _flat_chunk)],
 }
 
 
 @pytest.mark.parametrize("planted, caught", [
     ("pattern", "depleted,resolvent"),
     ("diagonal", "schur"),
+    ("lu-diagonal", "depleted"),
+    ("weightless", "apriori"),
+    ("density", "drb"),
     ("inflated", "ceiling"),
     ("flat", "decay"),
 ])
 def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
                                                 caught):
     monkeypatch.delenv("ANDERSON_THREADS", raising=False)  # chunks run here
-    monkeypatch.setattr(*_PLANTS[planted])
+    for plant in _PLANTS[planted]:
+        monkeypatch.setattr(*plant)
     code, out, _ = run_main(["verify", "--only", caught, "--trials", "6"], capsys)
     assert code == 1
     checks = json.loads(out)["result"]["checks"]

@@ -8,6 +8,8 @@ import pytest
 from andloc import anderson, critical, moments, saw
 from andloc.rng import substream
 
+import oracles
+
 Z = 0.01j
 
 # frozen 100k-sample reference for the regression band test: d=2, L=8,
@@ -99,7 +101,7 @@ def test_with_ceiling_and_margin():
     assert capped.ok
 
 
-# --- the slice sweep against the sparse LU ---
+# --- the slice sweep against a dense inverse ---
 
 SWEEP_LAM = 30.0
 SWEEP_SEED = 11
@@ -131,6 +133,7 @@ def _sweep_task(region, k0=0, k1=SWEEP_SAMPLES):
 
 @pytest.mark.parametrize("name", SWEEP_REGIONS)
 def test_sweep_matches_sparse_lu(name):
+    # the reference is a dense inverse built from scratch (tests/oracles.py)
     region = SWEEP_REGIONS[name]
     pairs = _sweep_pairs(region)
     ys = list(dict.fromkeys(y for _, y in pairs))
@@ -139,15 +142,17 @@ def test_sweep_matches_sparse_lu(name):
                for k in range(SWEEP_SAMPLES)]
     want = np.empty((SWEEP_SAMPLES, len(pairs)))
     for k, sample in enumerate(samples):
-        lu = anderson.ResolventColumns(region, SWEEP_LAM, sample, Z)
+        omega = {p: sample.value(p) for p in region.box_sites()}
+        index, g = oracles.dense_resolvent(region.dimension, region.L,
+                                           region.deleted, omega, SWEEP_LAM, Z)
         for j, (x, y) in enumerate(pairs):
-            want[k, j] = abs(lu.column(y)[0][region.index[x]]) ** s
+            want[k, j] = abs(g[index[x], index[y]]) ** s
     got = moments._moment_chunk(_sweep_task(region))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     # every column meets the contract against the sparse H, not the slices
     omegas = np.stack([sample.omega for sample in samples])
-    u, res = anderson.SliceSweep(region, SWEEP_LAM, omegas, Z).columns(ys)
+    u, res = anderson.ResolventColumns(region, SWEEP_LAM, omegas, Z).columns(ys)
     assert u.shape == (region.n_sites, SWEEP_SAMPLES, len(ys))
     for k, sample in enumerate(samples):
         h = anderson.build_hamiltonian(region, SWEEP_LAM, sample, Z)
