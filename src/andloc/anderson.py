@@ -10,14 +10,15 @@ elements of the resolvent,
 
     G_z(x, y) = <delta_x, (H - z)^{-1} delta_y>,
 
-computed by one direct solver, ResolventColumns: a block-tridiagonal sweep
-over the box's slices along axis 0, batched over disorder samples, which
-serves green, the identity verifiers below, the conditional-bound check and
-the Monte Carlo moments (through resolvent_entries).  It checks each
-column's residual against the sparse H of Region.pattern, refines a column
-once when it exceeds 1e-10, and then raises SolverError (SingularSystemError
-at real z) if it still does.  A sparse LU (splu) has one role: the
-independent solve on the depleted region in verify_depleted_identity.
+computed by one direct solver, ResolventColumns: a banded LU of one
+sample's H - z (LAPACK zgbtrf/zgbtrs, partial pivoting) in the band layout
+of Region.band, which serves green, the identity verifiers below, the
+conditional-bound check and the Monte Carlo moments (through
+resolvent_entries, one factorization per sample).  It checks each column's
+residual against the sparse H of Region.pattern, refines a column once when
+it exceeds 1e-10, and then raises SolverError (SingularSystemError at real
+z) if it still does.  A sparse LU (splu) has one role: the independent
+solve on the depleted region in verify_depleted_identity.
 G_z(x, y) = 0 by convention when x or y is outside the region.
 
 Two exact operator identities are exposed as verifiers (both sides computed
@@ -47,6 +48,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -57,8 +59,6 @@ Point = tuple[int, ...]
 _RESIDUAL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 _SCHUR_RTOL = 1e-9
-#: byte cap on the slice inverses one ResolventColumns stores; sets sweep_batch
-_SWEEP_BYTES = 1 << 20
 
 
 class SolverError(Exception):
@@ -119,8 +119,9 @@ class Region:
 
     @cached_property
     def pattern(self) -> tuple[csc_matrix, np.ndarray]:
-        """Canonical CSC adjacency with a stored slot on every diagonal, and
-        the positions of those slots in its data (slot j holds entry (j, j))."""
+        """Canonical CSC adjacency with a stored 0.0 slot on every diagonal,
+        and the positions of those slots in its data (slot j holds entry
+        (j, j))."""
         n = self.n_sites
         rows, cols = [np.arange(n)], [np.arange(n)]
         for axis in range(self.dimension):
@@ -129,26 +130,32 @@ class Region:
             hop = (lo >= 0) & (hi >= 0)
             rows += [lo[hop], hi[hop]]
             cols += [hi[hop], lo[hop]]
-        a = csc_matrix((np.ones(sum(map(len, rows))),
-                        (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+        data = np.concatenate([np.zeros(n), np.ones(sum(map(len, rows[1:])))])
+        a = csc_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n, n))
         col_of = np.repeat(np.arange(n), np.diff(a.indptr))
         return a, np.flatnonzero(a.indices == col_of)
 
     @cached_property
-    def slices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The box cut into its 2L+1 slices along axis 0, for
-        ResolventColumns: the hops inside each slice, shape (2L+1, m, m), and
-        the hops from each slice to the next, shape (2L, m), where
-        m = (2L+1)^(d-1) and a hop is 1.0 when both its ends survive, else
-        0.0.  Transverse positions are in the C order of the box array."""
-        keep = (self.grid >= 0).reshape(2 * self.L + 1, -1)
-        g = np.arange(keep.shape[1]).reshape((2 * self.L + 1,) * (self.dimension - 1))
-        t = np.zeros((keep.shape[1],) * 2)
-        for axis in range(self.dimension - 1):
-            h = np.swapaxes(g, 0, axis)
-            t[h[:-1], h[1:]] = t[h[1:], h[:-1]] = 1.0
-        intra = t * (keep[:, :, None] & keep[:, None, :])
-        return intra, (keep[:-1] & keep[1:]).astype(float)
+    def band(self) -> tuple[int, np.ndarray]:
+        """The LAPACK band layout of H - z for ResolventColumns: kl = ku, the
+        largest |i - j| of a hop in pattern, and the flat positions of the
+        hops in a C-order (n_sites, 3 kl + 1) array, whose transpose is the
+        zgbtrf band (entry (i, j) at row 2 kl + i - j of column j)."""
+        a, diag_slots = self.pattern
+        hop = np.ones(a.nnz, dtype=bool)
+        hop[diag_slots] = False
+        rows = a.indices[hop]
+        cols = np.repeat(np.arange(self.n_sites), np.diff(a.indptr))[hop]
+        kl = int(np.max(np.abs(rows - cols), initial=0))
+        return kl, cols * (3 * kl + 1) + 2 * kl + rows - cols
+
+    @cached_property
+    def box_coords(self) -> np.ndarray:
+        """Coordinates of every box site as uint64 hash keys (negatives wrap,
+        as in rng), shape (d, 2L+1, ..., 2L+1) in box-array order."""
+        box = np.indices((2 * self.L + 1,) * self.dimension) - self.L
+        return box.astype(np.uint64)
 
     @property
     def n_sites(self) -> int:
@@ -193,7 +200,7 @@ def make_region(dimension: int, L: int, deleted: Iterable[Sequence[int]] = ()) -
 # --- disorder ---
 
 
-@dataclass
+@dataclass(eq=False)
 class DisorderSample:
     """omega over the full box array (deleted sites included, harmlessly).
 
@@ -206,6 +213,12 @@ class DisorderSample:
     region: Region
     seed: int
     omega: np.ndarray  # axis i at coordinate i + L, as in Region.grid
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DisorderSample):
+            return NotImplemented
+        return (self.region == other.region and self.seed == other.seed
+                and np.array_equal(self.omega, other.omega))
 
     def _slot(self, p: Point) -> Point:
         p = tuple(p)
@@ -235,9 +248,8 @@ class DisorderSample:
 
 
 def sample_disorder(region: Region, seed: int) -> DisorderSample:
-    box = np.indices((2 * region.L + 1,) * region.dimension) - region.L
     return DisorderSample(region=region, seed=seed,
-                          omega=site_uniform(seed, box.astype(np.uint64)))
+                          omega=site_uniform(seed, region.box_coords))
 
 
 # --- Hamiltonian assembly ---
@@ -285,90 +297,51 @@ def _check_residual(z: complex, res: float) -> None:
     raise SolverError(f"residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e} at z = {z}")
 
 
-def sweep_batch(region: Region) -> int:
-    """Samples per ResolventColumns on this region: as many as keep the
-    stored slice inverses within _SWEEP_BYTES, and at least one."""
-    n, m = region.slices[0].shape[:2]
-    return max(1, _SWEEP_BYTES // (16 * n * m * m))
-
-
 class ResolventColumns:
-    """Block-tridiagonal factorization of (H - z) on one region for a batch
-    of disorder samples (MacKinnon & Kramer, PRL 47:1546, 1981).
+    """Banded LU factorization of (H - z) on one region for one disorder
+    sample.
 
-    omegas stacks the samples' box arrays (DisorderSample.omega), shape
-    (batch, 2L+1, ..., 2L+1).  The box is cut into its slices along axis 0
-    (Region.slices); a deleted site gets diagonal 1 and no hops, so it
-    decouples exactly.  The forward sweep stores S_i^{-1} for S_0 = D_0,
-    S_i = D_i - C S_{i-1}^{-1} C, one stacked inverse per slice; a column is
-    then one forward and one back substitution.  Every stacked call works
-    matrix by matrix, so a sample's columns do not depend on the batch it
-    shares.
+    omega is the sample's box array (DisorderSample.omega).  H - z is laid
+    out in the band of Region.band and factored once by LAPACK zgbtrf
+    (partial pivoting, always in complex); a column is then one zgbtrs solve
+    with the stored factor.
     """
 
-    def __init__(self, region: Region, lam: float, omegas: np.ndarray, z: complex):
+    def __init__(self, region: Region, lam: float, omega: np.ndarray, z: complex):
         if region.n_sites == 0:
             raise ValueError("region has no sites")
         self.region = region
         self.z = complex(z)
-        intra, self._inter = region.slices
-        n, m = intra.shape[:2]
-        batch = len(omegas)
-        keep = region.grid.reshape(n, m) >= 0
-        diag = np.where(keep, lam * omegas.reshape(batch, n, m) - self.z, 1.0)
-        self._at = np.flatnonzero(keep)  # box position of each region site
-        self._diag = diag.reshape(batch, n * m)[:, self._at].T  # (n_sites, batch)
-        a, diag_slots = region.pattern
-        self._hops = a.copy()
-        self._hops.data[diag_slots] = 0.0
-        couple = self._inter[:, :, None] * self._inter[:, None, :]
-        self._inv = np.empty((n, batch, m, m), dtype=complex)
-        s = np.empty((batch, m, m), dtype=complex)
-        for i in range(n):
-            s[:] = intra[i]
-            s.reshape(batch, m * m)[:, ::m + 1] += diag[:, i]
-            if i:
-                s -= self._inv[i - 1] * couple[i - 1]
-            try:
-                self._inv[i] = np.linalg.inv(s)
-            except np.linalg.LinAlgError as exc:  # exactly singular slice block
-                raise SingularSystemError(
-                    f"(H - z) singular at z = {self.z}: slice {i}: {exc}") from exc
+        self._kl, hops = region.band
+        self._diag = lam * omega[region.grid >= 0] - self.z
+        ab = np.zeros((region.n_sites, 3 * self._kl + 1), dtype=complex)
+        ab.reshape(-1)[hops] = 1.0
+        ab[:, 2 * self._kl] = self._diag
+        self._lu, self._piv, info = zgbtrf(ab.T, self._kl, self._kl, overwrite_ab=1)
+        if info > 0:  # exactly zero pivot
+            raise SingularSystemError(
+                f"(H - z) singular at z = {self.z}: zero pivot {info} of zgbtrf")
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Forward and back substitution of (n_sites, batch, k) right-hand
-        sides; returns the solutions in the same layout."""
-        inv, inter = self._inv, self._inter
-        n, batch, m, _ = inv.shape
-        k = rhs.shape[2]
-        g = np.zeros((n * m, batch, k), dtype=complex)
-        g[self._at] = rhs
-        g = np.ascontiguousarray(g.reshape(n, m, batch, k).transpose(0, 2, 1, 3))
-        for i in range(1, n):
-            g[i] -= inter[i - 1][:, None] * (inv[i - 1] @ g[i - 1])
-        g[n - 1] = inv[n - 1] @ g[n - 1]
-        for i in range(n - 2, -1, -1):
-            g[i] = inv[i] @ (g[i] - inter[i][:, None] * g[i + 1])
-        return g.transpose(0, 2, 1, 3).reshape(n * m, batch, k)[self._at]
+        """(H - z)^{-1} rhs for (n_sites, k) right-hand sides."""
+        u, _ = zgbtrs(self._lu, self._kl, self._kl, rhs, self._piv)
+        return u
 
     def _residual(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """(H - z) u - rhs from the region's sparse pattern, not the slices."""
-        n_sites, batch, k = u.shape
-        r = (self._hops @ u.reshape(n_sites, batch * k)).reshape(u.shape)
-        return r + self._diag[:, :, None] * u - rhs
+        """(H - z) u - rhs from the region's sparse pattern, not the band."""
+        return self.region.pattern[0] @ u + self._diag[:, None] * u - rhs
 
     def columns(self, ys: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
-        """u[:, b, j] = (H_b - z)^{-1} delta_{ys[j]} over region sites for
-        sample b of the batch, and each column's residual norm, shape
-        (batch, len(ys)).  A column above 1e-10 is refined once; one that
-        still is raises SolverError (SingularSystemError at real z)."""
-        n_sites, batch = self._diag.shape
-        rhs = np.zeros((n_sites, batch, len(ys)), dtype=complex)
+        """u[:, j] = (H - z)^{-1} delta_{ys[j]} over region sites, and each
+        column's residual norm, shape (len(ys),).  A column above 1e-10 is
+        refined once; one that still is raises SolverError
+        (SingularSystemError at real z)."""
+        rhs = np.zeros((self.region.n_sites, len(ys)), dtype=complex, order="F")
         for j, y in enumerate(ys):
             iy = self.region.index.get(tuple(y))
             if iy is None:
                 raise ValueError(f"site {y} is not in the region")
-            rhs[iy, :, j] = 1.0
+            rhs[iy, j] = 1.0
         u = self._solve(rhs)
         r = self._residual(u, rhs)
         res = np.linalg.norm(r, axis=0)
@@ -380,25 +353,21 @@ class ResolventColumns:
         return u, res
 
     def column(self, y: Point) -> tuple[np.ndarray, float]:
-        """The column at y of a batch of one sample, with its residual."""
+        """The column at y, with its residual."""
         u, res = self.columns([y])
-        return u[:, 0, 0], float(res[0, 0])
+        return u[:, 0], float(res[0])
 
 
 def resolvent_entries(region: Region, lam: float, omegas: Iterable[np.ndarray],
                       z: complex, pairs: Sequence[tuple[Point, Point]]) -> np.ndarray:
     """G_z(x, y) for every sample (rows) and (x, y) of pairs (columns), both
-    points in the region.  omegas yields the samples' box arrays; they are
-    drawn and solved sweep_batch(region) at a time, with one column per
-    distinct y, so no more than one batch of them is held at once."""
+    points in the region.  omegas yields the samples' box arrays; each is
+    factored once and solved with one column per distinct y."""
     ys = list(dict.fromkeys(tuple(y) for _, y in pairs))
     rows = [region.index[tuple(x)] for x, _ in pairs]
     cols = [ys.index(tuple(y)) for _, y in pairs]
-    step, it, blocks = sweep_batch(region), iter(omegas), []
-    while batch := list(itertools.islice(it, step)):
-        u, _ = ResolventColumns(region, lam, np.stack(batch), z).columns(ys)
-        blocks.append(u[rows, :, cols].T)
-    return np.concatenate(blocks)
+    return np.array([ResolventColumns(region, lam, omega, z).columns(ys)[0][rows, cols]
+                     for omega in omegas])
 
 
 def green(region: Region, lam: float, sample: DisorderSample, z: complex,
@@ -407,7 +376,7 @@ def green(region: Region, lam: float, sample: DisorderSample, z: complex,
     x, y = tuple(int(c) for c in x), tuple(int(c) for c in y)
     if x not in region.index or y not in region.index:
         return GreenEvaluation(z=complex(z), x=x, y=y, value=0j, residual=0.0)
-    u, res = ResolventColumns(region, lam, sample.omega[None], z).column(y)
+    u, res = ResolventColumns(region, lam, sample.omega, z).column(y)
     return GreenEvaluation(z=complex(z), x=x, y=y,
                            value=complex(u[region.index[x]]), residual=res)
 
@@ -420,7 +389,7 @@ def verify_depleted_identity(region: Region, lam: float, sample: DisorderSample,
     """Relative discrepancy of the one-step depletion identity at (x, y).
 
     The two sides come from two independent solvers: G(x, y) and G(x, x)
-    from one ResolventColumns sweep on the region, and the sum over the
+    from one banded ResolventColumns on the region, and the sum over the
     neighbors of x from a sparse LU (splu) on the region with x deleted.
     """
     x, y, z = tuple(x), tuple(y), complex(z)
@@ -452,8 +421,7 @@ def verify_schur_diagonal(region: Region, lam: float, sample: DisorderSample,
     """Check that B = lambda omega(x) - 1/G(x, x) does not depend on omega(x).
 
     Recomputes B at omega(x) and at omega(x) -+ 1 (whichever stays in
-    [-1, 1]) with every other site fixed, both in one batch; True iff they
-    agree to _SCHUR_RTOL.
+    [-1, 1]) with every other site fixed; True iff they agree to _SCHUR_RTOL.
     """
     x = tuple(x)
     if x not in region.index:

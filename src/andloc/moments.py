@@ -18,7 +18,8 @@ results are bit-identical for any worker count) and evaluates the right
 sides by quadrature or from exact walk counts, keeping the two routes
 independent.  Every solve, of the Monte Carlo moments and of the
 conditional-bound check alike, goes through anderson.resolvent_entries: the
-one resolvent solver, a batch of samples at a time.
+one resolvent solver, a banded LU per sample.  The Monte Carlo draws its
+disorder a block of samples at a time, in one hash over the box.
 
 The ceiling uses the truncated walk series plus its rigorous tail bound, so
 what is checked is a true upper bound, only slightly weakened by truncation.
@@ -41,9 +42,12 @@ from .anderson import (Point, Region, green, resolvent_entries,
                        sample_disorder)
 from .critical import gamma_big, gamma_fn, mass, s_crit
 from .parallel import map_ordered, resolve_workers
-from .rng import substream, unit_open
+from .rng import site_uniform, substream, unit_open
 
 _DELETION_VARIANTS = 2  # boxes minus one random site in default_region_family
+#: byte cap on one disorder block's uint64 hash array in _moment_chunk; the
+#: hash's temporaries then stay near 1 MiB
+_DISORDER_BYTES = 1 << 18
 
 #: formulas behind every ceiling this module attaches (recorded in artifacts)
 CEILING_FORMULAS = {
@@ -120,11 +124,22 @@ class MomentEstimate:
         }
 
 
+def _disorder_block(region: Region, seed: int, ks: range) -> np.ndarray:
+    """The box arrays of samples ks of the run seed, stacked: row i is
+    sample_disorder(region, substream(seed, ks[i])).omega, from one hash."""
+    seeds = np.array([substream(seed, k) for k in ks], dtype=np.uint64)
+    return site_uniform(seeds.reshape((-1,) + (1,) * region.dimension),
+                        region.box_coords)
+
+
 def _moment_chunk(task) -> np.ndarray:
     region, lam, s, z, pairs, seed, k0, k1 = task
-    omegas = (sample_disorder(region, substream(seed, k)).omega
-              for k in range(k0, k1))
-    return np.abs(resolvent_entries(region, lam, omegas, z, pairs)) ** s
+    step = max(1, _DISORDER_BYTES // region.box_coords[0].nbytes)
+    vals = []
+    for k in range(k0, k1, step):
+        omegas = _disorder_block(region, seed, range(k, min(k + step, k1)))
+        vals.append(resolvent_entries(region, lam, omegas, z, pairs))
+    return np.abs(np.concatenate(vals)) ** s
 
 
 def estimate_moments(region: Region, lam: float, s: float, z: complex,
@@ -416,9 +431,9 @@ def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
     For each environment (all omega except omega(x) frozen), the omega(x)
     average of |G(x, y)|^s is computed by Gauss-Legendre quadrature over
     roughly n_omega_x nodes on panels graded toward the effective pole
-    Re(B)/lambda, all nodes of the environment solved as one batch of
-    samples; the right side comes from a separate solve on the depleted
-    region.  Environment j passes when LHS <= RHS + tol.
+    Re(B)/lambda, one factorization per node; the right side comes from a
+    separate solve on the depleted region.  Environment j passes when
+    LHS <= RHS + tol.
     """
     x, y = tuple(x), tuple(y)
     if x == y:

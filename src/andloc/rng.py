@@ -14,6 +14,8 @@ Integer arithmetic only; floats appear only in the final [-1, 1) mapping,
 which uses the top 53 bits of the hash.  A key part may also be a uint64
 array (int64 coordinates cast, which wraps negatives as `& _MASK` does): the
 same code then hashes a whole box at once, bit-identical to the scalar key.
+So may the seed: a uint64 column of sample seeds, shaped to broadcast
+against the coordinate arrays, hashes a block of boxes at once.
 """
 
 from __future__ import annotations

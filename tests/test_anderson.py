@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from andloc import anderson
+from andloc import anderson, moments
 from andloc.rng import site_uniform, substream
 
 import oracles
@@ -95,15 +95,33 @@ def test_sample_matches_site_uniform():
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, -1, 2**63 + 5, 2**64 - 1])
 def test_array_disorder_matches_scalar_hash(d, seed):
-    # the box-at-once hash is bit-identical to the per-site one, without
-    # overflow warnings from the uint64 arithmetic
+    # the box-at-once hash is bit-identical to the per-site one, and the
+    # Monte Carlo's block hash over a column of sample seeds to the box-at-once
+    # one, without overflow warnings from the uint64 arithmetic
     region = anderson.make_region(d, 2, [(1,) * d])
+    ks = range(3, 12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sample = anderson.sample_disorder(region, seed)
+        block = moments._disorder_block(region, seed, ks)
     for p in region.box_sites():
         assert sample.omega[tuple(c + 2 for c in p)] == site_uniform(seed, p)
     assert sample.vector().tolist() == [site_uniform(seed, p) for p in region.sites]
+    assert block.shape == (len(ks),) + (5,) * d
+    for row, k in zip(block, ks):
+        own = anderson.sample_disorder(region, substream(seed, k))
+        assert np.array_equal(row, own.omega)
+
+
+def test_sample_equality_compares_values():
+    # equality reads region, seed and omega; it never asks an array for a bool
+    region = anderson.make_region(2, 3)
+    a = anderson.sample_disorder(region, 42)
+    assert a == anderson.sample_disorder(region, 42)
+    assert a != anderson.sample_disorder(region, 43)
+    assert a != a.with_site_value((0, 0), 0.25)
+    assert a != anderson.sample_disorder(region.without((1, 1)), 42)
+    assert (a == 42) is False
 
 
 def test_sample_site_outside_box_raises():
@@ -208,8 +226,8 @@ def test_matches_dense_oracle_random_regions():
 
 
 def test_green_at_real_z_on_depleted_box():
-    # at real z the slice blocks are real symmetric and indefinite, and the
-    # sweep does not pivot across slices; it must still match a dense inverse
+    # at real z, H - z is real symmetric and indefinite, so the banded LU
+    # has to pivot; it must still match a dense inverse
     lam, deleted = 1.0, [(0, 1), (-2, 2), (3, -1)]
     region = anderson.make_region(2, 3, deleted)
     sample = anderson.sample_disorder(region, 37)
@@ -237,7 +255,7 @@ def test_green_symmetric():
 def test_green_bounded_by_inverse_imag():
     region = anderson.make_region(2, 3)
     sample = anderson.sample_disorder(region, 13)
-    cols = anderson.ResolventColumns(region, LAM, sample.omega[None], Z)
+    cols = anderson.ResolventColumns(region, LAM, sample.omega, Z)
     u, _ = cols.column((0, 0))
     assert np.max(np.abs(u)) <= 1.0 / Z.imag + 1e-12
 
@@ -261,14 +279,15 @@ def test_singular_system_raises():
     region = anderson.make_region(1, 0)
     sample = anderson.sample_disorder(region, 0)
     z = LAM * sample.value((0,))  # real z exactly at the only eigenvalue
-    with pytest.raises(anderson.SingularSystemError):
+    # H - z is the 1x1 zero matrix: the factorization reports the zero pivot
+    with pytest.raises(anderson.SingularSystemError, match="zero pivot"):
         anderson.green(region, LAM, sample, complex(z), (0,), (0,))
 
 
 def test_resolvent_columns_shared_factorization():
     region = anderson.make_region(2, 3)
     sample = anderson.sample_disorder(region, 17)
-    cols = anderson.ResolventColumns(region, LAM, sample.omega[None], Z)
+    cols = anderson.ResolventColumns(region, LAM, sample.omega, Z)
     u, res = cols.column((0, 0))
     assert res < 1e-10
     ev = anderson.green(region, LAM, sample, Z, (1, 1), (0, 0))
@@ -294,14 +313,14 @@ def test_depleted_identity_with_deletions():
 
 
 def test_depleted_identity_factors_each_region_once(monkeypatch):
-    # G(x, y) and G(x, x) are two columns of one sweep on the region; the
-    # depleted region gets its own solver, a sparse LU
-    sweeps, lus = [], []
+    # G(x, y) and G(x, x) are two columns of one banded LU on the region;
+    # the depleted region gets its own solver, a sparse LU
+    banded, lus = [], []
     real_splu = anderson.splu
 
     class Counted(anderson.ResolventColumns):
         def __init__(self, region, *args):
-            sweeps.append(region.n_sites)
+            banded.append(region.n_sites)
             super().__init__(region, *args)
 
     def counted(a):
@@ -314,7 +333,7 @@ def test_depleted_identity_factors_each_region_once(monkeypatch):
     sample = anderson.sample_disorder(region, 36)
     err = anderson.verify_depleted_identity(region, LAM, sample, Z, (0, 0), (2, 1))
     assert err < 1e-12
-    assert sweeps == [48]
+    assert banded == [48]
     assert lus == [(47, 47)]
 
 

@@ -54,23 +54,38 @@ def test_console_script_on_path():
     assert proc.stdout.strip() == andloc.__version__
 
 
-def test_perfbench_trace_installs_against_src(tmp_path):
-    # perfbench's traced rounds rebind andloc names by string; a renamed one
-    # fails here instead of in the next traced benchmark run
+def _traced_layers(argv):
+    """Run andloc with argv through perfbench/runner.py --trace 1 against
+    src/, and return the layer metrics of its last JSON line."""
     root = PYPROJECT.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("ANDERSON_THREADS", None)
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "runner.py"), "--trace", "1",
-         "--", "verify", "--only", "depleted,schur", "--trials", "2", "--L", "2",
-         "--out", str(tmp_path / "verify.json")],
-        capture_output=True, text=True, env=env)
+         "--", *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc["exit"] == 0
-    layers = doc["layers"]
+    return doc["layers"]
+
+
+def test_perfbench_trace_installs_against_src(tmp_path):
+    # perfbench's traced rounds rebind andloc names by string; a renamed one
+    # fails here instead of in the next traced benchmark run
+    layers = _traced_layers(["verify", "--only", "depleted,schur", "--trials", "2",
+                             "--L", "2", "--out", str(tmp_path / "verify.json")])
     assert layers["anderson.ResolventColumns.calls"] > 0
     assert layers["anderson.splu.calls"] > 0
+
+
+def test_perfbench_trace_counts_one_factorization_per_sample(tmp_path):
+    # the Monte Carlo factors each sample once with the banded LU and never
+    # reaches the sparse LU
+    layers = _traced_layers(["moment", "--samples", "7", "--L", "3",
+                             "--distances", "0..3",
+                             "--out", str(tmp_path / "moment.json")])
+    assert layers["anderson.ResolventColumns.calls"] == 7
+    assert layers["anderson.splu.calls"] == 0
 
 
 def test_saw_csv_header_exact(capsys):
@@ -253,9 +268,8 @@ def test_verify_identity_checks_pass_at_weak_coupling(capsys):
 
 
 _PATTERN = anderson.Region.pattern.func
-_SLICES = anderson.Region.slices.func
 _BUILD = anderson.build_hamiltonian
-_SWEEP = anderson.ResolventColumns
+_BANDED = anderson.ResolventColumns
 _QUAD = moments.quad
 _LEGGAUSS = moments.leggauss
 
@@ -270,20 +284,14 @@ def _pattern_without_axis0_hops(region):
     return b, np.flatnonzero(b.indices == col_of)
 
 
-def _slices_without_axis0_hops(region):
-    """Region.slices with no hop from one slice to the next."""
-    intra, inter = _SLICES(region)
-    return intra, np.zeros_like(inter)
-
-
 def _doubled_diagonal(region, lam, sample, z=0.0):
     """build_hamiltonian with its diagonal written as 2*lam*omega - z."""
     return _BUILD(region, 2 * lam, sample, z)
 
 
-def _sweep_doubled_diagonal(region, lam, omegas, z):
+def _banded_doubled_diagonal(region, lam, omega, z):
     """ResolventColumns with its diagonal written as 2*lam*omega - z."""
-    return _SWEEP(region, 2 * lam, omegas, z)
+    return _BANDED(region, 2 * lam, omega, z)
 
 
 def _quad_without_weight(f, a, b, weight=None, wvar=None, **kwargs):
@@ -316,10 +324,10 @@ def _flat_chunk(task):
 #: planted defect -> its (owner, attribute, replacement) triples for
 #: monkeypatch.setattr
 _PLANTS = {
-    # the region's adjacency, which both solvers read, without axis-0 hops
-    "pattern": [(anderson.Region, "pattern", property(_pattern_without_axis0_hops)),
-                (anderson.Region, "slices", property(_slices_without_axis0_hops))],
-    "diagonal": [(anderson, "ResolventColumns", _sweep_doubled_diagonal)],
+    # the region's adjacency without axis-0 hops: both solvers read it, the
+    # banded one through the band layout Region.band derives from it
+    "pattern": [(anderson.Region, "pattern", property(_pattern_without_axis0_hops))],
+    "diagonal": [(anderson, "ResolventColumns", _banded_doubled_diagonal)],
     "lu-diagonal": [(anderson, "build_hamiltonian", _doubled_diagonal)],
     "weightless": [(moments, "quad", _quad_without_weight)],
     "density": [(moments, "leggauss", _leggauss_doubled)],

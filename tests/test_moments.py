@@ -101,94 +101,108 @@ def test_with_ceiling_and_margin():
     assert capped.ok
 
 
-# --- the slice sweep against a dense inverse ---
+# --- the banded solver against a dense inverse ---
 
-SWEEP_LAM = 30.0
-SWEEP_SEED = 11
-SWEEP_SAMPLES = 12
+SOLVER_LAM = 30.0
+SOLVER_SEED = 11
+SOLVER_SAMPLES = 12
 _FAMILY = moments.default_region_family(2, 4, keep=[(0, 0), (4, 0)], seed=2)
-SWEEP_REGIONS = {
+#: the edge rows p[1] = 3 and half of p[1] = -3 deleted: a narrower band
+_NARROW = anderson.make_region(2, 3, [(a, 3) for a in range(-3, 4)]
+                               + [(a, -3) for a in range(-3, 1)])
+SOLVER_REGIONS = {
     "box": _FAMILY[0],
     "box-minus-site": _FAMILY[1],
     "half-box": _FAMILY[3],
     "d1-L0": anderson.Region(dimension=1, L=0),
     "d1-L6": anderson.Region(dimension=1, L=6),
     "d3-L2": anderson.Region(dimension=3, L=2),
+    "d4-L1": anderson.Region(dimension=4, L=1),
+    "d3-L1-minus-corner": anderson.make_region(3, 1, [(-1, -1, -1)]),
+    "d2-L3-narrow-band": _NARROW,
 }
 
 
-def _sweep_pairs(region):
+def test_deletions_narrow_the_band():
+    assert _NARROW.band[0] < anderson.Region(dimension=2, L=3).band[0]
+
+
+def _solver_pairs(region):
     """x = k e_1 for k = 0..min(L, 3) against y = 0 and, when L > 0, y = L e_1:
-    two right-hand sides in different slices."""
+    two right-hand sides far apart in the site order."""
     d, L = region.dimension, region.L
     axis = [(k,) + (0,) * (d - 1) for k in range(min(L, 3) + 1)]
     ys = [(0,) * d] + ([(L,) + (0,) * (d - 1)] if L else [])
     return [(x, y) for y in ys for x in axis]
 
 
-def _sweep_task(region, k0=0, k1=SWEEP_SAMPLES):
-    return (region, SWEEP_LAM, critical.s_crit(SWEEP_LAM), Z, _sweep_pairs(region),
-            SWEEP_SEED, k0, k1)
+def _chunk_task(region, k0=0, k1=SOLVER_SAMPLES):
+    return (region, SOLVER_LAM, critical.s_crit(SOLVER_LAM), Z,
+            _solver_pairs(region), SOLVER_SEED, k0, k1)
 
 
-@pytest.mark.parametrize("name", SWEEP_REGIONS)
+@pytest.mark.parametrize("name", SOLVER_REGIONS)
 def test_sweep_matches_sparse_lu(name):
-    # the reference is a dense inverse built from scratch (tests/oracles.py)
-    region = SWEEP_REGIONS[name]
-    pairs = _sweep_pairs(region)
+    # the banded solver against a dense inverse built from scratch
+    # (tests/oracles.py)
+    region = SOLVER_REGIONS[name]
+    pairs = _solver_pairs(region)
     ys = list(dict.fromkeys(y for _, y in pairs))
-    s = critical.s_crit(SWEEP_LAM)
-    samples = [anderson.sample_disorder(region, substream(SWEEP_SEED, k))
-               for k in range(SWEEP_SAMPLES)]
-    want = np.empty((SWEEP_SAMPLES, len(pairs)))
+    s = critical.s_crit(SOLVER_LAM)
+    samples = [anderson.sample_disorder(region, substream(SOLVER_SEED, k))
+               for k in range(SOLVER_SAMPLES)]
+    want = np.empty((SOLVER_SAMPLES, len(pairs)))
     for k, sample in enumerate(samples):
         omega = {p: sample.value(p) for p in region.box_sites()}
         index, g = oracles.dense_resolvent(region.dimension, region.L,
-                                           region.deleted, omega, SWEEP_LAM, Z)
+                                           region.deleted, omega, SOLVER_LAM, Z)
         for j, (x, y) in enumerate(pairs):
             want[k, j] = abs(g[index[x], index[y]]) ** s
-    got = moments._moment_chunk(_sweep_task(region))
+    got = moments._moment_chunk(_chunk_task(region))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
-    # every column meets the contract against the sparse H, not the slices
-    omegas = np.stack([sample.omega for sample in samples])
-    u, res = anderson.ResolventColumns(region, SWEEP_LAM, omegas, Z).columns(ys)
-    assert u.shape == (region.n_sites, SWEEP_SAMPLES, len(ys))
-    for k, sample in enumerate(samples):
-        h = anderson.build_hamiltonian(region, SWEEP_LAM, sample, Z)
+    # every column meets the contract against the sparse H, not the band
+    for sample in samples:
+        cols = anderson.ResolventColumns(region, SOLVER_LAM, sample.omega, Z)
+        u, res = cols.columns(ys)
+        assert u.shape == (region.n_sites, len(ys))
+        h = anderson.build_hamiltonian(region, SOLVER_LAM, sample, Z)
         for j, y in enumerate(ys):
             e = np.zeros(region.n_sites)
             e[region.index[y]] = 1.0
-            assert np.linalg.norm(h @ u[:, k, j] - e) <= 1e-10
-            assert res[k, j] <= 1e-10
+            assert np.linalg.norm(h @ u[:, j] - e) <= 1e-10
+            assert res[j] <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["box", "half-box", "d3-L2"])
 def test_sweep_values_independent_of_batching(name, monkeypatch):
-    region = SWEEP_REGIONS[name]
-    whole = moments._moment_chunk(_sweep_task(region))
-    assert anderson.sweep_batch(region) > 1
-    shifted = moments._moment_chunk(_sweep_task(region, k0=5))
+    # a sample's values depend neither on where its chunk starts nor on the
+    # disorder block it is drawn in
+    region = SOLVER_REGIONS[name]
+    whole = moments._moment_chunk(_chunk_task(region))
+    shifted = moments._moment_chunk(_chunk_task(region, k0=5))
     assert np.array_equal(shifted, whole[5:])
-    monkeypatch.setattr(anderson, "_SWEEP_BYTES", 1)  # one sample per sweep
-    assert anderson.sweep_batch(region) == 1
-    assert np.array_equal(moments._moment_chunk(_sweep_task(region)), whole)
+    assert moments._DISORDER_BYTES > SOLVER_SAMPLES * region.box_coords[0].nbytes
+    monkeypatch.setattr(moments, "_DISORDER_BYTES", 1)  # one sample per block
+    assert np.array_equal(moments._moment_chunk(_chunk_task(region)), whole)
 
 
-_SLICES = anderson.Region.slices.func
+_BAND = anderson.Region.band.func
 
 
-def _slices_without_hop_at_origin(region):
-    """Region.slices without the hop from the origin to e_1."""
-    intra, inter = _SLICES(region)
-    inter = inter.copy()
-    inter[region.L, (inter.shape[1] - 1) // 2] = 0.0
-    return intra, inter
+def _band_without_hop_at_origin(region):
+    """Region.band without the hop between the origin and e_1."""
+    kl, hops = _BAND(region)
+    i, j = region.index[(0, 0)], region.index[(1, 0)]
+    at = [c * (3 * kl + 1) + 2 * kl + r - c for r, c in ((i, j), (j, i))]
+    return kl, hops[~np.isin(hops, at)]
 
 
-def test_sweep_dropped_hop_fails_residual_contract(monkeypatch):
-    monkeypatch.setattr(anderson.Region, "slices",
-                        property(_slices_without_hop_at_origin))
+def test_band_dropped_hop_fails_residual_contract(monkeypatch):
+    # the residual is taken from Region.pattern, so a band that lost a hop
+    # cannot pass the contract even after the refinement step
+    monkeypatch.setattr(anderson.Region, "band",
+                        property(_band_without_hop_at_origin))
     with pytest.raises(anderson.SolverError, match="residual") as info:
         moments.estimate_moments(small_region(), 30.0, 0.5, Z,
                                  [((1, 0), (0, 0))], 4, seed=0)
