@@ -91,9 +91,11 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_artifact(command: str, cfg: dict, result: dict, t0: float,
-                   formulas: Optional[dict] = None) -> None:
+                   formulas: Optional[dict] = None,
+                   stages: Optional[dict] = None) -> None:
     """Stream the JSON artifact: the encoder's chunks are written as they
-    come, never joined into one string."""
+    come, never joined into one string.  stages (name -> seconds) goes
+    under wallclock, outside what a rerun reproduces."""
     shown = {_name(k): v for k, v in cfg.items() if not k.startswith("_")}
     doc = {
         "command": command,
@@ -106,6 +108,8 @@ def _emit_artifact(command: str, cfg: dict, result: dict, t0: float,
             "elapsed_seconds": time.monotonic() - t0,
         },
     }
+    if stages is not None:
+        doc["wallclock"]["stages"] = stages
     if formulas:
         doc["formulas"] = formulas
     with _destination(cfg["out"]) as fh:
@@ -424,7 +428,8 @@ _CHECKS = {
 }
 
 
-def run_verify(cfg: dict) -> dict:
+def run_verify(cfg: dict) -> tuple[dict, dict]:
+    """The selected checks' result, and each check's wall time in seconds."""
     names = list(_CHECKS)
     if cfg["only"]:
         only = {tok.strip() for tok in cfg["only"].split(",") if tok.strip()}
@@ -433,20 +438,23 @@ def run_verify(cfg: dict) -> dict:
             raise ValueError(f"unknown checks for --only: {sorted(bad)}")
         names = [name for name in names if name in only]
     run = _VerifyRun(cfg)
-    checks = []
+    checks, stages = [], {}
     for name in names:
+        t0 = time.monotonic()
         status, detail = _CHECKS[name](run)
+        stages[name] = time.monotonic() - t0
         checks.append({"name": name, "status": status, "detail": detail})
     return {"checks": checks,
-            "all_passed": all(c["status"] != "fail" for c in checks)}
+            "all_passed": all(c["status"] != "fail" for c in checks)}, stages
 
 
 def cmd_verify(cfg: dict) -> int:
     t0 = time.monotonic()
     if cfg["format"] == "csv":
         raise ValueError("verify supports json output only")
-    result = run_verify(cfg)
-    _emit_artifact("verify", cfg, result, t0, formulas=moments.CEILING_FORMULAS)
+    result, stages = run_verify(cfg)
+    _emit_artifact("verify", cfg, result, t0, formulas=moments.CEILING_FORMULAS,
+                   stages=stages)
     return EXIT_OK if result["all_passed"] else EXIT_BOUND_FAILED
 
 

@@ -12,11 +12,15 @@ E|G| is not, and it obeys two kinds of rigorous bounds:
     gamma(lambda) = e ln(lambda)/lambda, valid once
     gamma(lambda) * mu_d < 1.
 
-This module estimates the left sides by Monte Carlo (counter-based seeds,
+This module estimates the Monte Carlo left sides (counter-based seeds,
 sample k is a pure function of (seed, k); means reduce in index order so
-results are bit-identical for any worker count) and evaluates the right
-sides by quadrature or from exact walk counts, keeping the two routes
-independent.  Every solve, of the Monte Carlo moments and of the
+results are bit-identical for any worker count) and evaluates the ceilings
+from exact walk counts, keeping the two routes independent.  The single-site
+integral is computed by a fixed Gauss-Legendre rule in numpy, vectorised
+over B: after the substitution t = eta sinh u, with eta = |Im B| (or
+t = w^(1/(1-s)) for real B inside the support), its integrand is smooth, so
+no adaptive quadrature is needed and the closed-form bound is never used to
+compute it.  Every solve, of the Monte Carlo moments and of the
 conditional-bound check alike, goes through anderson.resolvent_entries: the
 one resolvent solver, a banded LU per sample.  The Monte Carlo draws its
 disorder a block of samples at a time, in one hash over the box.
@@ -35,7 +39,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from . import saw
 from .anderson import (Point, Region, green, resolvent_entries,
@@ -48,6 +51,8 @@ _DELETION_VARIANTS = 2  # boxes minus one random site in default_region_family
 #: byte cap on one disorder block's uint64 hash array in _moment_chunk; the
 #: hash's temporaries then stay near 1 MiB
 _DISORDER_BYTES = 1 << 18
+#: Gauss-Legendre nodes per unit panel of the a priori rule (_apriori_rule)
+_APRIORI_NODES = 10
 
 #: formulas behind every ceiling this module attaches (recorded in artifacts)
 CEILING_FORMULAS = {
@@ -189,36 +194,85 @@ def estimates_to_csv(estimates: Iterable[MomentEstimate]) -> str:
 # --- a priori single-site bound ---
 
 
-def apriori_integral(lam: float, s: float, b: complex) -> float:
-    """(1/2) int_{-1}^{1} |lambda v - b|^{-s} dv by adaptive quadrature.
+def _apriori_rule(t0: np.ndarray, width: np.ndarray, eta: np.ndarray,
+                  s: float) -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre nodes for int_{t0}^{t0 + width} (t^2 + eta^2)^{-s/2} dt,
+    one integral per entry of the arrays (t0 >= 0, width > 0, eta >= 0).
 
-    The integrand peaks (for Im b = 0: diverges integrably) at v0 = Re(b)/lambda;
-    the integral is split there, and for real b on the interval the algebraic
-    singularity is handed to the quadrature as a weight, keeping the numerical
-    route independent of the closed-form bound.
+    Returns, per node, the index of its integral, log r with r = |t + i eta|
+    at the node, the log of the substitution's Jacobian dt/du, and the
+    weight in u; the integrand in u is exp(log_jac - s log_r).  Where
+    eta = t0 = 0 the substitution is t = w^(1/(1-s)), whose Jacobian cancels
+    the power law, so one panel in w is exact.  Elsewhere it is
+    t = eta sinh(asinh(t0/eta) + u) (t = t0 e^u when eta = 0), for which
+    dt/du = r: the integrand r^(1-s) is analytic within pi/2 of the real u
+    axis and takes _APRIORI_NODES nodes on each panel of width <= 1.  log r
+    is formed from t0 and eta directly, so a tiny eta neither overflows nor
+    loses the segment's offset.
+    """
+    nodes, weights = leggauss(_APRIORI_NODES)
+    rho0 = np.hypot(t0, eta)
+    c = t0 + rho0  # eta e^{asinh(t0/eta)}
+    power = c == 0.0
+    c = np.where(power, 1.0, c)
+    t1 = t0 + width
+    rho1 = np.hypot(t1, eta)
+    # asinh(t1/eta) - asinh(t0/eta) = log((t1 + rho1)/c); through log1p while
+    # the ratio is below 2 (t0 >> width), where the quotient would lose digits
+    gap = width * (1.0 + (t0 + t1) / (rho0 + rho1))  # (t1 + rho1) - c
+    span = np.where(gap < c, np.log1p(gap / np.maximum(gap, c)),
+                    np.log(t1 + rho1) - np.log(c))
+    span = np.where(power, width ** (1.0 - s), span)
+    n_panels = np.where(power, 1, np.maximum(1, np.ceil(span))).astype(np.intp)
+    seg = np.repeat(np.arange(len(t0)), n_panels)
+    panel = np.arange(len(seg)) - np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
+    h = (span / n_panels)[seg, None]
+    u = (panel[:, None] + 0.5 * (nodes + 1.0)) * h
+    log_r = np.empty_like(u)
+    log_jac = np.empty_like(u)
+    p = power[seg]
+    log_r[p] = np.log(u[p]) / (1.0 - s)
+    log_jac[p] = s * log_r[p] - math.log(1.0 - s)
+    cs, es, us = c[seg][~p, None], eta[seg][~p, None], u[~p]
+    # r = (c e^u + (eta^2/c) e^-u) / 2
+    log_r[~p] = us - math.log(2.0) + np.log(cs + es * (es / cs) * np.exp(-2.0 * us))
+    log_jac[~p] = log_r[~p]
+    return (np.repeat(seg, len(nodes)), log_r.ravel(), log_jac.ravel(),
+            (0.5 * h * weights).ravel())
+
+
+def apriori_integral(lam: float, s: float, b):
+    """(1/2) int_{-1}^{1} |lambda v - b|^{-s} dv for a complex b or a 1-D
+    array of them (a float, or an array of floats, back).
+
+    With t = lambda v - Re(b) and eta = |Im b| the integral is
+    (1/(2 lambda)) int (t^2 + eta^2)^{-s/2} dt over [-lambda - Re b,
+    lambda - Re b].  When that interval holds 0 it is split there into two
+    integrals from 0; otherwise it is integrated as it stands, so |b| >>
+    lambda loses no digits to a difference.  Each piece goes through the
+    substitutions of _apriori_rule, which keep the numerical route
+    independent of the closed-form bound: the bound is never evaluated, and
+    at b = 0 it is met only because the power-law rule is exact.  Near the
+    real axis (0 < |Im b| << 1) the rule resolves the width-eta peak in
+    log(1/eta) unit panels.
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    tol = 1e-10  # absolute quadrature tolerance
-    b = complex(b)
-    v0 = b.real / lam
-    if b.imag == 0.0 and -1.0 < v0 < 1.0:
-        # |lambda v - b|^{-s} = lambda^{-s} |v - v0|^{-s}: algebraic weight
-        c = 0.5 * lam**-s
-        left, _ = quad(lambda v: c, -1.0, v0, weight="alg", wvar=(0.0, -s),
-                       epsabs=tol, limit=200)
-        right, _ = quad(lambda v: c, v0, 1.0, weight="alg", wvar=(-s, 0.0),
-                        epsabs=tol, limit=200)
-        return left + right
-
-    def f(v: float) -> float:
-        return 0.5 * ((lam * v - b.real) ** 2 + b.imag**2) ** (-0.5 * s)
-
-    points = [v0] if -1.0 < v0 < 1.0 else None
-    val, _ = quad(f, -1.0, 1.0, points=points, epsabs=tol, limit=200)
-    return val
+    bs = np.asarray(b, dtype=complex)
+    a, eta = np.abs(bs.real).ravel(), np.abs(bs.imag).ravel()
+    near = a <= lam  # the interval holds t = 0; it is symmetric in Re b
+    owner = np.tile(np.arange(a.size), 2)
+    t0 = np.concatenate([np.where(near, 0.0, a - lam), np.zeros(a.size)])
+    width = np.concatenate([np.where(near, lam - a, 2.0 * lam),
+                            np.where(near, lam + a, 0.0)])
+    keep = width > 0.0
+    seg, log_r, log_jac, w = _apriori_rule(t0[keep], width[keep],
+                                           np.tile(eta, 2)[keep], s)
+    vals = np.bincount(owner[keep][seg], w * np.exp(log_jac - s * log_r),
+                       minlength=a.size) / (2.0 * lam)
+    return float(vals[0]) if bs.ndim == 0 else vals.reshape(bs.shape)
 
 
 @dataclass
@@ -242,7 +296,9 @@ def check_apriori(lam: float, s: float, b_values: Sequence[complex]) -> AprioriC
     if len(b_values) == 0:
         raise ValueError("need at least one B value")
     bound = gamma_big(s, lam)
-    ratios = [(complex(b), apriori_integral(lam, s, b) / bound) for b in b_values]
+    bs = np.array(b_values, dtype=complex)
+    ratios = [(complex(b), float(v)) for b, v in
+              zip(bs, apriori_integral(lam, s, bs) / bound)]
     return AprioriCheck(lam=lam, s=s, bound=bound, ratios=ratios)
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately simple and slow: exhaustive generate-and-test
 walk counting, plain recursion without symmetry tricks, dense matrix
-inversion, and decimal bisection for the thresholds.  None of it shares code
+inversion, decimal bisection for the thresholds, and QUADPACK for the
+single-site integral.  None of it shares code
 paths with the package under test; the frozen constants in the test modules
 were produced by running this file directly (python tests/oracles.py).
 """
@@ -14,6 +15,7 @@ from decimal import ROUND_CEILING, Decimal, localcontext
 from typing import Dict, Tuple
 
 import numpy as np
+from scipy.integrate import quad
 
 Point = Tuple[int, ...]
 
@@ -164,6 +166,38 @@ def threshold_rows(mu_upper: Dict[int, float]) -> Dict[str, Dict[int, float]]:
                 rows[name][d] = float(root.quantize(Decimal("0.1"),
                                                     rounding=ROUND_CEILING))
     return rows
+
+
+def quad_apriori(lam: float, s: float, b: complex) -> float:
+    """(1/2) int_{-1}^{1} |lambda v - b|^{-s} dv by adaptive quadrature.
+
+    The integrand peaks (for Im b = 0: diverges integrably) at v0 = Re(b)/lambda;
+    the integral is split there, and for real b on the interval the algebraic
+    singularity is handed to the quadrature as a weight (QUADPACK).  For
+    0 < |Im b| < 1e-4 it silently returns about the Im b = 0 value.
+    """
+    if not (0.0 < s < 1.0):
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    tol = 1e-10  # absolute quadrature tolerance
+    b = complex(b)
+    v0 = b.real / lam
+    if b.imag == 0.0 and -1.0 < v0 < 1.0:
+        # |lambda v - b|^{-s} = lambda^{-s} |v - v0|^{-s}: algebraic weight
+        c = 0.5 * lam**-s
+        left, _ = quad(lambda v: c, -1.0, v0, weight="alg", wvar=(0.0, -s),
+                       epsabs=tol, limit=200)
+        right, _ = quad(lambda v: c, v0, 1.0, weight="alg", wvar=(-s, 0.0),
+                        epsabs=tol, limit=200)
+        return left + right
+
+    def f(v: float) -> float:
+        return 0.5 * ((lam * v - b.real) ** 2 + b.imag**2) ** (-0.5 * s)
+
+    points = [v0] if -1.0 < v0 < 1.0 else None
+    val, _ = quad(f, -1.0, 1.0, points=points, epsabs=tol, limit=200)
+    return val
 
 
 def _freeze_report() -> None:

@@ -270,7 +270,7 @@ def test_verify_identity_checks_pass_at_weak_coupling(capsys):
 _PATTERN = anderson.Region.pattern.func
 _BUILD = anderson.build_hamiltonian
 _BANDED = anderson.ResolventColumns
-_QUAD = moments.quad
+_RULE = moments._apriori_rule
 _LEGGAUSS = moments.leggauss
 
 
@@ -294,9 +294,10 @@ def _banded_doubled_diagonal(region, lam, omega, z):
     return _BANDED(region, 2 * lam, omega, z)
 
 
-def _quad_without_weight(f, a, b, weight=None, wvar=None, **kwargs):
-    """scipy's quad with the algebraic weight dropped."""
-    return _QUAD(f, a, b, **kwargs)
+def _rule_without_jacobian(t0, width, eta, s):
+    """The a priori rule with its change-of-variables Jacobian dt/du dropped."""
+    seg, log_r, log_jac, w = _RULE(t0, width, eta, s)
+    return seg, log_r, np.zeros_like(log_jac), w
 
 
 def _leggauss_doubled(n):
@@ -329,7 +330,7 @@ _PLANTS = {
     "pattern": [(anderson.Region, "pattern", property(_pattern_without_axis0_hops))],
     "diagonal": [(anderson, "ResolventColumns", _banded_doubled_diagonal)],
     "lu-diagonal": [(anderson, "build_hamiltonian", _doubled_diagonal)],
-    "weightless": [(moments, "quad", _quad_without_weight)],
+    "weightless": [(moments, "_apriori_rule", _rule_without_jacobian)],
     "density": [(moments, "leggauss", _leggauss_doubled)],
     "inflated": [(moments, "_moment_chunk", _inflated_chunk)],
     "flat": [(moments, "_moment_chunk", _flat_chunk)],
@@ -398,6 +399,11 @@ def test_verify_apriori_and_drb(capsys):
     assert checks["apriori"]["status"] == "pass"
     assert checks["apriori"]["detail"]["max_ratio"] <= 1.0 + 1e-8
     assert checks["drb"]["status"] == "pass"
+    # each check's wall time sits under wallclock, outside the result
+    stages = doc["wallclock"]["stages"]
+    assert list(stages) == ["apriori", "drb"]
+    assert all(isinstance(t, float) and t >= 0.0 for t in stages.values())
+    assert sum(stages.values()) <= doc["wallclock"]["elapsed_seconds"]
 
 
 def test_verify_ceiling_skipped_when_criterion_not_met(capsys):
@@ -692,3 +698,15 @@ def test_version_flag():
     proc = subprocess.run([sys.executable, "-m", "andloc.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_import_pulls_in_no_scipy_integrate():
+    # scipy.integrate and the scipy.optimize and scipy.special it imports cost
+    # every command about 0.3 s of start-up; the a priori rule needs none of them
+    probe = ("import sys, andloc.cli; print(' '.join(m for m in "
+             "('scipy.integrate', 'scipy.optimize', 'scipy.special') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -175,7 +175,7 @@ def test_sweep_matches_sparse_lu(name):
 
 
 @pytest.mark.parametrize("name", ["box", "half-box", "d3-L2"])
-def test_sweep_values_independent_of_batching(name, monkeypatch):
+def test_banded_values_independent_of_batching(name, monkeypatch):
     # a sample's values depend neither on where its chunk starts nor on the
     # disorder block it is drawn in
     region = SOLVER_REGIONS[name]
@@ -235,7 +235,7 @@ def test_apriori_saturated_at_zero():
         for lam in (10.0, 30.0, 100.0):
             val = moments.apriori_integral(lam, s, 0j)
             bound = critical.gamma_big(s, lam)
-            assert val == pytest.approx(bound, rel=1e-10)
+            assert val == pytest.approx(bound, rel=1e-12)
 
 
 def test_apriori_bound_over_random_b():
@@ -261,6 +261,64 @@ def test_apriori_far_field_scaling():
     b = 1e6 + 0j
     val = moments.apriori_integral(lam, s, b)
     assert val == pytest.approx(abs(b) ** -s, rel=1e-3)
+
+
+# 30-digit mpmath references at lambda = 10, s = 0.9, made with
+# mp.quad((t**2 + eta**2)**(-s/2), [-lambda - Re B, 0, lambda - Re B]) / (2 lambda)
+# at mp.dps = 30 and confirmed by the closed form
+# F(x) = x eta^-s 2F1(1/2, s/2; 3/2; -x^2/eta^2) at mp.dps = 50.  scipy's quad
+# returns about the Im B = 0 value at each of them (1.25360, 1.25360, 1.25893,
+# 0.67464) with no warning.
+NEAR_AXIS = [
+    (3 + 1e-5j, 0.9598589193125994),
+    (3 + 1e-6j, 1.020273810159828),
+    (1e-12j, 1.2003157359308265),
+    (-10 + 1e-9j, 0.61617058506544923),
+]
+
+
+@pytest.mark.parametrize("b, want", NEAR_AXIS)
+def test_apriori_near_real_axis(b, want):
+    assert moments.apriori_integral(10.0, 0.9, b) == pytest.approx(want, rel=1e-12)
+
+
+def test_apriori_vectorised_matches_scalar():
+    bs = np.array([b for b, _ in NEAR_AXIS] + [0j, 25.0, 4 - 7j])
+    vals = moments.apriori_integral(10.0, 0.9, bs)
+    assert vals.shape == bs.shape
+    assert all(v == moments.apriori_integral(10.0, 0.9, b) for b, v in zip(bs, vals))
+
+
+def _criterion_5_grids():
+    """(lam, s, B values) of tests/test_acceptance.py criterion 5 plus real B
+    inside and beyond the support [-lam, lam]."""
+    for s in (0.3, 0.5, 0.7, 0.9):
+        for lam in (10.0, 30.0, 100.0):
+            grid = moments.random_b_disc(2, lam, 100,
+                                         seed=substream(55, int(10 * s)))
+            real = [0.0, 0.3 * lam, -0.999 * lam, 1.001 * lam, -1.5 * lam, 1e6]
+            yield lam, s, grid + [complex(r) for r in real]
+
+
+def test_apriori_exact_at_support_edge():
+    # B = +-lambda puts the singularity on an end of the interval, where
+    # QUADPACK's error (about 1e-12, inside its 1e-10 tolerance) exceeds the
+    # 1e-12 of test_apriori_matches_quadpack; the value is (2 lambda)^-s/(1-s)
+    for s in (0.3, 0.5, 0.7, 0.9):
+        for lam in (10.0, 30.0, 100.0):
+            want = (2.0 * lam) ** -s / (1.0 - s)
+            got = moments.apriori_integral(lam, s, np.array([lam, -lam]))
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_apriori_matches_quadpack():
+    # QUADPACK (tests/oracles.py) is the independent route; it is wrong for
+    # 0 < |Im B| < 1e-4, so those points are left to test_apriori_near_real_axis
+    for lam, s, grid in _criterion_5_grids():
+        grid = [b for b in grid if not 0.0 < abs(b.imag) < 1e-4]
+        got = moments.apriori_integral(lam, s, np.array(grid))
+        want = np.array([oracles.quad_apriori(lam, s, b) for b in grid])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_random_b_disc_deterministic():
