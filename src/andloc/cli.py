@@ -32,6 +32,8 @@ from datetime import datetime, timezone
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from . import __version__, anderson, critical, moments, saw
 from .parallel import resolve_workers
 from .rng import substream, unit_open
@@ -308,24 +310,28 @@ def _below_e(run: _VerifyRun) -> Optional[tuple[str, dict]]:
     return None
 
 
-def _identity_verdict(ok: bool, detail: dict) -> tuple[str, dict]:
-    """pass or fail, or skipped when the case stream gave no case."""
-    if detail["cases"] == 0:
+def _identity_check(run: _VerifyRun, measure, tag: int, trials: int,
+                    L: int) -> tuple[str, dict]:
+    """measure(region, sample, x, y), a relative discrepancy, over the
+    identity cases of stream tag; pass iff every one is below tol, skipped
+    when the stream gave no case."""
+    tol, worst, cases = 1e-9, 0.0, 0
+    for case in _identity_regions(run.dim, L, substream(run.seed, tag),
+                                  run.trials(trials)):
+        worst = max(worst, measure(*case))
+        cases += 1
+    if cases == 0:
         return "skipped", {"reason": "no case ran: trials is 0, or no two sites "
                                      "of the box lie within l1 distance 2"}
-    return _status(ok), detail
+    return _status(worst < tol), {
+        "cases": cases, "max_discrepancy": worst, "tolerance": tol}
 
 
 def _check_depleted(run: _VerifyRun) -> tuple[str, dict]:
-    worst, cases = 0.0, 0
-    for region, sample, x, y in _identity_regions(
-            run.dim, _box_L(run.cfg, "identity"), substream(run.seed, 11),
-            run.trials(100)):
-        worst = max(worst, anderson.verify_depleted_identity(
-            region, run.lam, sample, run.z, x, y))
-        cases += 1
-    return _identity_verdict(worst < 1e-9, {
-        "cases": cases, "max_discrepancy": worst, "tolerance": 1e-9})
+    return _identity_check(
+        run, lambda region, sample, x, y: anderson.verify_depleted_identity(
+            region, run.lam, sample, run.z, x, y),
+        11, 100, _box_L(run.cfg, "identity"))
 
 
 def _check_resolvent(run: _VerifyRun) -> tuple[str, dict]:
@@ -333,51 +339,66 @@ def _check_resolvent(run: _VerifyRun) -> tuple[str, dict]:
     L = _box_L(run.cfg, "identity")
     while L > 1 and (2 * L + 1) ** run.dim > 500:
         L -= 1
-    worst, cases = 0.0, 0
-    for region, sample, x, _ in _identity_regions(run.dim, L, substream(run.seed, 12),
-                                                  run.trials(20)):
-        worst = max(worst, anderson.verify_resolvent_expansion(
-            region, run.lam, sample, run.z, x))
-        cases += 1
-    return _identity_verdict(worst < 1e-9, {
-        "cases": cases, "max_discrepancy": worst, "tolerance": 1e-9})
+    return _identity_check(
+        run, lambda region, sample, x, _: anderson.verify_resolvent_expansion(
+            region, run.lam, sample, run.z, x),
+        12, 20, L)
 
 
 def _check_schur(run: _VerifyRun) -> tuple[str, dict]:
-    all_ok, cases = True, 0
-    for region, sample, x, _ in _identity_regions(
-            run.dim, _box_L(run.cfg, "identity"), substream(run.seed, 13),
-            run.trials(50)):
-        all_ok = all_ok and anderson.verify_schur_diagonal(
-            region, run.lam, sample, run.z, x)
-        cases += 1
-    return _identity_verdict(all_ok, {"cases": cases, "tolerance": 1e-9})
+    return _identity_check(
+        run, lambda region, sample, x, _: anderson.verify_schur_diagonal(
+            region, run.lam, sample, run.z, x),
+        13, 50, _box_L(run.cfg, "identity"))
 
 
 def _check_apriori(run: _VerifyRun) -> tuple[str, dict]:
+    """The a priori integral I(B) on a B grid per (s, lambda): I / bound at
+    most 1 + tol, I / (lambda^2/3 + |B|^2)^(-s/2) (Jensen's lower bound)
+    at least 1 - tol, and I(0) / bound within sat_tol of 1."""
     n_b = run.trials(100)
-    chks = [moments.check_apriori(lam, s, moments.random_b_disc(
-                run.dim, lam, n_b, substream(run.seed, 14)))
-            for s in (0.3, 0.5, 0.7, 0.9) for lam in (10.0, 30.0, 100.0)]
-    sat_err = max(abs(moments.apriori_integral(c.lam, c.s, 0j) / c.bound - 1.0)
-                  for c in chks)
-    return _status(all(c.ok for c in chks) and sat_err <= 1e-10), {
-        "b_per_grid": n_b, "max_ratio": max(c.max_ratio for c in chks),
-        "saturation_error": sat_err}
+    if n_b == 0:
+        return "skipped", {"reason": "no case ran: trials is 0"}
+    tol, sat_tol = 1e-8, 1e-10
+    max_ratio, min_lower, sat_err = -math.inf, math.inf, 0.0
+    for s in (0.3, 0.5, 0.7, 0.9):
+        for lam in (10.0, 30.0, 100.0):
+            bs = np.array(moments.random_b_disc(run.dim, lam, n_b,
+                                                substream(run.seed, 14)))
+            bound = critical.gamma_big(s, lam)
+            vals = moments.apriori_integral(lam, s, bs)
+            max_ratio = max(max_ratio, float(np.max(vals / bound)))
+            lower = (lam**2 / 3.0 + np.abs(bs) ** 2) ** (-s / 2.0)
+            min_lower = min(min_lower, float(np.min(vals / lower)))
+            sat_err = max(sat_err,
+                          abs(moments.apriori_integral(lam, s, 0j) / bound - 1.0))
+    ok = max_ratio <= 1.0 + tol and min_lower >= 1.0 - tol and sat_err <= sat_tol
+    return _status(ok), {
+        "b_per_grid": n_b, "max_ratio": max_ratio, "min_lower_ratio": min_lower,
+        "tolerance": tol, "saturation_error": sat_err,
+        "saturation_tolerance": sat_tol}
 
 
 def _check_drb(run: _VerifyRun) -> tuple[str, dict]:
+    """Per environment, the quadrature left side at most the right side plus
+    tol, and within a relative identity_tol of the left side that the
+    depletion and Schur identities give (both are quadratures)."""
     cfg, dim = run.cfg, run.dim
     region = anderson.Region(dimension=dim, L=_box_L(cfg, "conditional"))
     s_val = cfg["s"] if cfg["s"] is not None else 0.7
     x = (0,) * dim
     y = (1, 1) + (0,) * (dim - 2) if dim >= 2 else (1,)
-    rep = moments.check_drb_conditional(region, run.lam, s_val, run.z, x, y,
-                                        n_omega_x=cfg["n_omega"],
-                                        n_env=cfg["n_env"],
-                                        seed=substream(run.seed, 15))
-    return _status(rep.ok), {"environments": cfg["n_env"],
-                             "min_margin": min(rep.margins), "tolerance": rep.tol}
+    sides = moments.check_drb_conditional(region, run.lam, s_val, run.z, x, y,
+                                          n_omega_x=cfg["n_omega"],
+                                          n_env=cfg["n_env"],
+                                          seed=substream(run.seed, 15))
+    tol, identity_tol = 1e-6, 1e-5
+    margin = min(rhs - lhs for lhs, rhs, _ in sides)
+    gap = max(abs(lhs - by_identity) / max(lhs, by_identity)
+              if lhs != by_identity else 0.0 for lhs, _, by_identity in sides)
+    return _status(margin >= -tol and gap <= identity_tol), {
+        "environments": cfg["n_env"], "min_margin": margin, "tolerance": tol,
+        "max_identity_gap": gap, "identity_tolerance": identity_tol}
 
 
 def _check_ceiling(run: _VerifyRun) -> tuple[str, dict]:

@@ -348,7 +348,7 @@ def test_schur_diagonal():
     region = anderson.make_region(2, 3, [(0, 1)])
     sample = anderson.sample_disorder(region, 33)
     for x in [(0, 0), (2, 2), (-3, -3)]:
-        assert anderson.verify_schur_diagonal(region, LAM, sample, Z, x)
+        assert anderson.verify_schur_diagonal(region, LAM, sample, Z, x) < 1e-9
 
 
 def test_resolvent_expansion_small():
@@ -365,7 +365,7 @@ def test_identities_at_weak_disorder():
     err = anderson.verify_depleted_identity(region, 1.0, sample, Z,
                                             (-3, 3), (3, -3))
     assert err < 1e-12
-    assert anderson.verify_schur_diagonal(region, 1.0, sample, Z, (0, 1))
+    assert anderson.verify_schur_diagonal(region, 1.0, sample, Z, (0, 1)) < 1e-9
 
 
 def test_substream_independence():

@@ -300,6 +300,21 @@ def _rule_without_jacobian(t0, width, eta, s):
     return seg, log_r, np.zeros_like(log_jac), w
 
 
+def _rule_halved_off_power_law(t0, width, eta, s):
+    """The a priori rule with the weights of every piece off the power-law
+    branch (every piece but eta = t0 = 0) halved: too small an integral
+    wherever Im B != 0, exact at B = 0."""
+    seg, log_r, log_jac, w = _RULE(t0, width, eta, s)
+    power = (t0 == 0.0) & (eta == 0.0)
+    return seg, log_r, log_jac, np.where(power[seg], w, 0.5 * w)
+
+
+def _undepleted(region, p):
+    """Region.without that deletes nothing: the conditional bound's right
+    side then comes from the full region."""
+    return region
+
+
 def _leggauss_doubled(n):
     """Gauss-Legendre nodes with weights summing to 4: the omega(x) average
     loses the density 1/2 of the uniform law."""
@@ -331,7 +346,9 @@ _PLANTS = {
     "diagonal": [(anderson, "ResolventColumns", _banded_doubled_diagonal)],
     "lu-diagonal": [(anderson, "build_hamiltonian", _doubled_diagonal)],
     "weightless": [(moments, "_apriori_rule", _rule_without_jacobian)],
+    "halved": [(moments, "_apriori_rule", _rule_halved_off_power_law)],
     "density": [(moments, "leggauss", _leggauss_doubled)],
+    "undepleted": [(anderson.Region, "without", _undepleted)],
     "inflated": [(moments, "_moment_chunk", _inflated_chunk)],
     "flat": [(moments, "_moment_chunk", _flat_chunk)],
 }
@@ -342,7 +359,9 @@ _PLANTS = {
     ("diagonal", "schur"),
     ("lu-diagonal", "depleted"),
     ("weightless", "apriori"),
+    ("halved", "apriori"),
     ("density", "drb"),
+    ("undepleted", "drb"),
     ("inflated", "ceiling"),
     ("flat", "decay"),
 ])
@@ -364,12 +383,14 @@ def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
     (["verify", "--only", "depleted", "--trials", "0"], None, 0, "no case ran"),
     (["verify", "--only", "schur", "--L", "0", "--trials", "1"], None, 0,
      "no case ran"),
+    (["verify", "--only", "apriori,depleted", "--trials", "0"], None, 0,
+     "no case ran"),
     (["verify", "--only", "ceiling"], {"distances": "20..21"}, 0,
      "no distance lies inside the box"),
     (["moment", "--distances", ","], None, 2, "pair"),
     (["verify", "--only", "drb", "--n-env", "0"], None, 2, "n_env"),
-], ids=["identity-L0", "depleted-trials0", "schur-L0", "ceiling-far",
-        "moment-no-distance", "drb-n-env-0"])
+], ids=["identity-L0", "depleted-trials0", "schur-L0", "apriori-trials0",
+        "ceiling-far", "moment-no-distance", "drb-n-env-0"])
 def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
                                                args, file_cfg, code, shown):
     # an uncaught exception fails the test before any assert
@@ -404,6 +425,35 @@ def test_verify_apriori_and_drb(capsys):
     assert list(stages) == ["apriori", "drb"]
     assert all(isinstance(t, float) and t >= 0.0 for t in stages.values())
     assert sum(stages.values()) <= doc["wallclock"]["elapsed_seconds"]
+
+
+def test_verify_details_carry_measurements_and_tolerances(capsys):
+    doc = run_json(["verify", "--only", "depleted,resolvent,schur,apriori,drb",
+                    "--trials", "4", "--n-env", "2"], capsys)
+    details = {c["name"]: c["detail"] for c in doc["result"]["checks"]}
+    for name in ("depleted", "resolvent", "schur"):
+        assert details[name]["cases"] == 4
+        assert 0.0 <= details[name]["max_discrepancy"] < 1e-9
+        assert details[name]["tolerance"] == 1e-9
+    apriori = details["apriori"]
+    assert apriori["tolerance"] == 1e-8
+    assert apriori["max_ratio"] <= 1.0 + 1e-8
+    assert apriori["min_lower_ratio"] >= 1.0 - 1e-8
+    assert apriori["saturation_tolerance"] == 1e-10
+    assert apriori["saturation_error"] <= 1e-10
+    drb = details["drb"]
+    assert drb["tolerance"] == 1e-6 and drb["min_margin"] >= -1e-6
+    assert drb["identity_tolerance"] == 1e-5
+    assert 0.0 <= drb["max_identity_gap"] <= 1e-5
+    assert doc["result"]["all_passed"]
+
+
+@pytest.mark.parametrize("lam", ["5", "30"])
+def test_verify_apriori_and_drb_pass_across_seeds(capsys, lam):
+    for seed in range(5):
+        doc = run_json(["verify", "--only", "apriori,drb", "--lambda", lam,
+                        "--seed", str(seed), "--trials", "20"], capsys)
+        assert doc["result"]["all_passed"], (seed, doc["result"]["checks"])
 
 
 def test_verify_ceiling_skipped_when_criterion_not_met(capsys):

@@ -142,7 +142,7 @@ def _chunk_task(region, k0=0, k1=SOLVER_SAMPLES):
 
 
 @pytest.mark.parametrize("name", SOLVER_REGIONS)
-def test_sweep_matches_sparse_lu(name):
+def test_banded_matches_dense_inverse(name):
     # the banded solver against a dense inverse built from scratch
     # (tests/oracles.py)
     region = SOLVER_REGIONS[name]
@@ -239,13 +239,16 @@ def test_apriori_saturated_at_zero():
 
 
 def test_apriori_bound_over_random_b():
+    # between Jensen's lower bound (lam^2/3 + |B|^2)^(-s/2) and the a priori
+    # bound 1/((1-s) lam^s)
     for s in (0.3, 0.7):
         for lam in (10.0, 100.0):
-            grid = moments.random_b_disc(2, lam, 60, seed=9)
-            chk = moments.check_apriori(lam, s, grid)
-            assert chk.ok
-            assert chk.max_ratio <= 1.0 + 1e-8
-            assert len(chk.ratios) == 60
+            grid = np.array(moments.random_b_disc(2, lam, 60, seed=9))
+            vals = moments.apriori_integral(lam, s, grid)
+            assert vals.shape == (60,)
+            assert np.all(vals / critical.gamma_big(s, lam) <= 1.0 + 1e-8)
+            lower = (lam**2 / 3.0 + np.abs(grid) ** 2) ** (-s / 2.0)
+            assert np.all(vals / lower >= 1.0 - 1e-8)
 
 
 def test_apriori_real_b_inside_support():
@@ -449,28 +452,31 @@ def test_fit_decay_rejects_nonpositive_means():
 
 def test_drb_conditional_two_coupled_sites():
     region = anderson.make_region(1, 1)  # sites -1, 0, 1
-    rep = moments.check_drb_conditional(region, 30.0, 0.7, Z, (0,), (1,),
-                                        n_omega_x=96, n_env=4, seed=0)
-    assert rep.ok
-    assert len(rep.margins) == 4
-    assert min(rep.margins) >= -rep.tol
+    sides = moments.check_drb_conditional(region, 30.0, 0.7, Z, (0,), (1,),
+                                          n_omega_x=96, n_env=4, seed=0)
+    assert len(sides) == 4
+    for lhs, rhs, by_identity in sides:
+        assert lhs <= rhs + 1e-6
+        assert lhs == pytest.approx(by_identity, rel=1e-5)
 
 
 def test_drb_conditional_isolated_x():
-    # all neighbors of x deleted: both sides vanish
+    # all neighbors of x deleted: every side vanishes
     deleted = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     region = anderson.make_region(2, 1, deleted)
-    rep = moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (1, 1),
-                                        n_omega_x=32, n_env=2, seed=0)
-    assert rep.ok
-    assert all(abs(m) < 1e-12 for m in rep.margins)
+    sides = moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (1, 1),
+                                          n_omega_x=32, n_env=2, seed=0)
+    assert len(sides) == 2
+    assert all(abs(v) < 1e-12 for side in sides for v in side)
 
 
 def test_drb_conditional_2d_box():
     region = anderson.Region(dimension=2, L=3)
-    rep = moments.check_drb_conditional(region, 30.0, 0.7, Z, (0, 0), (1, 1),
-                                        n_omega_x=96, n_env=5, seed=1)
-    assert rep.ok, f"min margin {min(rep.margins)}"
+    sides = moments.check_drb_conditional(region, 30.0, 0.7, Z, (0, 0), (1, 1),
+                                          n_omega_x=96, n_env=5, seed=1)
+    for lhs, rhs, by_identity in sides:
+        assert lhs <= rhs + 1e-6, f"margin {rhs - lhs}"
+        assert lhs == pytest.approx(by_identity, rel=1e-5)
 
 
 def test_drb_rejects_bad_pairs():
