@@ -30,7 +30,7 @@ import time
 from contextlib import nullcontext
 from datetime import datetime, timezone
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -94,10 +94,18 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _emit_artifact(command: str, cfg: dict, result: dict, t0: float,
                    formulas: Optional[dict] = None,
-                   stages: Optional[dict] = None) -> None:
-    """Stream the JSON artifact: the encoder's chunks are written as they
-    come, never joined into one string.  stages (name -> seconds) goes
-    under wallclock, outside what a rerun reproduces."""
+                   stages: Optional[dict] = None,
+                   slot: Optional[tuple[tuple[str, ...], Callable]] = None) -> None:
+    """Write the JSON artifact, the text of json.dump(indent=2,
+    sort_keys=True) plus a newline, to --out or stdout.  stages (name ->
+    seconds) goes under wallclock, outside what a rerun reproduces.
+
+    slot, when given, is (keys, write): keys is the path in result of an
+    empty list, and write(fh, level) streams in its place the text that
+    json would give the full list under a key at that indent level.  The
+    envelope is encoded once, by json, and split at the slot's key line,
+    which is found with its indentation: an encoded JSON string holds no
+    raw newline, so no value, an --out path included, can imitate it."""
     shown = {_name(k): v for k, v in cfg.items() if not k.startswith("_")}
     doc = {
         "command": command,
@@ -114,8 +122,18 @@ def _emit_artifact(command: str, cfg: dict, result: dict, t0: float,
         doc["wallclock"]["stages"] = stages
     if formulas:
         doc["formulas"] = formulas
+    text = json.dumps(doc, indent=2, sort_keys=True)
     with _destination(cfg["out"]) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        if slot is None:
+            fh.write(text)
+        else:
+            keys, write = slot
+            level = len(keys) + 1  # result is a key of the document
+            key = "\n" + "  " * level + json.dumps(keys[-1]) + ": "
+            head, tail = text.split(key + "[]")
+            fh.write(head + key)
+            write(fh, level)
+            fh.write(tail)
         fh.write("\n")
 
 
@@ -131,11 +149,12 @@ def cmd_saw(cfg: dict) -> int:
         return EXIT_OK
     bounds = saw.connective_upper_bounds(series)
     result = {
-        "series": series.to_json_dict(),
+        "series": series.to_json_dict() | {"endpoints": []},
         "connective_upper_bounds": [[n, b] for n, b in bounds.pairs],
         "trivial_upper_bound": bounds.trivial,
     }
-    _emit_artifact("saw", cfg, result, t0)
+    _emit_artifact("saw", cfg, result, t0,
+                   slot=(("series", "endpoints"), series.write_endpoints))
     return EXIT_OK
 
 

@@ -160,6 +160,16 @@ def estimate_moments(region: Region, lam: float, s: float, z: complex,
     stacked in k order before reduction, so mean and stderr are bit-identical
     for any worker count.
     """
+    return _estimate_regions([region], lam, s, z, pairs, n_samples, seed,
+                             workers)[0]
+
+
+def _estimate_regions(regions: Sequence[Region], lam: float, s: float,
+                      z: complex, pairs: Sequence[tuple[Point, Point]],
+                      n_samples: int, seed: int,
+                      workers: Optional[int] = None) -> list[list[MomentEstimate]]:
+    """estimate_moments for each region, the same samples in every one,
+    from one map_ordered call (one worker pool) over all their chunks."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
     if n_samples < 1:
@@ -167,22 +177,30 @@ def estimate_moments(region: Region, lam: float, s: float, z: complex,
     if not pairs:
         raise ValueError("need at least one (x, y) pair")
     pairs = [(tuple(x), tuple(y)) for x, y in pairs]
-    for x, y in pairs:
-        if x not in region.index or y not in region.index:
-            raise ValueError(f"pair ({x}, {y}) not inside the region")
+    for region in regions:
+        for x, y in pairs:
+            if x not in region.index or y not in region.index:
+                raise ValueError(f"pair ({x}, {y}) not inside the region")
     workers = resolve_workers(workers)
     n_chunks = min(max(1, workers * 4), n_samples)
     bounds = np.linspace(0, n_samples, n_chunks + 1).astype(int)
-    tasks = [(region, lam, s, complex(z), pairs, seed, int(a), int(b))
-             for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    vals = np.vstack(list(map_ordered(_moment_chunk, tasks, workers)))
+    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    tasks = [(region, lam, s, complex(z), pairs, seed, a, b)
+             for region in regions for a, b in spans]
+    chunks = list(map_ordered(_moment_chunk, tasks, workers))
     out = []
-    for j, (x, y) in enumerate(pairs):
-        col = vals[:, j]
-        mean = float(col.mean())
-        stderr = float(col.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else None
-        out.append(MomentEstimate(s=s, z=complex(z), x=x, y=y,
-                                  n_samples=n_samples, mean=mean, stderr=stderr))
+    for i in range(len(regions)):
+        vals = np.vstack(chunks[i * len(spans):(i + 1) * len(spans)])
+        ests = []
+        for j, (x, y) in enumerate(pairs):
+            col = vals[:, j]
+            mean = float(col.mean())
+            stderr = (float(col.std(ddof=1) / math.sqrt(n_samples))
+                      if n_samples > 1 else None)
+            ests.append(MomentEstimate(s=s, z=complex(z), x=x, y=y,
+                                       n_samples=n_samples, mean=mean,
+                                       stderr=stderr))
+        out.append(ests)
     return out
 
 
@@ -342,10 +360,9 @@ def check_theorem_ceiling(regions: Sequence[Region], lam: float, z: complex,
         diff = tuple(a - b for a, b in zip(x, y))
         if diff not in ceilings:
             ceilings[diff] = ceiling_value(series, lam, diff)
-    s = s_crit(lam)
     out = []
-    for region in regions:
-        ests = estimate_moments(region, lam, s, z, pairs, n_samples, seed, workers)
+    for ests in _estimate_regions(regions, lam, s_crit(lam), z, pairs,
+                                  n_samples, seed, workers):
         for est in ests:
             diff = tuple(a - b for a, b in zip(est.x, est.y))
             out.append(est.with_ceiling(ceilings[diff]))

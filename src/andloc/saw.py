@@ -39,15 +39,19 @@ are folded into classes, and each class total is split evenly over the
 class's distinct signed permutations, which gives the count at each of its
 points.  The split is an exact integer division and raises ArithmeticError
 if it ever leaves a remainder.  Per-point counts are expanded from the
-classes only on demand (WalkSeries.endpoints) and for the JSON artifact.
+classes only on demand (WalkSeries.endpoints).  The JSON artifact lists
+every point with its counts; WalkSeries.write_endpoints streams that list
+as text, in the layout of json.dump(indent=2, sort_keys=True), from one
+counts block per class, encoded once and shared by the class's points.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, TextIO
 
 Point = tuple[int, ...]
 
@@ -101,18 +105,36 @@ class WalkSeries:
                 for y in _class_points(cls)}
 
     def to_json_dict(self) -> dict:
-        # one list of decimal strings per class, shared by its points' entries
-        # (exact counts outgrow 64-bit JSON integers)
-        strings = {cls: [str(c) for c in row] for cls, row in self.classes.items()}
-        points = sorted((y, cls) for cls in self.classes for y in _class_points(cls))
+        """The artifact's series but its endpoint list (write_endpoints
+        writes that); counts are decimal strings, since exact counts
+        outgrow 64-bit JSON integers."""
         return {
             "dimension": self.dimension,
             "max_length": self.max_length,
             "totals": [str(c) for c in self.totals],
-            "endpoints": [
-                {"point": list(y), "counts": strings[cls]} for y, cls in points
-            ],
         }
+
+    def write_endpoints(self, fh: TextIO, level: int) -> None:
+        """Write the artifact's endpoint list to fh: one {"counts", "point"}
+        entry per point in sorted point order, as the text that
+        json.dump(indent=2, sort_keys=True) gives the list under a key at
+        indent level `level`.  Each class's counts block is encoded once, by
+        json, and shared by the entries of its points."""
+        pad = "  " * (level + 1)  # the entries' braces
+        inner = pad + "  "        # their keys
+        item = inner + "  "       # the items of their lists
+        heads = {
+            cls: (f'\n{pad}{{\n{inner}"counts": '
+                  + json.dumps([str(c) for c in row], indent=2).replace("\n", "\n" + inner)
+                  + f',\n{inner}"point": [\n{item}')
+            for cls, row in self.classes.items()}
+        sep, tail = ",\n" + item, f"\n{inner}]\n{pad}}}"
+        # never empty: the origin ends the length-0 walk
+        points = sorted((y, cls) for cls in self.classes for y in _class_points(cls))
+        fh.write("[")
+        fh.writelines(f"{',' if i else ''}{heads[cls]}{sep.join(map(str, y))}{tail}"
+                      for i, (y, cls) in enumerate(points))
+        fh.write(f"\n{'  ' * level}]")
 
 
 @dataclass
@@ -139,12 +161,23 @@ class CorrelationValue:
 
 
 def _estimate_bytes(dimension: int, max_length: int) -> int:
-    # the per-point entries still materialised, one per point of the l1 ball:
-    # in the per-length maps of _canonical_counts and in the artifact's
-    # endpoint list (point, counts, slot); times 1.5 as headroom, and
-    # deliberately rough
-    per_entry = 220 + 8 * dimension + 36 * (max_length + 1)
-    return int(1.5 * ball_size(dimension, max_length) * per_entry)
+    # what a saw run holds at its peak, the artifact write included, times
+    # 1.5 as headroom, plus 256 KiB for the command itself (parser, config,
+    # envelope text, file buffer); deliberately rough:
+    # - the per-length maps of _canonical_counts, at most one entry per point
+    #   of the l1 ball per length of the point's parity: 128 bytes each
+    #   (encoded point, count, dict slot);
+    # - the sorted (point, class) list of WalkSeries.write_endpoints, one
+    #   entry per point of the ball: point and pair tuples, list slots;
+    # - the class rows and their encoded counts blocks, 64 bytes a length per
+    #   class; each class has a point with coordinates >= 0, and the ball
+    #   holds comb(N + d, d) of those
+    d, n = dimension, max_length
+    entries = sum((ball_size(d, r) - ball_size(d, r - 1)) * ((n - r) // 2 + 1)
+                  for r in range(n + 1))
+    held = (128 * entries + (144 + 8 * d) * ball_size(d, n)
+            + 64 * (n + 1) * math.comb(n + d, d))
+    return (1 << 18) + int(1.5 * held)
 
 
 def _canonical_counts(dimension: int,

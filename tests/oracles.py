@@ -1,10 +1,10 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately simple and slow: exhaustive generate-and-test
-walk counting, plain recursion without symmetry tricks, dense matrix
-inversion, decimal bisection for the thresholds, and QUADPACK for the
-single-site integral.  None of it shares code
-paths with the package under test; the frozen constants in the test modules
+walk counting, plain recursion without symmetry tricks (also behind the
+saw artifact's per-point series), dense matrix inversion, decimal bisection
+for the thresholds, and QUADPACK for the single-site integral.  None of it
+shares code paths with the package under test; the frozen constants in the test modules
 were produced by running this file directly (python tests/oracles.py).
 """
 
@@ -83,6 +83,22 @@ def recursive_endpoint_counts(dimension: int,
 def recursive_totals(dimension: int, max_length: int) -> list[int]:
     layers = recursive_endpoint_counts(dimension, max_length)
     return [sum(layer.values()) for layer in layers]
+
+
+def saw_series_document(dimension: int, max_length: int) -> dict:
+    """The series of the saw artifact as one document, point by point, from
+    recursive_endpoint_counts: one {"point", "counts"} entry per point that a
+    walk ends at, in sorted point order, counts as decimal strings."""
+    layers = recursive_endpoint_counts(dimension, max_length)
+    points = sorted(set().union(*layers))
+    return {
+        "dimension": dimension,
+        "max_length": max_length,
+        "totals": [str(sum(layer.values())) for layer in layers],
+        "endpoints": [{"point": list(p),
+                       "counts": [str(layer.get(p, 0)) for layer in layers]}
+                      for p in points],
+    }
 
 
 def correlation_partial(dimension: int, max_length: int, gamma: float,

@@ -17,6 +17,8 @@ import andloc
 from andloc import anderson, cli, critical, moments, saw
 from andloc.rng import site_uniform
 
+import oracles
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -126,6 +128,32 @@ def test_saw_artifact_bytes_pinned(capsys, d, n_max):
     assert code == 0
     head = out[:out.index('"wallclock"')].encode()
     assert hashlib.sha256(head).hexdigest() == SAW_ARTIFACT_SHA256[d, n_max]
+
+
+# the last --out holds the splice line of the endpoint list, raw newline
+# included: the splice must still find the one true key line
+@pytest.mark.parametrize("out", [None, "saw.json", '\n      "endpoints": []'])
+@pytest.mark.parametrize("d, n_max", [(1, 0), (1, 6), (2, 0), (2, 8), (3, 5),
+                                      (6, 4)])
+def test_saw_artifact_matches_per_point_oracle(capsys, tmp_path, d, n_max, out):
+    args = ["saw", "--dim", str(d), "--nmax", str(n_max)]
+    if out is not None:
+        args += ["--out", str(tmp_path / out)]
+    code, text, _ = run_main(args, capsys)
+    assert code == 0
+    if out is not None:
+        assert text == ""
+        text = (tmp_path / out).read_text()
+    doc = json.loads(text)
+    doc["result"]["series"] = oracles.saw_series_document(d, n_max)
+    expect = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    got = text[:text.index('"wallclock"')].split("\n")
+    want = expect[:expect.index('"wallclock"')].split("\n")
+    # a plain == would have pytest diff some 10^4 lines
+    same = got == want
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+    assert same, f"line {first + 1}: {got[first:first + 1]} != {want[first:first + 1]}"
 
 
 def test_saw_artifact_envelope(capsys):
@@ -480,7 +508,7 @@ def test_verify_ceiling_skip_runs_no_monte_carlo(capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("Monte Carlo ran for a skipped ceiling")
 
-    monkeypatch.setattr(cli.moments, "estimate_moments", no_sampling)
+    monkeypatch.setattr(cli.moments, "_estimate_regions", no_sampling)
     code, out, _ = run_main(["verify", "--lambda", "5", "--only", "ceiling"],
                             capsys)
     assert code == 0
@@ -502,31 +530,33 @@ def test_verify_decay_with_mu_enumerates_no_walks(capsys, monkeypatch):
     assert check["detail"]["mu_upper"] == 0.3
 
 
-@pytest.mark.parametrize("lam, moment_calls", [
-    ("30", 4),  # the four family regions; decay reuses the full box
+@pytest.mark.parametrize("lam, moment_regions", [
+    ("30", 4),  # the four family regions in one run; decay reuses the full box
     ("5", 1),   # ceiling skipped before sampling; decay samples the box
 ])
 def test_verify_shares_series_and_box_estimates(capsys, monkeypatch, lam,
-                                                moment_calls):
-    calls = {"walks": 0, "moments": 0}
+                                                moment_regions):
+    calls = {"walks": 0, "runs": 0, "regions": 0}
+    walks, sample = cli.saw.enumerate_walks, cli.moments._estimate_regions
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_walks(*args, **kwargs):
+        calls["walks"] += 1
+        return walks(*args, **kwargs)
 
-    monkeypatch.setattr(cli.saw, "enumerate_walks",
-                        counted("walks", cli.saw.enumerate_walks))
-    monkeypatch.setattr(cli.moments, "estimate_moments",
-                        counted("moments", cli.moments.estimate_moments))
+    def counted_sample(regions, *args, **kwargs):
+        calls["runs"] += 1
+        calls["regions"] += len(regions)
+        return sample(regions, *args, **kwargs)
+
+    monkeypatch.setattr(cli.saw, "enumerate_walks", counted_walks)
+    monkeypatch.setattr(cli.moments, "_estimate_regions", counted_sample)
     code, out, _ = run_main(["verify", "--only", "decay,ceiling", "--lambda",
                              lam, "--samples", "8", "--L", "4", "--nmax", "8"],
                             capsys)
     assert code in (0, 1)
     names = [c["name"] for c in json.loads(out)["result"]["checks"]]
     assert names == ["ceiling", "decay"]  # table order, not --only order
-    assert calls == {"walks": 1, "moments": moment_calls}
+    assert calls == {"walks": 1, "runs": 1, "regions": moment_regions}
 
 
 def test_verify_only_help_lists_the_check_table(capsys, monkeypatch):

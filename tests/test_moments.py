@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from andloc import anderson, critical, moments, saw
+from andloc import anderson, critical, moments, parallel, saw
 from andloc.rng import substream
 
 import oracles
@@ -363,11 +363,35 @@ def test_theorem_ceiling_small_box(series_d2):
         assert est.ok, f"margin {est.margin} at distance {est.distance}"
 
 
+def test_theorem_ceiling_one_pool_for_the_family(series_d2, monkeypatch):
+    # every region's chunks run in one pool, and each region's estimates are
+    # those of its own estimate_moments call at any worker count
+    starts = []
+
+    class CountingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.delenv("ANDERSON_THREADS", raising=False)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    family = moments.default_region_family(2, 3, keep=[(0, 0), (2, 0)], seed=5)
+    pairs = [((1, 0), (0, 0)), ((2, 0), (0, 0))]
+    pooled = moments.check_theorem_ceiling(family, 30.0, Z, pairs, 12, 3,
+                                           series_d2, workers=2)
+    assert starts == [2]
+    s = critical.s_crit(30.0)
+    serial = [e for region in family for e in moments.estimate_moments(
+        region, 30.0, s, Z, pairs, 12, 3, workers=1)]
+    assert [(e.x, e.mean, e.stderr) for e in pooled] == \
+        [(e.x, e.mean, e.stderr) for e in serial]
+
+
 def test_theorem_ceiling_unavailable_before_sampling(series_d2, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("Monte Carlo ran before the ceiling was known")
 
-    monkeypatch.setattr(moments, "estimate_moments", no_sampling)
+    monkeypatch.setattr(moments, "_estimate_regions", no_sampling)
     pairs = [((1, 0), (0, 0)), ((2, 0), (0, 0))]
     with pytest.raises(moments.CeilingUnavailableError):
         moments.check_theorem_ceiling([small_region()], 23.0, Z, pairs,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
@@ -191,6 +192,20 @@ def test_ball_size():
 def test_memory_budget_enforced():
     with pytest.raises(saw.BudgetExceededError):
         saw.enumerate_walks(3, 10, memory_budget=1000)
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 10), (3, 6), (6, 5)])
+def test_estimate_bytes_covers_traced_peak(tmp_path, d, n_max):
+    # enumeration and the artifact write, as the saw command runs them
+    tracemalloc.start()
+    try:
+        code = cli.main(["saw", "--dim", str(d), "--nmax", str(n_max),
+                         "--out", str(tmp_path / "saw.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert saw._estimate_bytes(d, n_max) >= peak
 
 
 def test_bad_arguments():
