@@ -16,6 +16,15 @@ type and help are declared once, in _SETTINGS, and each subcommand's flags
 in _COMMANDS: a new setting goes there.
 ANDERSON_THREADS caps worker-pool parallelism.
 
+verify runs the tasks of _JOBS in one parallel.map_ordered call: the walk
+series when a selected check reads it, then the chunks of the _POOLED
+checks.  The checks then run in table order in this process and merge
+those results in task order, so artifacts are bit-identical for any
+--workers; resolvent computes its dense cases here while no worker runs,
+and ceiling samples through a pool of its own.  A check's wallclock stage
+is its own time here plus the seconds of the tasks it read, wherever they
+ran, so at 2 workers the stages can sum to more than elapsed_seconds.
+
 Exit codes: 0 success, 1 a bound check failed, 2 bad input, 3 resource
 limits, 4 linear-solver failure.
 """
@@ -35,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__, anderson, critical, moments, saw
-from .parallel import resolve_workers
+from .parallel import map_ordered, resolve_workers
 from .rng import substream, unit_open
 
 EXIT_OK = 0
@@ -250,39 +259,175 @@ def _random_site(region: anderson.Region, seed: int, tag: int) -> anderson.Point
     return region.sites[int(unit_open(seed, (tag,)) * region.n_sites)]
 
 
-def _identity_regions(dim: int, L: int, seed: int, count: int):
-    """Deterministic stream of (region, sample, x, y) cases.
+def _identity_case(dim: int, L: int, seed: int, t: int):
+    """Case t of the identity stream seed: (region, sample, x, y), or None.
 
-    Regions are boxes with 0-2 random deletions, never every site; pairs keep
-    l1 distance <= 2 so that both identity sides stay far above roundoff at
-    any lambda.  A case without such a pair is dropped.
+    A pure function of its arguments, so a chunk of the stream builds only
+    its own cases.  Regions are boxes with 0-2 random deletions, never every
+    site; pairs keep l1 distance <= 2 so that both identity sides stay far
+    above roundoff at any lambda.  A case without such a pair is None.
     """
-    for t in range(count):
-        s0 = substream(seed, t)
-        box = anderson.Region(dimension=dim, L=L)
-        n_del = min(t % 3, box.n_sites - 1)
-        deleted = []
-        k = 0
-        while len(deleted) < n_del:
-            cand = _random_site(box, s0, 100 + k)
-            k += 1
-            if cand not in deleted:
-                deleted.append(cand)
-        region = anderson.make_region(dim, L, deleted)
-        sample = anderson.sample_disorder(region, substream(s0, 1))
-        x = _random_site(region, s0, 2)
-        nearby = [p for p in region.sites
-                  if 1 <= sum(abs(a - b) for a, b in zip(p, x)) <= 2]
-        if not nearby:
-            continue
-        y = nearby[int(unit_open(s0, (3,)) * len(nearby))]
-        yield region, sample, x, y
+    s0 = substream(seed, t)
+    box = anderson.Region(dimension=dim, L=L)
+    n_del = min(t % 3, box.n_sites - 1)
+    deleted = []
+    k = 0
+    while len(deleted) < n_del:
+        cand = _random_site(box, s0, 100 + k)
+        k += 1
+        if cand not in deleted:
+            deleted.append(cand)
+    region = anderson.make_region(dim, L, deleted)
+    sample = anderson.sample_disorder(region, substream(s0, 1))
+    x = _random_site(region, s0, 2)
+    nearby = [p for p in region.sites
+              if 1 <= sum(abs(a - b) for a, b in zip(p, x)) <= 2]
+    if not nearby:
+        return None
+    y = nearby[int(unit_open(s0, (3,)) * len(nearby))]
+    return region, sample, x, y
+
+
+# Task functions.  A task is (function, args) and may run in a pool worker,
+# so its function is a module-level function of this module (pickled by
+# name) and looks the library up at call time.
+
+def _depleted_gap(lam, z, region, sample, x, y) -> float:
+    return anderson.verify_depleted_identity(region, lam, sample, z, x, y)
+
+
+def _resolvent_gap(lam, z, region, sample, x, _) -> float:
+    return anderson.verify_resolvent_expansion(region, lam, sample, z, x)
+
+
+def _schur_gap(lam, z, region, sample, x, _) -> float:
+    return anderson.verify_schur_diagonal(region, lam, sample, z, x)
+
+
+def _identity_chunk(measure, lam, z, dim: int, L: int, seed: int,
+                    ts: range) -> tuple[float, int]:
+    """The largest measure(lam, z, *case), a relative discrepancy, over the
+    cases ts of identity stream seed, and how many cases there were."""
+    worst, cases = 0.0, 0
+    for t in ts:
+        case = _identity_case(dim, L, seed, t)
+        if case is not None:
+            worst = max(worst, measure(lam, z, *case))
+            cases += 1
+    return worst, cases
+
+
+def _apriori_chunk(dim: int, n_b: int, seed: int,
+                   grids: list) -> tuple[float, float, float]:
+    """Over the (s, lambda) grids of n_b values of B each: the largest
+    I / bound, the smallest I / (lambda^2/3 + |B|^2)^(-s/2) (Jensen's lower
+    bound), and the largest |I(0) / bound - 1|."""
+    max_ratio, min_lower, sat_err = -math.inf, math.inf, 0.0
+    for s, lam in grids:
+        bs = np.array(moments.random_b_disc(dim, lam, n_b, seed))
+        bound = critical.gamma_big(s, lam)
+        vals = moments.apriori_integral(lam, s, bs)
+        max_ratio = max(max_ratio, float(np.max(vals / bound)))
+        lower = (lam**2 / 3.0 + np.abs(bs) ** 2) ** (-s / 2.0)
+        min_lower = min(min_lower, float(np.min(vals / lower)))
+        sat_err = max(sat_err,
+                      abs(moments.apriori_integral(lam, s, 0j) / bound - 1.0))
+    return max_ratio, min_lower, sat_err
+
+
+def _drb_chunk(region, lam, s, z, x, y, n_omega: int, seed: int,
+               envs: range) -> list:
+    """The conditional bound's sides in the environments envs."""
+    return moments.check_drb_conditional(region, lam, s, z, x, y,
+                                         n_omega_x=n_omega, n_env=envs.stop,
+                                         seed=seed, first_env=envs.start)
+
+
+def _run_task(task) -> tuple[bool, object, float]:
+    """(True, fn(*args), seconds), or (False, the exception it raised,
+    seconds): the error is raised again where a check reads the result."""
+    fn, args = task
+    t0 = time.monotonic()
+    try:
+        ok, value = True, fn(*args)
+    except Exception as exc:
+        ok, value = False, exc
+    return ok, value, time.monotonic() - t0
+
+
+def _pieces(count: int, workers: int) -> list[range]:
+    """range(count) cut into at most 4 * workers consecutive ranges; one
+    empty range when count < 1."""
+    k = max(1, min(4 * workers, count))
+    cuts = [count * i // k for i in range(k + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _identity_tasks(run: _VerifyRun, measure, tag: int, trials: int,
+                    L: int) -> list:
+    seed = substream(run.seed, tag)
+    return [(_identity_chunk, (measure, run.lam, run.z, run.dim, L, seed, ts))
+            for ts in _pieces(run.trials(trials), run.workers)]
+
+
+def _resolvent_L(cfg: dict) -> int:
+    # dense expansion check is O(n^3); shrink the box until it fits
+    L = _box_L(cfg, "identity")
+    while L > 1 and (2 * L + 1) ** cfg["dim"] > 500:
+        L -= 1
+    return L
+
+
+#: the (s, lambda) grids of the apriori check
+_APRIORI_GRIDS = [(s, lam) for s in (0.3, 0.5, 0.7, 0.9)
+                  for lam in (10.0, 30.0, 100.0)]
+
+
+def _apriori_tasks(run: _VerifyRun) -> list:
+    n_b = run.trials(100)
+    if n_b == 0:  # the check skips
+        return []
+    seed = substream(run.seed, 14)
+    return [(_apriori_chunk, (run.dim, n_b, seed, [_APRIORI_GRIDS[i] for i in ts]))
+            for ts in _pieces(len(_APRIORI_GRIDS), run.workers)]
+
+
+def _drb_tasks(run: _VerifyRun) -> list:
+    cfg, dim = run.cfg, run.dim
+    region = anderson.Region(dimension=dim, L=_box_L(cfg, "conditional"))
+    s_val = cfg["s"] if cfg["s"] is not None else 0.7
+    x = (0,) * dim
+    y = (1, 1) + (0,) * (dim - 2) if dim >= 2 else (1,)
+    return [(_drb_chunk, (region, run.lam, s_val, run.z, x, y, cfg["n_omega"],
+                          substream(run.seed, 15), envs))
+            for envs in _pieces(cfg["n_env"], run.workers)]
+
+
+#: job -> the tasks it splits into, each case of an identity stream, B grid
+#: or environment in exactly one
+_JOBS = {
+    "series": lambda run: [(_series, (run.cfg,))],
+    "depleted": lambda run: _identity_tasks(run, _depleted_gap, 11, 100,
+                                            _box_L(run.cfg, "identity")),
+    "resolvent": lambda run: _identity_tasks(run, _resolvent_gap, 12, 20,
+                                             _resolvent_L(run.cfg)),
+    "schur": lambda run: _identity_tasks(run, _schur_gap, 13, 50,
+                                         _box_L(run.cfg, "identity")),
+    "apriori": _apriori_tasks,
+    "drb": _drb_tasks,
+}
+
+#: the checks whose jobs run in the pool; resolvent is not among them: its
+#: dense inversions run multithreaded BLAS, which pool workers beside it
+#: would oversubscribe
+_POOLED = ("depleted", "schur", "apriori", "drb")
 
 
 class _VerifyRun:
-    """What the checks of one verify run share: the resolved inputs, plus the
-    walk series and the full-box estimates, each built at most once and only
-    when a selected check reads it."""
+    """What the checks of one verify run share: the resolved inputs, the
+    results of the pooled tasks, plus the walk series and the full-box
+    estimates, each built at most once and only when a selected check reads
+    it."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -291,14 +436,53 @@ class _VerifyRun:
         self.z = complex(cfg["z_real"], cfg["z_imag"])
         self.seed = cfg["seed"]
         self.eps = cfg["eps"]
+        self.workers = cfg["workers"]
         self.box_estimates = None  # set by the ceiling check, read by decay
+        self.pooled = {}  # job -> the _run_task outcomes of its tasks
+        self.task_seconds = 0.0  # of the pooled tasks the running check read
 
     def trials(self, default: int) -> int:
         return self.cfg["trials"] if self.cfg["trials"] is not None else default
 
+    def reads_series(self, names) -> bool:
+        """Whether a selected check reads the walk series: ceiling, or decay
+        without --mu, unless it skips first.  A wrong answer costs time
+        only: an unpooled series is built when read, and a pooled one that
+        no check reads is dropped, with any error it raised."""
+        if _below_e(self):
+            return False
+        try:
+            pairs = self.pairs
+        except ValueError:  # raised again where a check reads the pairs
+            return False
+        return (("ceiling" in names and bool(pairs))
+                or ("decay" in names and self.cfg["mu"] is None
+                    and len(pairs) >= 3))
+
+    def run_pool(self, jobs: list[str]) -> None:
+        """Run the tasks of jobs, in that order, in one map_ordered call."""
+        tasks = [(job, task) for job in jobs for task in _JOBS[job](self)]
+        outcomes = map_ordered(_run_task, [task for _, task in tasks],
+                               self.workers)
+        for (job, _), outcome in zip(tasks, outcomes):
+            self.pooled.setdefault(job, []).append(outcome)
+
+    def take(self, job: str) -> list:
+        """The results of job's tasks in task order: the pool's, their
+        seconds added to task_seconds, or else computed here.  A pooled task
+        that raised raises here, so errors surface in check order."""
+        outcomes = self.pooled.pop(job, None)
+        if outcomes is None:
+            return [fn(*args) for fn, args in _JOBS[job](self)]
+        self.task_seconds += sum(seconds for _, _, seconds in outcomes)
+        for ok, value, _ in outcomes:
+            if not ok:
+                raise value
+        return [value for _, value, _ in outcomes]
+
     @cached_property
     def series(self) -> saw.WalkSeries:
-        return _series(self.cfg)
+        return self.take("series")[0]
 
     @cached_property
     def pairs(self) -> list:
@@ -313,8 +497,7 @@ class _VerifyRun:
             box = anderson.Region(dimension=self.dim, L=_box_L(self.cfg, "moments"))
             self.box_estimates = moments.estimate_moments(
                 box, self.lam, critical.s_crit(self.lam), self.z, self.pairs,
-                self.cfg["samples"], substream(self.seed, 16),
-                self.cfg["workers"])
+                self.cfg["samples"], substream(self.seed, 16), self.workers)
         return self.box_estimates
 
 
@@ -329,16 +512,13 @@ def _below_e(run: _VerifyRun) -> Optional[tuple[str, dict]]:
     return None
 
 
-def _identity_check(run: _VerifyRun, measure, tag: int, trials: int,
-                    L: int) -> tuple[str, dict]:
-    """measure(region, sample, x, y), a relative discrepancy, over the
-    identity cases of stream tag; pass iff every one is below tol, skipped
-    when the stream gave no case."""
+def _identity_check(run: _VerifyRun, job: str) -> tuple[str, dict]:
+    """Pass iff every case of the job's identity stream measured a
+    discrepancy below tol; skipped when the stream gave no case."""
     tol, worst, cases = 1e-9, 0.0, 0
-    for case in _identity_regions(run.dim, L, substream(run.seed, tag),
-                                  run.trials(trials)):
-        worst = max(worst, measure(*case))
-        cases += 1
+    for chunk_worst, chunk_cases in run.take(job):
+        worst = max(worst, chunk_worst)
+        cases += chunk_cases
     if cases == 0:
         return "skipped", {"reason": "no case ran: trials is 0, or no two sites "
                                      "of the box lie within l1 distance 2"}
@@ -347,28 +527,15 @@ def _identity_check(run: _VerifyRun, measure, tag: int, trials: int,
 
 
 def _check_depleted(run: _VerifyRun) -> tuple[str, dict]:
-    return _identity_check(
-        run, lambda region, sample, x, y: anderson.verify_depleted_identity(
-            region, run.lam, sample, run.z, x, y),
-        11, 100, _box_L(run.cfg, "identity"))
+    return _identity_check(run, "depleted")
 
 
 def _check_resolvent(run: _VerifyRun) -> tuple[str, dict]:
-    # dense expansion check is O(n^3); shrink the box until it fits
-    L = _box_L(run.cfg, "identity")
-    while L > 1 and (2 * L + 1) ** run.dim > 500:
-        L -= 1
-    return _identity_check(
-        run, lambda region, sample, x, _: anderson.verify_resolvent_expansion(
-            region, run.lam, sample, run.z, x),
-        12, 20, L)
+    return _identity_check(run, "resolvent")
 
 
 def _check_schur(run: _VerifyRun) -> tuple[str, dict]:
-    return _identity_check(
-        run, lambda region, sample, x, _: anderson.verify_schur_diagonal(
-            region, run.lam, sample, run.z, x),
-        13, 50, _box_L(run.cfg, "identity"))
+    return _identity_check(run, "schur")
 
 
 def _check_apriori(run: _VerifyRun) -> tuple[str, dict]:
@@ -380,17 +547,10 @@ def _check_apriori(run: _VerifyRun) -> tuple[str, dict]:
         return "skipped", {"reason": "no case ran: trials is 0"}
     tol, sat_tol = 1e-8, 1e-10
     max_ratio, min_lower, sat_err = -math.inf, math.inf, 0.0
-    for s in (0.3, 0.5, 0.7, 0.9):
-        for lam in (10.0, 30.0, 100.0):
-            bs = np.array(moments.random_b_disc(run.dim, lam, n_b,
-                                                substream(run.seed, 14)))
-            bound = critical.gamma_big(s, lam)
-            vals = moments.apriori_integral(lam, s, bs)
-            max_ratio = max(max_ratio, float(np.max(vals / bound)))
-            lower = (lam**2 / 3.0 + np.abs(bs) ** 2) ** (-s / 2.0)
-            min_lower = min(min_lower, float(np.min(vals / lower)))
-            sat_err = max(sat_err,
-                          abs(moments.apriori_integral(lam, s, 0j) / bound - 1.0))
+    for ratio, lower, err in run.take("apriori"):
+        max_ratio = max(max_ratio, ratio)
+        min_lower = min(min_lower, lower)
+        sat_err = max(sat_err, err)
     ok = max_ratio <= 1.0 + tol and min_lower >= 1.0 - tol and sat_err <= sat_tol
     return _status(ok), {
         "b_per_grid": n_b, "max_ratio": max_ratio, "min_lower_ratio": min_lower,
@@ -402,21 +562,13 @@ def _check_drb(run: _VerifyRun) -> tuple[str, dict]:
     """Per environment, the quadrature left side at most the right side plus
     tol, and within a relative identity_tol of the left side that the
     depletion and Schur identities give (both are quadratures)."""
-    cfg, dim = run.cfg, run.dim
-    region = anderson.Region(dimension=dim, L=_box_L(cfg, "conditional"))
-    s_val = cfg["s"] if cfg["s"] is not None else 0.7
-    x = (0,) * dim
-    y = (1, 1) + (0,) * (dim - 2) if dim >= 2 else (1,)
-    sides = moments.check_drb_conditional(region, run.lam, s_val, run.z, x, y,
-                                          n_omega_x=cfg["n_omega"],
-                                          n_env=cfg["n_env"],
-                                          seed=substream(run.seed, 15))
+    sides = [side for chunk in run.take("drb") for side in chunk]
     tol, identity_tol = 1e-6, 1e-5
     margin = min(rhs - lhs for lhs, rhs, _ in sides)
     gap = max(abs(lhs - by_identity) / max(lhs, by_identity)
               if lhs != by_identity else 0.0 for lhs, _, by_identity in sides)
     return _status(margin >= -tol and gap <= identity_tol), {
-        "environments": cfg["n_env"], "min_margin": margin, "tolerance": tol,
+        "environments": run.cfg["n_env"], "min_margin": margin, "tolerance": tol,
         "max_identity_gap": gap, "identity_tolerance": identity_tol}
 
 
@@ -434,7 +586,7 @@ def _check_ceiling(run: _VerifyRun) -> tuple[str, dict]:
     try:
         ests = moments.check_theorem_ceiling(family, run.lam, run.z, pairs,
                                              n_samples, substream(run.seed, 16),
-                                             run.series, cfg["workers"])
+                                             run.series, run.workers)
     except moments.CeilingUnavailableError as exc:
         return "skipped", {"reason": f"criterion not met: {exc}"}
     # family[0] is the full box: the same call decay would make
@@ -469,7 +621,14 @@ _CHECKS = {
 
 
 def run_verify(cfg: dict) -> tuple[dict, dict]:
-    """The selected checks' result, and each check's wall time in seconds."""
+    """The selected checks' result, and each check's seconds: its own time
+    here plus that of the pooled tasks it read, wherever they ran.
+
+    One map_ordered call runs, in order, the walk series (first, as the
+    longest task) when a selected check reads it, and the chunks of the
+    pooled checks; the checks then run in table order and merge those
+    results in task order, resolvent computing its cases here, ceiling
+    sampling through a pool of its own."""
     names = list(_CHECKS)
     if cfg["only"]:
         only = {tok.strip() for tok in cfg["only"].split(",") if tok.strip()}
@@ -478,11 +637,14 @@ def run_verify(cfg: dict) -> tuple[dict, dict]:
             raise ValueError(f"unknown checks for --only: {sorted(bad)}")
         names = [name for name in names if name in only]
     run = _VerifyRun(cfg)
+    run.run_pool((["series"] if run.reads_series(names) else [])
+                 + [name for name in names if name in _POOLED])
     checks, stages = [], {}
     for name in names:
         t0 = time.monotonic()
         status, detail = _CHECKS[name](run)
-        stages[name] = time.monotonic() - t0
+        stages[name] = time.monotonic() - t0 + run.task_seconds
+        run.task_seconds = 0.0
         checks.append({"name": name, "status": status, "detail": detail})
     return {"checks": checks,
             "all_passed": all(c["status"] != "fail" for c in checks)}, stages

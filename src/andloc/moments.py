@@ -468,14 +468,17 @@ def _pole_panels(v0: float, width: float) -> list[tuple[float, float]]:
 
 def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
                           x, y, n_omega_x: int, n_env: int,
-                          seed: int = 0) -> list[tuple[float, float, float]]:
+                          seed: int = 0, first_env: int = 0
+                          ) -> list[tuple[float, float, float]]:
     """The conditional bound under fixed environments, measured by quadrature.
 
-    For each environment (all omega except omega(x) frozen), the left side,
-    the omega(x) average of |G(x, y)|^s, is computed by Gauss-Legendre
-    quadrature over roughly n_omega_x nodes on panels graded toward the
-    effective pole Re(B)/lambda, one factorization per node.  The right
-    side, Gamma(s) sum_{x' ~ x} |G^{(Lambda \\ {x})}(x', y)|^s, comes from a
+    Environment j, for j = first_env, ..., n_env - 1, freezes every omega
+    but omega(x) at the disorder of substream(seed, j), so the environments
+    of one seed can be split into ranges and measured apart.  In each, the
+    left side, the omega(x) average of |G(x, y)|^s, is computed by
+    Gauss-Legendre quadrature over roughly n_omega_x nodes on panels graded
+    toward the effective pole Re(B)/lambda, one factorization per node.  The
+    right side, Gamma(s) sum_{x' ~ x} |G^{(Lambda \\ {x})}(x', y)|^s, comes from a
     separate solve on the depleted region.  By the depletion and Schur
     identities the left side also equals
     |sum_{x' ~ x} G^{(Lambda \\ {x})}(x', y)|^s * apriori_integral(lambda, s, B)
@@ -495,7 +498,7 @@ def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
     depleted = region.without(x)
     nbrs = region.neighbors_in(x)
     out = []
-    for j in range(n_env):
+    for j in range(first_env, n_env):
         sample = sample_disorder(region, substream(seed, j))
         rhs = by_identity = 0.0
         if nbrs:

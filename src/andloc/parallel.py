@@ -2,8 +2,11 @@
 
 Parallel sections split work into an ordered task list, compute each task
 independently, and merge results in task order, so outputs are bit-identical
-for any worker count.  ANDERSON_THREADS caps the pool size (and provides the
-default when the caller does not ask for a specific count).
+for any worker count.  The sections are the Monte Carlo chunks of moments
+and, in cli's verify, the walk series and the chunks of the identity,
+a priori and conditional-bound checks.  ANDERSON_THREADS caps the pool size
+(and provides the default when the caller does not ask for a specific
+count).
 """
 
 from __future__ import annotations

@@ -50,6 +50,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
@@ -62,7 +63,8 @@ DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
 
 
 class BudgetExceededError(Exception):
-    """Endpoint map for the requested length does not fit the memory budget."""
+    """The requested length does not fit the memory budget, or its tree walk
+    would nest deeper than the interpreter's recursion limit allows."""
 
 
 def default_max_length(dimension: int) -> int:
@@ -232,7 +234,9 @@ def enumerate_walks(dimension: int, max_length: Optional[int] = None, *,
     """Enumerate all SAWs from the origin up to max_length, exactly.
 
     Raises BudgetExceededError when the estimated endpoint-map footprint
-    exceeds memory_budget (pass None to disable the check).
+    exceeds memory_budget (pass None to disable the check), and, whatever
+    the budget, when the depth-first walk of max_length steps would pass
+    the interpreter's recursion limit (sys.getrecursionlimit()).
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -246,6 +250,16 @@ def enumerate_walks(dimension: int, max_length: Optional[int] = None, *,
             raise BudgetExceededError(
                 f"endpoint map for d={dimension}, N={max_length} needs about "
                 f"{need} bytes, budget is {memory_budget}")
+    # the tree walk nests one Python frame per step below this one's caller;
+    # 10 frames spare for whatever wraps it
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    if depth + max_length + 10 > limit:
+        raise BudgetExceededError(
+            f"walks of length {max_length} nest {max_length} calls deep; the "
+            f"recursion limit {limit} leaves room for {max(0, limit - depth - 10)}")
 
     n_max = max_length
     counts = _canonical_counts(dimension, n_max)

@@ -15,6 +15,7 @@ from scipy.sparse import csc_matrix
 
 import andloc
 from andloc import anderson, cli, critical, moments, saw
+from andloc import parallel
 from andloc.rng import site_uniform
 
 import oracles
@@ -598,6 +599,74 @@ def test_saw_budget_exits_3(capsys):
                              "--memory-budget", "1000"], capsys)
     assert code == 3
     assert "budget" in err
+
+
+def test_saw_deeper_than_the_recursion_limit_exits_3(capsys):
+    code, out, err = run_main(["saw", "--dim", "1", "--nmax", "1100"], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"recursion limit {sys.getrecursionlimit()}" in err
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """ANDERSON_THREADS unset, and a list that gains one entry per process
+    pool that parallel.map_ordered starts."""
+    starts = []
+
+    class CountedPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.delenv("ANDERSON_THREADS", raising=False)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountedPool)
+    return starts
+
+
+@pytest.mark.parametrize("lam", ["30", "5"])
+def test_verify_artifacts_identical_across_worker_counts(capsys, pool_starts,
+                                                         lam):
+    docs = {}
+    for workers in ("1", "2"):
+        doc = run_json(["verify", "--lambda", lam, "--samples", "40", "--L", "4",
+                        "--nmax", "8", "--trials", "6", "--n-env", "2",
+                        "--workers", workers], capsys)
+        del doc["wallclock"], doc["config"]["workers"]
+        docs[workers] = doc
+    assert docs["1"] == docs["2"]
+    assert [c["name"] for c in docs["1"]["result"]["checks"]] == list(cli._CHECKS)
+    # the pooled checks with the walk series, then the ceiling's Monte Carlo
+    # (or, at lambda = 5, decay's)
+    assert pool_starts == [2, 2]
+
+
+def _singular_depleted_case(region, lam, sample, z, x, y):
+    raise anderson.SingularSystemError(f"planted in process {os.getpid()}")
+
+
+@pytest.mark.parametrize("args, file_cfg, plant, code, shown", [
+    (["--only", "depleted,schur"], None,
+     (anderson, "verify_depleted_identity", _singular_depleted_case), 4,
+     "planted in process"),
+    (["--only", "depleted,ceiling"], {"memory_budget": 1000}, None, 3,
+     "budget"),
+], ids=["singular-depleted-case", "series-over-budget"])
+def test_verify_pool_task_errors_keep_their_exit_codes(
+        tmp_path, capsys, monkeypatch, pool_starts, args, file_cfg, plant,
+        code, shown):
+    if plant is not None:
+        monkeypatch.setattr(*plant)
+    if file_cfg is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        args = args + ["--config", str(cfg)]
+    got, out, err = run_main(["verify", "--trials", "4", "--workers", "2"]
+                             + args, capsys)
+    assert got == code, err
+    assert out == "" and shown in err
+    assert pool_starts == [2]  # the error was raised in a pool worker
+    assert f"process {os.getpid()}" not in err
 
 
 @pytest.mark.parametrize("args", [

@@ -208,6 +208,11 @@ def test_estimate_bytes_covers_traced_peak(tmp_path, d, n_max):
     assert saw._estimate_bytes(d, n_max) >= peak
 
 
+def test_one_dimensional_walks_fit_the_recursion_limit():
+    # the tree walk nests one frame per step; 500 steps fit the default limit
+    assert saw.enumerate_walks(1, 500).totals == [1] + [2] * 500
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         saw.enumerate_walks(0, 4)
