@@ -44,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__, anderson, critical, moments, saw
-from .parallel import map_ordered, resolve_workers
+from .parallel import map_ordered, pieces, resolve_workers
 from .rng import substream, unit_open
 
 EXIT_OK = 0
@@ -335,12 +335,11 @@ def _apriori_chunk(dim: int, n_b: int, seed: int,
     return max_ratio, min_lower, sat_err
 
 
-def _drb_chunk(region, lam, s, z, x, y, n_omega: int, seed: int,
-               envs: range) -> list:
+def _drb_chunk(region, lam, s, z, x, y, seed: int, envs: range) -> list:
     """The conditional bound's sides in the environments envs."""
     return moments.check_drb_conditional(region, lam, s, z, x, y,
-                                         n_omega_x=n_omega, n_env=envs.stop,
-                                         seed=seed, first_env=envs.start)
+                                         n_env=envs.stop, seed=seed,
+                                         first_env=envs.start)
 
 
 def _run_task(task) -> tuple[bool, object, float]:
@@ -355,19 +354,11 @@ def _run_task(task) -> tuple[bool, object, float]:
     return ok, value, time.monotonic() - t0
 
 
-def _pieces(count: int, workers: int) -> list[range]:
-    """range(count) cut into at most 4 * workers consecutive ranges; one
-    empty range when count < 1."""
-    k = max(1, min(4 * workers, count))
-    cuts = [count * i // k for i in range(k + 1)]
-    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
-
-
 def _identity_tasks(run: _VerifyRun, measure, tag: int, trials: int,
                     L: int) -> list:
     seed = substream(run.seed, tag)
     return [(_identity_chunk, (measure, run.lam, run.z, run.dim, L, seed, ts))
-            for ts in _pieces(run.trials(trials), run.workers)]
+            for ts in pieces(run.trials(trials), run.workers)]
 
 
 def _resolvent_L(cfg: dict) -> int:
@@ -389,7 +380,7 @@ def _apriori_tasks(run: _VerifyRun) -> list:
         return []
     seed = substream(run.seed, 14)
     return [(_apriori_chunk, (run.dim, n_b, seed, [_APRIORI_GRIDS[i] for i in ts]))
-            for ts in _pieces(len(_APRIORI_GRIDS), run.workers)]
+            for ts in pieces(len(_APRIORI_GRIDS), run.workers)]
 
 
 def _drb_tasks(run: _VerifyRun) -> list:
@@ -398,9 +389,9 @@ def _drb_tasks(run: _VerifyRun) -> list:
     s_val = cfg["s"] if cfg["s"] is not None else 0.7
     x = (0,) * dim
     y = (1, 1) + (0,) * (dim - 2) if dim >= 2 else (1,)
-    return [(_drb_chunk, (region, run.lam, s_val, run.z, x, y, cfg["n_omega"],
+    return [(_drb_chunk, (region, run.lam, s_val, run.z, x, y,
                           substream(run.seed, 15), envs))
-            for envs in _pieces(cfg["n_env"], run.workers)]
+            for envs in pieces(cfg["n_env"], run.workers)]
 
 
 #: job -> the tasks it splits into, each case of an identity stream, B grid
@@ -561,9 +552,10 @@ def _check_apriori(run: _VerifyRun) -> tuple[str, dict]:
 def _check_drb(run: _VerifyRun) -> tuple[str, dict]:
     """Per environment, the quadrature left side at most the right side plus
     tol, and within a relative identity_tol of the left side that the
-    depletion and Schur identities give (both are quadratures)."""
+    depletion and Schur identities give (both sides integrate on the
+    a priori rule)."""
     sides = [side for chunk in run.take("drb") for side in chunk]
-    tol, identity_tol = 1e-6, 1e-5
+    tol, identity_tol = 1e-6, 1e-9
     margin = min(rhs - lhs for lhs, rhs, _ in sides)
     gap = max(abs(lhs - by_identity) / max(lhs, by_identity)
               if lhs != by_identity else 0.0 for lhs, _, by_identity in sides)
@@ -687,7 +679,6 @@ _SETTINGS = {
     "mu": (None, float, "connective-constant upper bound"),
     "trials": (None, int, None),
     "n_env": (10, int, None),
-    "n_omega": (128, int, None),
     "only": (None, str, "comma list of checks: " + ",".join(_CHECKS)),
 }
 
@@ -707,7 +698,7 @@ _COMMANDS = {
                 "distances", "nmax")),
     "verify": (cmd_verify, "run the verification suite",
                ("dim", "L", "lambda_", "s", "z_real", "z_imag", "samples", "eps",
-                "mu", "trials", "nmax", "n_env", "n_omega", "only")),
+                "mu", "trials", "nmax", "n_env", "only")),
 }
 
 

@@ -22,7 +22,8 @@ integral is computed by a fixed Gauss-Legendre rule in numpy, vectorised
 over B: after the substitution t = eta sinh u, with eta = |Im B| (or
 t = w^(1/(1-s)) for real B inside the support), its integrand is smooth, so
 no adaptive quadrature is needed and the closed-form bound is never used to
-compute it.  Every solve, of the Monte Carlo moments and of the
+compute it.  The conditional-bound check takes its omega(x) average on the
+nodes of the same rule.  Every solve, of the Monte Carlo moments and of the
 conditional-bound check alike, goes through anderson.resolvent_entries: the
 one resolvent solver, a banded LU per sample.  The Monte Carlo draws its
 disorder a block of samples at a time, in one hash over the box.  The
@@ -48,7 +49,7 @@ from . import saw
 from .anderson import (Point, Region, green, resolvent_entries,
                        sample_disorder)
 from .critical import gamma_big, gamma_fn, mass, s_crit
-from .parallel import map_ordered, resolve_workers
+from .parallel import map_ordered, pieces, resolve_workers
 from .rng import site_uniform, substream, unit_open
 
 _DELETION_VARIANTS = 2  # boxes minus one random site in default_region_family
@@ -57,6 +58,9 @@ _DELETION_VARIANTS = 2  # boxes minus one random site in default_region_family
 _DISORDER_BYTES = 1 << 18
 #: Gauss-Legendre nodes per unit panel of the a priori rule (_apriori_rule)
 _APRIORI_NODES = 10
+#: the same for the conditional-bound check, where each node costs one
+#: factorization
+_DRB_NODES = 6
 
 #: formulas behind every ceiling this module attaches (recorded in artifacts)
 CEILING_FORMULAS = {
@@ -182,11 +186,9 @@ def _estimate_regions(regions: Sequence[Region], lam: float, s: float,
             if x not in region.index or y not in region.index:
                 raise ValueError(f"pair ({x}, {y}) not inside the region")
     workers = resolve_workers(workers)
-    n_chunks = min(max(1, workers * 4), n_samples)
-    bounds = np.linspace(0, n_samples, n_chunks + 1).astype(int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    tasks = [(region, lam, s, complex(z), pairs, seed, a, b)
-             for region in regions for a, b in spans]
+    spans = pieces(n_samples, workers)
+    tasks = [(region, lam, s, complex(z), pairs, seed, ks.start, ks.stop)
+             for region in regions for ks in spans]
     chunks = list(map_ordered(_moment_chunk, tasks, workers))
     out = []
     for i in range(len(regions)):
@@ -217,22 +219,23 @@ def estimates_to_csv(estimates: Iterable[MomentEstimate]) -> str:
 
 
 def _apriori_rule(t0: np.ndarray, width: np.ndarray, eta: np.ndarray,
-                  s: float) -> tuple[np.ndarray, ...]:
+                  s: float, n_nodes: int) -> tuple[np.ndarray, ...]:
     """Gauss-Legendre nodes for int_{t0}^{t0 + width} (t^2 + eta^2)^{-s/2} dt,
     one integral per entry of the arrays (t0 >= 0, width > 0, eta >= 0).
 
-    Returns, per node, the index of its integral, log r with r = |t + i eta|
-    at the node, the log of the substitution's Jacobian dt/du, and the
-    weight in u; the integrand in u is exp(log_jac - s log_r).  Where
-    eta = t0 = 0 the substitution is t = w^(1/(1-s)), whose Jacobian cancels
-    the power law, so one panel in w is exact.  Elsewhere it is
+    Returns, per node, the index of its integral, t, log r with
+    r = |t + i eta| at the node, the log of the substitution's Jacobian
+    dt/du, and the weight in u; the integrand in u is exp(log_jac - s log_r),
+    and int f(t) dt is the sum of w exp(log_jac) f(t).  Where eta = t0 = 0
+    the substitution is t = w^(1/(1-s)), whose Jacobian cancels the power
+    law, so one panel in w is exact.  Elsewhere it is
     t = eta sinh(asinh(t0/eta) + u) (t = t0 e^u when eta = 0), for which
     dt/du = r: the integrand r^(1-s) is analytic within pi/2 of the real u
-    axis and takes _APRIORI_NODES nodes on each panel of width <= 1.  log r
-    is formed from t0 and eta directly, so a tiny eta neither overflows nor
+    axis and takes n_nodes nodes on each panel of width <= 1.  log r is
+    formed from t0 and eta directly, so a tiny eta neither overflows nor
     loses the segment's offset.
     """
-    nodes, weights = leggauss(_APRIORI_NODES)
+    nodes, weights = leggauss(n_nodes)
     rho0 = np.hypot(t0, eta)
     c = t0 + rho0  # eta e^{asinh(t0/eta)}
     power = c == 0.0
@@ -250,17 +253,42 @@ def _apriori_rule(t0: np.ndarray, width: np.ndarray, eta: np.ndarray,
     panel = np.arange(len(seg)) - np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
     h = (span / n_panels)[seg, None]
     u = (panel[:, None] + 0.5 * (nodes + 1.0)) * h
+    t = np.empty_like(u)
     log_r = np.empty_like(u)
     log_jac = np.empty_like(u)
     p = power[seg]
     log_r[p] = np.log(u[p]) / (1.0 - s)
     log_jac[p] = s * log_r[p] - math.log(1.0 - s)
+    t[p] = np.exp(log_r[p])
     cs, es, us = c[seg][~p, None], eta[seg][~p, None], u[~p]
     # r = (c e^u + (eta^2/c) e^-u) / 2
     log_r[~p] = us - math.log(2.0) + np.log(cs + es * (es / cs) * np.exp(-2.0 * us))
     log_jac[~p] = log_r[~p]
-    return (np.repeat(seg, len(nodes)), log_r.ravel(), log_jac.ravel(),
-            (0.5 * h * weights).ravel())
+    t[~p] = 0.5 * (cs * np.exp(us) - es * (es / cs) * np.exp(-us))
+    return (np.repeat(seg, len(nodes)), t.ravel(), log_r.ravel(),
+            log_jac.ravel(), (0.5 * h * weights).ravel())
+
+
+def _pole_pieces(lam: float, bs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The t = lambda v - Re(b) interval [-lambda - Re b, lambda - Re b] of
+    each b of the 1-D array bs, as pieces |t| in [t0, t0 + width]: split at
+    t = 0 into two pieces from 0 when it holds 0, else one piece as it
+    stands, so |b| >> lambda loses no digits to a difference.
+
+    Returns, per piece of nonzero width, the index of its b, t0, width,
+    eta = |Im b| and the sign of t on it.
+    """
+    a, eta = np.abs(bs.real), np.abs(bs.imag)
+    near = a <= lam  # the interval holds t = 0; it is symmetric in Re b
+    owner = np.tile(np.arange(a.size), 2)
+    t0 = np.concatenate([np.where(near, 0.0, a - lam), np.zeros(a.size)])
+    width = np.concatenate([np.where(near, lam - a, 2.0 * lam),
+                            np.where(near, lam + a, 0.0)])
+    sign = (np.concatenate([np.where(near, 1.0, -1.0), -np.ones(a.size)])
+            * np.tile(np.where(bs.real < 0.0, -1.0, 1.0), 2))
+    keep = width > 0.0
+    return (owner[keep], t0[keep], width[keep], np.tile(eta, 2)[keep],
+            sign[keep])
 
 
 def apriori_integral(lam: float, s: float, b):
@@ -268,32 +296,23 @@ def apriori_integral(lam: float, s: float, b):
     array of them (a float, or an array of floats, back).
 
     With t = lambda v - Re(b) and eta = |Im b| the integral is
-    (1/(2 lambda)) int (t^2 + eta^2)^{-s/2} dt over [-lambda - Re b,
-    lambda - Re b].  When that interval holds 0 it is split there into two
-    integrals from 0; otherwise it is integrated as it stands, so |b| >>
-    lambda loses no digits to a difference.  Each piece goes through the
-    substitutions of _apriori_rule, which keep the numerical route
-    independent of the closed-form bound: the bound is never evaluated, and
-    at b = 0 it is met only because the power-law rule is exact.  Near the
-    real axis (0 < |Im b| << 1) the rule resolves the width-eta peak in
-    log(1/eta) unit panels.
+    (1/(2 lambda)) int (t^2 + eta^2)^{-s/2} dt over the pieces of
+    _pole_pieces.  Each piece goes through the substitutions of
+    _apriori_rule, which keep the numerical route independent of the
+    closed-form bound: the bound is never evaluated, and at b = 0 it is met
+    only because the power-law rule is exact.  Near the real axis
+    (0 < |Im b| << 1) the rule resolves the width-eta peak in log(1/eta)
+    unit panels.
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
     if lam <= 0:
         raise ValueError("lambda must be positive")
     bs = np.asarray(b, dtype=complex)
-    a, eta = np.abs(bs.real).ravel(), np.abs(bs.imag).ravel()
-    near = a <= lam  # the interval holds t = 0; it is symmetric in Re b
-    owner = np.tile(np.arange(a.size), 2)
-    t0 = np.concatenate([np.where(near, 0.0, a - lam), np.zeros(a.size)])
-    width = np.concatenate([np.where(near, lam - a, 2.0 * lam),
-                            np.where(near, lam + a, 0.0)])
-    keep = width > 0.0
-    seg, log_r, log_jac, w = _apriori_rule(t0[keep], width[keep],
-                                           np.tile(eta, 2)[keep], s)
-    vals = np.bincount(owner[keep][seg], w * np.exp(log_jac - s * log_r),
-                       minlength=a.size) / (2.0 * lam)
+    owner, t0, width, eta, _ = _pole_pieces(lam, bs.ravel())
+    seg, _, log_r, log_jac, w = _apriori_rule(t0, width, eta, s, _APRIORI_NODES)
+    vals = np.bincount(owner[seg], w * np.exp(log_jac - s * log_r),
+                       minlength=bs.size) / (2.0 * lam)
     return float(vals[0]) if bs.ndim == 0 else vals.reshape(bs.shape)
 
 
@@ -448,41 +467,24 @@ def fit_decay(estimates: Sequence[MomentEstimate], lam: float, mu_upper: float,
 # --- conditional single-site bound under fixed environments ---
 
 
-def _pole_panels(v0: float, width: float) -> list[tuple[float, float]]:
-    """Geometrically graded subdivision of [-1, 1] focused on v0."""
-    width = max(width, 1e-12)
-    if not (-1.0 < v0 < 1.0):
-        return [(-1.0, 1.0)]
-    cuts = {-1.0, 1.0, v0}
-    for side in (1.0, -1.0):
-        step = width
-        while True:
-            edge = v0 + side * step
-            if not (-1.0 < edge < 1.0):
-                break
-            cuts.add(edge)
-            step *= 2.0
-    edges = sorted(cuts)
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
-                          x, y, n_omega_x: int, n_env: int,
-                          seed: int = 0, first_env: int = 0
+                          x, y, n_env: int, seed: int = 0, first_env: int = 0
                           ) -> list[tuple[float, float, float]]:
     """The conditional bound under fixed environments, measured by quadrature.
 
     Environment j, for j = first_env, ..., n_env - 1, freezes every omega
     but omega(x) at the disorder of substream(seed, j), so the environments
     of one seed can be split into ranges and measured apart.  In each, the
-    left side, the omega(x) average of |G(x, y)|^s, is computed by
-    Gauss-Legendre quadrature over roughly n_omega_x nodes on panels graded
-    toward the effective pole Re(B)/lambda, one factorization per node.  The
-    right side, Gamma(s) sum_{x' ~ x} |G^{(Lambda \\ {x})}(x', y)|^s, comes from a
-    separate solve on the depleted region.  By the depletion and Schur
-    identities the left side also equals
-    |sum_{x' ~ x} G^{(Lambda \\ {x})}(x', y)|^s * apriori_integral(lambda, s, B)
-    with B = lambda omega(x) - 1/G(x, x), formed from those same two solves.
+    left side, the omega(x) average of |G(x, y)|^s, is computed on the nodes
+    and weights of the a priori rule (_apriori_rule, _DRB_NODES per panel)
+    for the effective pole B = lambda omega(x) - 1/G(x, x), which is
+    omega(x)-independent: |G(x, y)|^s is |A|^s |lambda omega(x) - B|^{-s},
+    so the node count follows from B, one factorization per node.  The
+    right side, Gamma(s) sum_{x' ~ x} |G^{(Lambda \\ {x})}(x', y)|^s, comes
+    from a separate solve on the depleted region.  By the depletion and
+    Schur identities the left side also equals
+    |sum_{x' ~ x} G^{(Lambda \\ {x})}(x', y)|^s * apriori_integral(lambda, s, B),
+    formed from those same two solves.
 
     Returns (left side, right side, left side by the identities) per
     environment; the bound holds where left <= right.
@@ -506,19 +508,15 @@ def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
                                   [(q, y) for q in nbrs])[0]
             rhs = factor * float(np.sum(np.abs(g) ** s))
             by_identity = abs(complex(np.sum(g))) ** s
-        # effective pole of v -> G(x, y; v): B is omega(x)-independent
         gxx = green(region, lam, sample, z, x, x).value
         b = lam * sample.value(x) - 1.0 / gxx
         by_identity *= apriori_integral(lam, s, b)
-        panels = _pole_panels(b.real / lam, abs(b.imag) / lam)
-        nodes, weights = leggauss(max(4, n_omega_x // len(panels)))
-        vs, ws = [], []
-        for a_, b_ in panels:
-            mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-            vs += list(mid + half * nodes)
-            ws += list(0.5 * half * weights)
+        _, t0, width, eta, sign = _pole_pieces(lam, np.array([b]))
+        seg, t, _, log_jac, w = _apriori_rule(t0, width, eta, s, _DRB_NODES)
+        # with_site_value accepts omega(x) in [-1, 1] only
+        vs = np.clip((b.real + sign[seg] * t) / lam, -1.0, 1.0)
         omegas = (sample.with_site_value(x, v).omega for v in vs)
         g = resolvent_entries(region, lam, omegas, z, [(x, y)])[:, 0]
-        lhs = float(np.dot(ws, np.abs(g) ** s))
+        lhs = float(np.dot(w * np.exp(log_jac), np.abs(g) ** s)) / (2.0 * lam)
         out.append((lhs, rhs, by_identity))
     return out

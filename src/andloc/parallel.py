@@ -4,9 +4,9 @@ Parallel sections split work into an ordered task list, compute each task
 independently, and merge results in task order, so outputs are bit-identical
 for any worker count.  The sections are the Monte Carlo chunks of moments
 and, in cli's verify, the walk series and the chunks of the identity,
-a priori and conditional-bound checks.  ANDERSON_THREADS caps the pool size
-(and provides the default when the caller does not ask for a specific
-count).
+a priori and conditional-bound checks; pieces cuts each into its chunks.
+ANDERSON_THREADS caps the pool size (and provides the default when the
+caller does not ask for a specific count).
 """
 
 from __future__ import annotations
@@ -39,6 +39,14 @@ def resolve_workers(requested: Optional[int] = None) -> int:
     if requested < 1:
         raise ValueError("workers must be >= 1")
     return min(requested, cap) if cap is not None else requested
+
+
+def pieces(count: int, workers: int) -> list[range]:
+    """range(count) cut into at most 4 * workers consecutive ranges; one
+    empty range when count < 1."""
+    k = max(1, min(4 * workers, count))
+    cuts = [count * i // k for i in range(k + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def map_ordered(fn: Callable, tasks: Sequence, workers: int) -> Iterator:

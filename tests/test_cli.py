@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, formats, config merging, exit codes."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -62,7 +63,6 @@ def _traced_layers(argv):
     src/, and return the layer metrics of its last JSON line."""
     root = PYPROJECT.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.pop("ANDERSON_THREADS", None)
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "runner.py"), "--trace", "1",
          "--", *argv], capture_output=True, text=True, env=env)
@@ -117,8 +117,8 @@ def test_verify_decay_nmax_zero_exits_2(capsys):
 # SHA-256 of the saw artifact up to its "wallclock" key: artifacts stay
 # byte-identical across changes to how the series is computed or stored
 SAW_ARTIFACT_SHA256 = {
-    (3, 6): "1830a7ca59d43020226acdcd3dbcb73b8c8623729b5999a283f31686a60f7a64",
-    (6, 4): "fa1b549648be6cccc6cdbba277013fec614a4a00ba34f84c37109ce09c24475e",
+    (3, 6): "baa85536ab69e9bb6ff0cbc2d013f5aa72122f38176ac529222d21c9d4574747",
+    (6, 4): "4571dd74b84efb2c618245c8f2745de3a5e4025872f64ef974c05b48f240d53c",
 }
 
 
@@ -301,6 +301,7 @@ _BUILD = anderson.build_hamiltonian
 _BANDED = anderson.ResolventColumns
 _RULE = moments._apriori_rule
 _LEGGAUSS = moments.leggauss
+_GREEN = moments.green
 
 
 def _pattern_without_axis0_hops(region):
@@ -323,25 +324,32 @@ def _banded_doubled_diagonal(region, lam, omega, z):
     return _BANDED(region, 2 * lam, omega, z)
 
 
-def _rule_without_jacobian(t0, width, eta, s):
+def _rule_without_jacobian(t0, width, eta, s, n_nodes):
     """The a priori rule with its change-of-variables Jacobian dt/du dropped."""
-    seg, log_r, log_jac, w = _RULE(t0, width, eta, s)
-    return seg, log_r, np.zeros_like(log_jac), w
+    seg, t, log_r, log_jac, w = _RULE(t0, width, eta, s, n_nodes)
+    return seg, t, log_r, np.zeros_like(log_jac), w
 
 
-def _rule_halved_off_power_law(t0, width, eta, s):
+def _rule_halved_off_power_law(t0, width, eta, s, n_nodes):
     """The a priori rule with the weights of every piece off the power-law
     branch (every piece but eta = t0 = 0) halved: too small an integral
     wherever Im B != 0, exact at B = 0."""
-    seg, log_r, log_jac, w = _RULE(t0, width, eta, s)
+    seg, t, log_r, log_jac, w = _RULE(t0, width, eta, s, n_nodes)
     power = (t0 == 0.0) & (eta == 0.0)
-    return seg, log_r, log_jac, np.where(power[seg], w, 0.5 * w)
+    return seg, t, log_r, log_jac, np.where(power[seg], w, 0.5 * w)
 
 
 def _undepleted(region, p):
     """Region.without that deletes nothing: the conditional bound's right
     side then comes from the full region."""
     return region
+
+
+def _green_off_by_1e6(region, lam, sample, z, x, y):
+    """green with its value 1 + 1e-6 times too large: in the conditional
+    bound, a G(x, x) that moves the effective pole B."""
+    ev = _GREEN(region, lam, sample, z, x, y)
+    return dataclasses.replace(ev, value=ev.value * (1.0 + 1e-6))
 
 
 def _leggauss_doubled(n):
@@ -378,6 +386,7 @@ _PLANTS = {
     "halved": [(moments, "_apriori_rule", _rule_halved_off_power_law)],
     "density": [(moments, "leggauss", _leggauss_doubled)],
     "undepleted": [(anderson.Region, "without", _undepleted)],
+    "pole": [(moments, "green", _green_off_by_1e6)],
     "inflated": [(moments, "_moment_chunk", _inflated_chunk)],
     "flat": [(moments, "_moment_chunk", _flat_chunk)],
 }
@@ -391,12 +400,12 @@ _PLANTS = {
     ("halved", "apriori"),
     ("density", "drb"),
     ("undepleted", "drb"),
+    ("pole", "drb"),
     ("inflated", "ceiling"),
     ("flat", "decay"),
 ])
 def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
                                                 caught):
-    monkeypatch.delenv("ANDERSON_THREADS", raising=False)  # chunks run here
     for plant in _PLANTS[planted]:
         monkeypatch.setattr(*plant)
     code, out, _ = run_main(["verify", "--only", caught, "--trials", "6"], capsys)
@@ -426,7 +435,6 @@ def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
     def no_sampling(task):
         raise AssertionError("Monte Carlo ran on a degenerate input")
 
-    monkeypatch.delenv("ANDERSON_THREADS", raising=False)
     monkeypatch.setattr(cli.moments, "_moment_chunk", no_sampling)
     if file_cfg is not None:
         cfg = tmp_path / "cfg.json"
@@ -444,7 +452,7 @@ def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
 
 def test_verify_apriori_and_drb(capsys):
     doc = run_json(["verify", "--only", "apriori,drb", "--trials", "10",
-                    "--n-env", "2", "--n-omega", "48"], capsys)
+                    "--n-env", "2"], capsys)
     checks = {c["name"]: c for c in doc["result"]["checks"]}
     assert checks["apriori"]["status"] == "pass"
     assert checks["apriori"]["detail"]["max_ratio"] <= 1.0 + 1e-8
@@ -472,8 +480,8 @@ def test_verify_details_carry_measurements_and_tolerances(capsys):
     assert apriori["saturation_error"] <= 1e-10
     drb = details["drb"]
     assert drb["tolerance"] == 1e-6 and drb["min_margin"] >= -1e-6
-    assert drb["identity_tolerance"] == 1e-5
-    assert 0.0 <= drb["max_identity_gap"] <= 1e-5
+    assert drb["identity_tolerance"] == 1e-9
+    assert 0.0 <= drb["max_identity_gap"] <= 1e-9
     assert doc["result"]["all_passed"]
 
 
@@ -610,8 +618,8 @@ def test_saw_deeper_than_the_recursion_limit_exits_3(capsys):
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """ANDERSON_THREADS unset, and a list that gains one entry per process
-    pool that parallel.map_ordered starts."""
+    """A list that gains one entry per process pool that
+    parallel.map_ordered starts."""
     starts = []
 
     class CountedPool(parallel.ProcessPoolExecutor):
@@ -619,7 +627,6 @@ def pool_starts(monkeypatch):
             starts.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.delenv("ANDERSON_THREADS", raising=False)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountedPool)
     return starts
 
@@ -736,12 +743,11 @@ def test_moment_config_file_matches_flags(tmp_path, capsys):
     (["saw", "--dim", "2", "--nmax", "2"], {"workers": "2"}, 0, ("workers", 2)),
     (["saw", "--nmax", "3"], {"dim": 2.9}, 2, None),
     (["saw", "--nmax", "2"], {"dim": True}, 2, None),
-    (["verify", "--n-env", "2", "--n-omega", "48"], {"only": ["drb"]}, 0,
+    (["verify", "--n-env", "2"], {"only": ["drb"]}, 0,
      ("only", "drb")),
 ], ids=["workers-text", "dim-float", "dim-bool", "only-list"])
-def test_config_values_take_their_flag_type(tmp_path, capsys, monkeypatch,
-                                            args, file_cfg, code, shown):
-    monkeypatch.delenv("ANDERSON_THREADS", raising=False)
+def test_config_values_take_their_flag_type(tmp_path, capsys, args, file_cfg,
+                                            code, shown):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(file_cfg))
     got, out, err = run_main(args + ["--config", str(cfg)], capsys)
@@ -826,7 +832,7 @@ _FLAGS = {
                ("--samples", "samples", int), ("--eps", "eps", float),
                ("--mu", "mu", float), ("--trials", "trials", int),
                ("--nmax", "nmax", int), ("--n-env", "n_env", int),
-               ("--n-omega", "n_omega", int), ("--only", "only", str)],
+               ("--only", "only", str)],
 }
 
 

@@ -373,7 +373,6 @@ def test_theorem_ceiling_one_pool_for_the_family(series_d2, monkeypatch):
             starts.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.delenv("ANDERSON_THREADS", raising=False)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
     family = moments.default_region_family(2, 3, keep=[(0, 0), (2, 0)], seed=5)
     pairs = [((1, 0), (0, 0)), ((2, 0), (0, 0))]
@@ -477,11 +476,11 @@ def test_fit_decay_rejects_nonpositive_means():
 def test_drb_conditional_two_coupled_sites():
     region = anderson.make_region(1, 1)  # sites -1, 0, 1
     sides = moments.check_drb_conditional(region, 30.0, 0.7, Z, (0,), (1,),
-                                          n_omega_x=96, n_env=4, seed=0)
+                                          n_env=4, seed=0)
     assert len(sides) == 4
     for lhs, rhs, by_identity in sides:
         assert lhs <= rhs + 1e-6
-        assert lhs == pytest.approx(by_identity, rel=1e-5)
+        assert lhs == pytest.approx(by_identity, rel=1e-9)
 
 
 def test_drb_conditional_isolated_x():
@@ -489,7 +488,7 @@ def test_drb_conditional_isolated_x():
     deleted = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     region = anderson.make_region(2, 1, deleted)
     sides = moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (1, 1),
-                                          n_omega_x=32, n_env=2, seed=0)
+                                          n_env=2, seed=0)
     assert len(sides) == 2
     assert all(abs(v) < 1e-12 for side in sides for v in side)
 
@@ -497,17 +496,28 @@ def test_drb_conditional_isolated_x():
 def test_drb_conditional_2d_box():
     region = anderson.Region(dimension=2, L=3)
     sides = moments.check_drb_conditional(region, 30.0, 0.7, Z, (0, 0), (1, 1),
-                                          n_omega_x=96, n_env=5, seed=1)
+                                          n_env=5, seed=1)
     for lhs, rhs, by_identity in sides:
         assert lhs <= rhs + 1e-6, f"margin {rhs - lhs}"
-        assert lhs == pytest.approx(by_identity, rel=1e-5)
+        assert lhs == pytest.approx(by_identity, rel=1e-9)
+
+
+def test_drb_left_side_matches_identity_at_verify_shape():
+    # verify's drb shape at lambda 30, seed 0: box L = 4, s = 0.7, z = 0.01i,
+    # ten environments of substream(0, 15)
+    region = anderson.Region(dimension=2, L=4)
+    sides = moments.check_drb_conditional(region, 30.0, 0.7, 0.01j, (0, 0),
+                                          (1, 1), n_env=10, seed=substream(0, 15))
+    assert len(sides) == 10
+    for lhs, _, by_identity in sides:
+        assert abs(lhs - by_identity) <= 1e-9 * by_identity
 
 
 def test_drb_rejects_bad_pairs():
     region = small_region()
     with pytest.raises(ValueError):
         moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (0, 0),
-                                      n_omega_x=32, n_env=2)
+                                      n_env=2)
     with pytest.raises(ValueError):
         moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (9, 9),
-                                      n_omega_x=32, n_env=2)
+                                      n_env=2)

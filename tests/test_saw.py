@@ -224,7 +224,6 @@ def test_saw_starts_no_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool started for walk enumeration")
 
-    monkeypatch.delenv("ANDERSON_THREADS", raising=False)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
     code = cli.main(["saw", "--dim", "3", "--nmax", "6", "--workers", "2"])
     doc = json.loads(capsys.readouterr().out)
