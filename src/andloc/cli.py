@@ -9,21 +9,23 @@ Configuration precedence: built-in defaults < --config JSON file < explicit
 flags.  Config-file keys are the flag names with _ for - ("z_real" or
 "z-real", "lambda"); an unknown key or format exits 2.  A config-file value
 is read as the text of its flag and converted by the flag's type, so a
-value the flag would reject exits 2; a JSON list joins with ',' and a list
-of lists with ';' ([[1, 0], [0, 2]] is "1,0;0,2").  A config run therefore
-echoes exactly what the equivalent flags echo.  Each setting's default, flag
-type and help are declared once, in _SETTINGS, and each subcommand's flags
-in _COMMANDS: a new setting goes there.
-ANDERSON_THREADS caps worker-pool parallelism.
+value the flag would reject exits 2; null leaves the default, a JSON list
+joins with ',' and a list of lists with ';' ([[1, 0], [0, 2]] is
+"1,0;0,2").  A config run therefore echoes exactly what the equivalent
+flags echo.  Each setting's default, flag type and help are declared once,
+in _SETTINGS, and each subcommand's flags in _COMMANDS: a new setting goes
+there.  ANDERSON_THREADS caps worker-pool parallelism.
 
-verify runs the tasks of _JOBS in one parallel.map_ordered call: the walk
-series when a selected check reads it, then the chunks of the _POOLED
-checks.  The checks then run in table order in this process and merge
-those results in task order, so artifacts are bit-identical for any
---workers; resolvent computes its dense cases here while no worker runs,
-and ceiling samples through a pool of its own.  A check's wallclock stage
-is its own time here plus the seconds of the tasks it read, wherever they
-ran, so at 2 workers the stages can sum to more than elapsed_seconds.
+verify reads one table, _CHECKS: per check its chunk tasks, whether they
+run in the pool, and the fold of their measurements into a status.  One
+parallel.map_ordered call runs the walk series, when a selected check
+reads it, and the tasks of the pooled checks; the checks then run in
+table order in this process, each folding its measurements in case order,
+so artifacts are bit-identical for any --workers.  resolvent runs its
+dense cases here while no worker runs, and ceiling samples through a pool
+of its own.  A check's wallclock stage is its own time here plus the
+seconds of the tasks it read, wherever they ran, so at 2 workers the
+stages can sum to more than elapsed_seconds.
 
 Exit codes: 0 success, 1 a bound check failed, 2 bad input, 3 resource
 limits, 4 linear-solver failure.
@@ -290,7 +292,8 @@ def _identity_case(dim: int, L: int, seed: int, t: int):
 
 # Task functions.  A task is (function, args) and may run in a pool worker,
 # so its function is a module-level function of this module (pickled by
-# name) and looks the library up at call time.
+# name) and looks the library up at call time: perfbench's traced runs
+# rebind the library functions to wrappers that do not pickle.
 
 def _depleted_gap(lam, z, region, sample, x, y) -> float:
     return anderson.verify_depleted_identity(region, lam, sample, z, x, y)
@@ -305,41 +308,31 @@ def _schur_gap(lam, z, region, sample, x, _) -> float:
 
 
 def _identity_chunk(measure, lam, z, dim: int, L: int, seed: int,
-                    ts: range) -> tuple[float, int]:
-    """The largest measure(lam, z, *case), a relative discrepancy, over the
-    cases ts of identity stream seed, and how many cases there were."""
-    worst, cases = 0.0, 0
-    for t in ts:
-        case = _identity_case(dim, L, seed, t)
-        if case is not None:
-            worst = max(worst, measure(lam, z, *case))
-            cases += 1
-    return worst, cases
+                    ts: range) -> list[float]:
+    """measure(lam, z, *case), a relative discrepancy, for each case among
+    the cases ts of identity stream seed."""
+    cases = (_identity_case(dim, L, seed, t) for t in ts)
+    return [measure(lam, z, *case) for case in cases if case is not None]
 
 
-def _apriori_chunk(dim: int, n_b: int, seed: int,
-                   grids: list) -> tuple[float, float, float]:
-    """Over the (s, lambda) grids of n_b values of B each: the largest
-    I / bound, the smallest I / (lambda^2/3 + |B|^2)^(-s/2) (Jensen's lower
-    bound), and the largest |I(0) / bound - 1|."""
-    max_ratio, min_lower, sat_err = -math.inf, math.inf, 0.0
+def _apriori_chunk(dim: int, n_b: int, seed: int, grids: list) -> list:
+    """Per (s, lambda) grid of n_b values of B: the largest I / bound, the
+    smallest I / (lambda^2/3 + |B|^2)^(-s/2) (Jensen's lower bound), and
+    |I(0) / bound - 1|."""
+    out = []
     for s, lam in grids:
         bs = np.array(moments.random_b_disc(dim, lam, n_b, seed))
         bound = critical.gamma_big(s, lam)
         vals = moments.apriori_integral(lam, s, bs)
-        max_ratio = max(max_ratio, float(np.max(vals / bound)))
         lower = (lam**2 / 3.0 + np.abs(bs) ** 2) ** (-s / 2.0)
-        min_lower = min(min_lower, float(np.min(vals / lower)))
-        sat_err = max(sat_err,
-                      abs(moments.apriori_integral(lam, s, 0j) / bound - 1.0))
-    return max_ratio, min_lower, sat_err
+        out.append((float(np.max(vals / bound)), float(np.min(vals / lower)),
+                    abs(moments.apriori_integral(lam, s, 0j) / bound - 1.0)))
+    return out
 
 
-def _drb_chunk(region, lam, s, z, x, y, seed: int, envs: range) -> list:
-    """The conditional bound's sides in the environments envs."""
-    return moments.check_drb_conditional(region, lam, s, z, x, y,
-                                         n_env=envs.stop, seed=seed,
-                                         first_env=envs.start)
+def _drb_chunk(*args) -> list:
+    """The conditional bound's sides in a range of environments."""
+    return moments.check_drb_conditional(*args)
 
 
 def _run_task(task) -> tuple[bool, object, float]:
@@ -376,7 +369,7 @@ _APRIORI_GRIDS = [(s, lam) for s in (0.3, 0.5, 0.7, 0.9)
 
 def _apriori_tasks(run: _VerifyRun) -> list:
     n_b = run.trials(100)
-    if n_b == 0:  # the check skips
+    if n_b == 0:  # no case: the check skips
         return []
     seed = substream(run.seed, 14)
     return [(_apriori_chunk, (run.dim, n_b, seed, [_APRIORI_GRIDS[i] for i in ts]))
@@ -385,38 +378,20 @@ def _apriori_tasks(run: _VerifyRun) -> list:
 
 def _drb_tasks(run: _VerifyRun) -> list:
     cfg, dim = run.cfg, run.dim
+    if cfg["n_env"] < 1:
+        raise ValueError(f"n_env must be >= 1, got {cfg['n_env']}")
     region = anderson.Region(dimension=dim, L=_box_L(cfg, "conditional"))
     s_val = cfg["s"] if cfg["s"] is not None else 0.7
     x = (0,) * dim
     y = (1, 1) + (0,) * (dim - 2) if dim >= 2 else (1,)
-    return [(_drb_chunk, (region, run.lam, s_val, run.z, x, y,
-                          substream(run.seed, 15), envs))
+    return [(_drb_chunk, (region, run.lam, s_val, run.z, x, y, envs,
+                          substream(run.seed, 15)))
             for envs in pieces(cfg["n_env"], run.workers)]
-
-
-#: job -> the tasks it splits into, each case of an identity stream, B grid
-#: or environment in exactly one
-_JOBS = {
-    "series": lambda run: [(_series, (run.cfg,))],
-    "depleted": lambda run: _identity_tasks(run, _depleted_gap, 11, 100,
-                                            _box_L(run.cfg, "identity")),
-    "resolvent": lambda run: _identity_tasks(run, _resolvent_gap, 12, 20,
-                                             _resolvent_L(run.cfg)),
-    "schur": lambda run: _identity_tasks(run, _schur_gap, 13, 50,
-                                         _box_L(run.cfg, "identity")),
-    "apriori": _apriori_tasks,
-    "drb": _drb_tasks,
-}
-
-#: the checks whose jobs run in the pool; resolvent is not among them: its
-#: dense inversions run multithreaded BLAS, which pool workers beside it
-#: would oversubscribe
-_POOLED = ("depleted", "schur", "apriori", "drb")
 
 
 class _VerifyRun:
     """What the checks of one verify run share: the resolved inputs, the
-    results of the pooled tasks, plus the walk series and the full-box
+    outcomes of the pooled tasks, plus the walk series and the full-box
     estimates, each built at most once and only when a selected check reads
     it."""
 
@@ -429,7 +404,7 @@ class _VerifyRun:
         self.eps = cfg["eps"]
         self.workers = cfg["workers"]
         self.box_estimates = None  # set by the ceiling check, read by decay
-        self.pooled = {}  # job -> the _run_task outcomes of its tasks
+        self.pooled = {}  # check or "series" -> the _run_task outcomes of its tasks
         self.task_seconds = 0.0  # of the pooled tasks the running check read
 
     def trials(self, default: int) -> int:
@@ -437,49 +412,53 @@ class _VerifyRun:
 
     def reads_series(self, names) -> bool:
         """Whether a selected check reads the walk series: ceiling, or decay
-        without --mu, unless it skips first.  A wrong answer costs time
-        only: an unpooled series is built when read, and a pooled one that
-        no check reads is dropped, with any error it raised."""
-        if _below_e(self):
-            return False
-        try:
-            pairs = self.pairs
-        except ValueError:  # raised again where a check reads the pairs
-            return False
-        return (("ceiling" in names and bool(pairs))
-                or ("decay" in names and self.cfg["mu"] is None
-                    and len(pairs) >= 3))
+        without --mu, unless it skips first."""
+        return any(_moment_skip(self, name) is None for name in names
+                   if name == "ceiling" or (name == "decay" and self.cfg["mu"] is None))
 
-    def run_pool(self, jobs: list[str]) -> None:
-        """Run the tasks of jobs, in that order, in one map_ordered call."""
-        tasks = [(job, task) for job in jobs for task in _JOBS[job](self)]
+    def run_pool(self, names: list[str]) -> None:
+        """Run in one map_ordered call the walk series (first, as the longest
+        task) when a selected check reads it, then the tasks of the pooled
+        checks among names, in that order."""
+        jobs = [("series", [(_series, (self.cfg,))])] if self.reads_series(names) else []
+        jobs += [(name, _CHECKS[name][0](self)) for name in names if _CHECKS[name][1]]
+        tasks = [(job, task) for job, job_tasks in jobs for task in job_tasks]
         outcomes = map_ordered(_run_task, [task for _, task in tasks],
                                self.workers)
         for (job, _), outcome in zip(tasks, outcomes):
             self.pooled.setdefault(job, []).append(outcome)
 
     def take(self, job: str) -> list:
-        """The results of job's tasks in task order: the pool's, their
-        seconds added to task_seconds, or else computed here.  A pooled task
-        that raised raises here, so errors surface in check order."""
-        outcomes = self.pooled.pop(job, None)
-        if outcomes is None:
-            return [fn(*args) for fn, args in _JOBS[job](self)]
+        """The results of job's pooled tasks in task order, their seconds
+        added to task_seconds.  A task that raised raises here, so errors
+        surface in check order."""
+        outcomes = self.pooled.pop(job, [])
         self.task_seconds += sum(seconds for _, _, seconds in outcomes)
         for ok, value, _ in outcomes:
             if not ok:
                 raise value
         return [value for _, value, _ in outcomes]
 
+    def cases(self, name: str) -> list:
+        """One measurement per case of check name's tasks, in case order:
+        the pool's, or else computed here."""
+        tasks, pooled, _ = _CHECKS[name]
+        chunks = (self.take(name) if pooled
+                  else [fn(*args) for fn, args in tasks(self)] if tasks else [])
+        return [case for chunk in chunks for case in chunk]
+
     @cached_property
     def series(self) -> saw.WalkSeries:
-        return self.take("series")[0]
+        """The walk series: the pool's, or else built here."""
+        return self.take("series")[0] if "series" in self.pooled else _series(self.cfg)
 
     @cached_property
     def pairs(self) -> list:
         """Axis pairs of the moment checks, distances clipped to the box."""
         L = _box_L(self.cfg, "moments")
         dists = _parse_int_list(self.cfg["distances"])
+        if any(d < 0 for d in dists):
+            raise ValueError(f"distances must be >= 0, got {min(dists)}")
         return _axis_pairs(self.dim, [d for d in dists if d <= L])
 
     def box_moments(self) -> list[moments.MomentEstimate]:
@@ -496,81 +475,66 @@ def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def _below_e(run: _VerifyRun) -> Optional[tuple[str, dict]]:
-    """The skip of the moment checks, where s_crit(lambda) does not exist."""
+def _moment_skip(run: _VerifyRun, name: str) -> Optional[tuple[str, dict]]:
+    """The skip of moment check name, ceiling or decay, before it reads the
+    walk series or samples, or None: s_crit(lambda) must exist, and the box
+    must hold one distance (ceiling) or three (decay)."""
     if run.lam <= math.e:
         return "skipped", {"reason": f"criterion not met: lambda = {run.lam} <= e"}
+    if name == "ceiling" and not run.pairs:
+        L = _box_L(run.cfg, "moments")
+        return "skipped", {"reason": f"no distance lies inside the box (L = {L})"}
+    if name == "decay" and len(run.pairs) < 3:
+        return "skipped", {"reason": "need >= 3 distances"}
     return None
 
 
-def _identity_check(run: _VerifyRun, job: str) -> tuple[str, dict]:
-    """Pass iff every case of the job's identity stream measured a
+def _identity_check(run: _VerifyRun, gaps: list) -> tuple[str, dict]:
+    """Pass iff every case of the check's identity stream measured a
     discrepancy below tol; skipped when the stream gave no case."""
-    tol, worst, cases = 1e-9, 0.0, 0
-    for chunk_worst, chunk_cases in run.take(job):
-        worst = max(worst, chunk_worst)
-        cases += chunk_cases
-    if cases == 0:
+    if not gaps:
         return "skipped", {"reason": "no case ran: trials is 0, or no two sites "
                                      "of the box lie within l1 distance 2"}
+    tol, worst = 1e-9, max(gaps)
     return _status(worst < tol), {
-        "cases": cases, "max_discrepancy": worst, "tolerance": tol}
+        "cases": len(gaps), "max_discrepancy": worst, "tolerance": tol}
 
 
-def _check_depleted(run: _VerifyRun) -> tuple[str, dict]:
-    return _identity_check(run, "depleted")
-
-
-def _check_resolvent(run: _VerifyRun) -> tuple[str, dict]:
-    return _identity_check(run, "resolvent")
-
-
-def _check_schur(run: _VerifyRun) -> tuple[str, dict]:
-    return _identity_check(run, "schur")
-
-
-def _check_apriori(run: _VerifyRun) -> tuple[str, dict]:
+def _check_apriori(run: _VerifyRun, grids: list) -> tuple[str, dict]:
     """The a priori integral I(B) on a B grid per (s, lambda): I / bound at
     most 1 + tol, I / (lambda^2/3 + |B|^2)^(-s/2) (Jensen's lower bound)
     at least 1 - tol, and I(0) / bound within sat_tol of 1."""
-    n_b = run.trials(100)
-    if n_b == 0:
+    if not grids:
         return "skipped", {"reason": "no case ran: trials is 0"}
     tol, sat_tol = 1e-8, 1e-10
-    max_ratio, min_lower, sat_err = -math.inf, math.inf, 0.0
-    for ratio, lower, err in run.take("apriori"):
-        max_ratio = max(max_ratio, ratio)
-        min_lower = min(min_lower, lower)
-        sat_err = max(sat_err, err)
+    ratios, lowers, sat_errs = zip(*grids)
+    max_ratio, min_lower, sat_err = max(ratios), min(lowers), max(sat_errs)
     ok = max_ratio <= 1.0 + tol and min_lower >= 1.0 - tol and sat_err <= sat_tol
     return _status(ok), {
-        "b_per_grid": n_b, "max_ratio": max_ratio, "min_lower_ratio": min_lower,
-        "tolerance": tol, "saturation_error": sat_err,
-        "saturation_tolerance": sat_tol}
+        "b_per_grid": run.trials(100), "max_ratio": max_ratio,
+        "min_lower_ratio": min_lower, "tolerance": tol,
+        "saturation_error": sat_err, "saturation_tolerance": sat_tol}
 
 
-def _check_drb(run: _VerifyRun) -> tuple[str, dict]:
+def _check_drb(run: _VerifyRun, sides: list) -> tuple[str, dict]:
     """Per environment, the quadrature left side at most the right side plus
     tol, and within a relative identity_tol of the left side that the
     depletion and Schur identities give (both sides integrate on the
     a priori rule)."""
-    sides = [side for chunk in run.take("drb") for side in chunk]
     tol, identity_tol = 1e-6, 1e-9
     margin = min(rhs - lhs for lhs, rhs, _ in sides)
     gap = max(abs(lhs - by_identity) / max(lhs, by_identity)
               if lhs != by_identity else 0.0 for lhs, _, by_identity in sides)
     return _status(margin >= -tol and gap <= identity_tol), {
-        "environments": run.cfg["n_env"], "min_margin": margin, "tolerance": tol,
+        "environments": len(sides), "min_margin": margin, "tolerance": tol,
         "max_identity_gap": gap, "identity_tolerance": identity_tol}
 
 
-def _check_ceiling(run: _VerifyRun) -> tuple[str, dict]:
-    skip = _below_e(run)
+def _check_ceiling(run: _VerifyRun, _) -> tuple[str, dict]:
+    skip = _moment_skip(run, "ceiling")
     if skip:
         return skip
     cfg, pairs, L = run.cfg, run.pairs, _box_L(run.cfg, "moments")
-    if not pairs:
-        return "skipped", {"reason": f"no distance lies inside the box (L = {L})"}
     family = moments.default_region_family(
         run.dim, L, keep=[p for pr in pairs for p in pr],
         seed=substream(run.seed, 17))
@@ -588,39 +552,49 @@ def _check_ceiling(run: _VerifyRun) -> tuple[str, dict]:
         "estimates": [e.to_json_dict() for e in ests]}
 
 
-def _check_decay(run: _VerifyRun) -> tuple[str, dict]:
-    skip = _below_e(run)
+def _check_decay(run: _VerifyRun, _) -> tuple[str, dict]:
+    skip = _moment_skip(run, "decay")
     if skip:
         return skip
-    if len(run.pairs) < 3:
-        return "skipped", {"reason": "need >= 3 distances"}
     mu_hat = (run.cfg["mu"] if run.cfg["mu"] is not None
               else saw.connective_upper_bounds(run.series).best)
     fit = moments.fit_decay(run.box_moments(), run.lam, mu_hat, run.eps)
     return _status(fit.dominates_reference()), fit.to_json_dict() | {"mu_upper": mu_hat}
 
 
-#: the verification suite in run order; --only selects from these names
+#: the verification suite in run order, --only selecting from its names:
+#: name -> (tasks, pooled, fold).  tasks(run) lists the check's chunk tasks,
+#: each case of an identity stream, B grid or environment in exactly one,
+#: each task returning one measurement per case; pooled runs them in
+#: run_verify's pool, else they run here when the check does.  fold(run,
+#: measurements) gives (status, detail).  ceiling and decay have no tasks:
+#: they read the walk series, which the pool builds when one of them will,
+#: and sample through moments.  resolvent stays out of the pool: its dense
+#: inversions run multithreaded BLAS, which pool workers beside them
+#: oversubscribe.  Pooled at 2 workers on a 2-vCPU VM, verify --lambda 30
+#: took 1.28-3.52 s against 0.86-1.08 s (seeds 1-6), the resolvent stage
+#: up to 5.3 s against 0.10-0.14 s.
 _CHECKS = {
-    "depleted": _check_depleted,
-    "resolvent": _check_resolvent,
-    "schur": _check_schur,
-    "apriori": _check_apriori,
-    "drb": _check_drb,
-    "ceiling": _check_ceiling,
-    "decay": _check_decay,
+    "depleted": (lambda run: _identity_tasks(run, _depleted_gap, 11, 100,
+                                             _box_L(run.cfg, "identity")),
+                 True, _identity_check),
+    "resolvent": (lambda run: _identity_tasks(run, _resolvent_gap, 12, 20,
+                                              _resolvent_L(run.cfg)),
+                  False, _identity_check),
+    "schur": (lambda run: _identity_tasks(run, _schur_gap, 13, 50,
+                                          _box_L(run.cfg, "identity")),
+              True, _identity_check),
+    "apriori": (_apriori_tasks, True, _check_apriori),
+    "drb": (_drb_tasks, True, _check_drb),
+    "ceiling": (None, False, _check_ceiling),
+    "decay": (None, False, _check_decay),
 }
 
 
 def run_verify(cfg: dict) -> tuple[dict, dict]:
     """The selected checks' result, and each check's seconds: its own time
-    here plus that of the pooled tasks it read, wherever they ran.
-
-    One map_ordered call runs, in order, the walk series (first, as the
-    longest task) when a selected check reads it, and the chunks of the
-    pooled checks; the checks then run in table order and merge those
-    results in task order, resolvent computing its cases here, ceiling
-    sampling through a pool of its own."""
+    here plus that of the pooled tasks it read, wherever they ran.  The
+    pool runs first; each check then folds its cases' measurements once."""
     names = list(_CHECKS)
     if cfg["only"]:
         only = {tok.strip() for tok in cfg["only"].split(",") if tok.strip()}
@@ -629,12 +603,11 @@ def run_verify(cfg: dict) -> tuple[dict, dict]:
             raise ValueError(f"unknown checks for --only: {sorted(bad)}")
         names = [name for name in names if name in only]
     run = _VerifyRun(cfg)
-    run.run_pool((["series"] if run.reads_series(names) else [])
-                 + [name for name in names if name in _POOLED])
+    run.run_pool(names)
     checks, stages = [], {}
     for name in names:
         t0 = time.monotonic()
-        status, detail = _CHECKS[name](run)
+        status, detail = _CHECKS[name][2](run, run.cases(name))
         stages[name] = time.monotonic() - t0 + run.task_seconds
         run.task_seconds = 0.0
         checks.append({"name": name, "status": status, "detail": detail})
@@ -752,13 +725,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
             key = names.get(name.replace("-", "_"))
             if key is None:
                 raise ValueError(f"unknown config key {name!r}")
-            if val is not None:
-                kind, text = _SETTINGS[key][1], _flag_text(val)
-                try:
-                    val = kind(text)
-                except ValueError:
-                    raise ValueError(f"config key {name!r}: {text!r} is not "
-                                     f"a valid {kind.__name__}") from None
+            if val is None:  # null leaves the default
+                continue
+            kind, text = _SETTINGS[key][1], _flag_text(val)
+            try:
+                val = kind(text)
+            except ValueError:
+                raise ValueError(f"config key {name!r}: {text!r} is not "
+                                 f"a valid {kind.__name__}") from None
             cfg[key] = val
             explicit.add(key)
     for key in _SETTINGS:

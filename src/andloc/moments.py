@@ -468,16 +468,16 @@ def fit_decay(estimates: Sequence[MomentEstimate], lam: float, mu_upper: float,
 
 
 def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
-                          x, y, n_env: int, seed: int = 0, first_env: int = 0
+                          x, y, envs: range, seed: int = 0
                           ) -> list[tuple[float, float, float]]:
     """The conditional bound under fixed environments, measured by quadrature.
 
-    Environment j, for j = first_env, ..., n_env - 1, freezes every omega
-    but omega(x) at the disorder of substream(seed, j), so the environments
-    of one seed can be split into ranges and measured apart.  In each, the
-    left side, the omega(x) average of |G(x, y)|^s, is computed on the nodes
-    and weights of the a priori rule (_apriori_rule, _DRB_NODES per panel)
-    for the effective pole B = lambda omega(x) - 1/G(x, x), which is
+    Environment j, for each j in the range envs, freezes every omega but
+    omega(x) at the disorder of substream(seed, j), so the environments of
+    one seed can be split into ranges and measured apart.  In each, the left
+    side, the omega(x) average of |G(x, y)|^s, is computed on the nodes and
+    weights of the a priori rule (_apriori_rule, _DRB_NODES per panel) for
+    the effective pole B = lambda omega(x) - 1/G(x, x), which is
     omega(x)-independent: |G(x, y)|^s is |A|^s |lambda omega(x) - B|^{-s},
     so the node count follows from B, one factorization per node.  The
     right side, Gamma(s) sum_{x' ~ x} |G^{(Lambda \\ {x})}(x', y)|^s, comes
@@ -487,20 +487,19 @@ def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
     formed from those same two solves.
 
     Returns (left side, right side, left side by the identities) per
-    environment; the bound holds where left <= right.
+    environment of envs, in order (none for an empty range); the bound holds
+    where left <= right.
     """
     x, y = tuple(x), tuple(y)
     if x == y:
         raise ValueError("the conditional bound compares x != y")
     if x not in region.index or y not in region.index:
         raise ValueError("x and y must lie in the region")
-    if n_env < 1:
-        raise ValueError(f"n_env must be >= 1, got {n_env}")
     factor = gamma_big(s, lam)
     depleted = region.without(x)
     nbrs = region.neighbors_in(x)
     out = []
-    for j in range(first_env, n_env):
+    for j in envs:
         sample = sample_disorder(region, substream(seed, j))
         rhs = by_identity = 0.0
         if nbrs:

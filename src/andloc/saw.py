@@ -229,14 +229,13 @@ def _class_points(cls: Point) -> list[Point]:
 
 
 def enumerate_walks(dimension: int, max_length: Optional[int] = None, *,
-                    memory_budget: Optional[int] = DEFAULT_MEMORY_BUDGET
-                    ) -> WalkSeries:
+                    memory_budget: int = DEFAULT_MEMORY_BUDGET) -> WalkSeries:
     """Enumerate all SAWs from the origin up to max_length, exactly.
 
     Raises BudgetExceededError when the estimated endpoint-map footprint
-    exceeds memory_budget (pass None to disable the check), and, whatever
-    the budget, when the depth-first walk of max_length steps would pass
-    the interpreter's recursion limit (sys.getrecursionlimit()).
+    exceeds memory_budget, and, whatever the budget, when the depth-first
+    walk of max_length steps, one Python frame per step, passes the
+    interpreter's recursion limit (sys.getrecursionlimit()).
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -244,25 +243,18 @@ def enumerate_walks(dimension: int, max_length: Optional[int] = None, *,
         max_length = default_max_length(dimension)
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
-    if memory_budget is not None:
-        need = _estimate_bytes(dimension, max_length)
-        if need > memory_budget:
-            raise BudgetExceededError(
-                f"endpoint map for d={dimension}, N={max_length} needs about "
-                f"{need} bytes, budget is {memory_budget}")
-    # the tree walk nests one Python frame per step below this one's caller;
-    # 10 frames spare for whatever wraps it
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    limit = sys.getrecursionlimit()
-    if depth + max_length + 10 > limit:
+    need = _estimate_bytes(dimension, max_length)
+    if need > memory_budget:
         raise BudgetExceededError(
-            f"walks of length {max_length} nest {max_length} calls deep; the "
-            f"recursion limit {limit} leaves room for {max(0, limit - depth - 10)}")
-
+            f"endpoint map for d={dimension}, N={max_length} needs about "
+            f"{need} bytes, budget is {memory_budget}")
     n_max = max_length
-    counts = _canonical_counts(dimension, n_max)
+    try:
+        counts = _canonical_counts(dimension, n_max)
+    except RecursionError:
+        raise BudgetExceededError(
+            f"walks of length {n_max} nest {n_max} calls deep, past the "
+            f"recursion limit {sys.getrecursionlimit()}") from None
     totals = [sum(cn.values()) for cn in counts]
 
     # fold the weighted counts into classes of sorted |coordinates|

@@ -216,6 +216,27 @@ def quad_apriori(lam: float, s: float, b: complex) -> float:
     return val
 
 
+def two_site_moment(lam: float, s: float, z: complex) -> float:
+    """E|G_z(x, y)|^s on the two sites x = (0,), y = (-1,), exactly.
+
+    With a = lambda omega(x) - z and b = lambda omega(y) - z, the 2x2
+    resolvent gives |G(x, y)| = |b|^{-1} |a - 1/b|^{-1}, so the omega(x)
+    average is quad_apriori at B = z + 1/b, and what is left is one bounded
+    integral over omega(y) = w, peaked at w = Re(z)/lambda:
+    (1/2) int_{-1}^{1} |lambda w - z|^{-s} quad_apriori(lambda, s, z + 1/(lambda w - z)) dw.
+    """
+    z = complex(z)
+
+    def f(w: float) -> float:
+        b = lam * w - z
+        return 0.5 * abs(b) ** -s * quad_apriori(lam, s, z + 1.0 / b)
+
+    w0 = z.real / lam
+    points = [w0] if -1.0 < w0 < 1.0 else None
+    val, _ = quad(f, -1.0, 1.0, points=points, epsabs=1e-12, limit=200)
+    return val
+
+
 def _freeze_report() -> None:
     print("d=2 brute-force totals, n <= 8:")
     print(" ", brute_force_totals(2, 8))

@@ -427,8 +427,11 @@ def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
      "no distance lies inside the box"),
     (["moment", "--distances", ","], None, 2, "pair"),
     (["verify", "--only", "drb", "--n-env", "0"], None, 2, "n_env"),
+    (["verify", "--only", "ceiling,decay"], {"distances": "-2..3"}, 2,
+     "distances"),
 ], ids=["identity-L0", "depleted-trials0", "schur-L0", "apriori-trials0",
-        "ceiling-far", "moment-no-distance", "drb-n-env-0"])
+        "ceiling-far", "moment-no-distance", "drb-n-env-0",
+        "verify-negative-distance"])
 def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
                                                args, file_cfg, code, shown):
     # an uncaught exception fails the test before any assert
@@ -537,6 +540,31 @@ def test_verify_decay_with_mu_enumerates_no_walks(capsys, monkeypatch):
     (check,) = json.loads(out)["result"]["checks"]
     assert check["status"] == "fail"
     assert check["detail"]["mu_upper"] == 0.3
+
+
+@pytest.mark.parametrize("args, file_cfg, reason", [
+    (["--lambda", "2", "--only", "ceiling,decay"], None, "criterion not met"),
+    (["--only", "ceiling"], {"distances": "20..21"}, "no distance lies inside"),
+    (["--only", "decay"], {"distances": "1,2"}, "need >= 3 distances"),
+], ids=["below-e", "ceiling-far", "decay-two-distances"])
+def test_verify_skipped_moment_checks_enumerate_no_walks(tmp_path, capsys,
+                                                         monkeypatch, args,
+                                                         file_cfg, reason):
+    # counted, not raised: a series task that raised and was never read
+    # would pass unseen; with one task the pool runs it in this process
+    calls = []
+    monkeypatch.setattr(cli.saw, "enumerate_walks",
+                        lambda *a, **k: calls.append(a))
+    if file_cfg is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        args = args + ["--config", str(cfg)]
+    code, out, _ = run_main(["verify"] + args, capsys)
+    assert code == 0
+    checks = json.loads(out)["result"]["checks"]
+    assert checks and all(c["status"] == "skipped" for c in checks)
+    assert all(reason in c["detail"]["reason"] for c in checks)
+    assert calls == []
 
 
 @pytest.mark.parametrize("lam, moment_regions", [
@@ -745,7 +773,9 @@ def test_moment_config_file_matches_flags(tmp_path, capsys):
     (["saw", "--nmax", "2"], {"dim": True}, 2, None),
     (["verify", "--n-env", "2"], {"only": ["drb"]}, 0,
      ("only", "drb")),
-], ids=["workers-text", "dim-float", "dim-bool", "only-list"])
+    (["saw", "--dim", "2", "--nmax", "2"], {"memory_budget": None}, 0,
+     ("memory_budget", saw.DEFAULT_MEMORY_BUDGET)),
+], ids=["workers-text", "dim-float", "dim-bool", "only-list", "budget-null"])
 def test_config_values_take_their_flag_type(tmp_path, capsys, args, file_cfg,
                                             code, shown):
     cfg = tmp_path / "cfg.json"

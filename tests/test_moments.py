@@ -76,6 +76,24 @@ def test_single_site_heavy_tail_mean():
     assert abs(est.mean - expect) <= 4.0 * est.stderr + 1e-3
 
 
+@pytest.mark.parametrize("lam, s, want, seed", [
+    (30.0, critical.s_crit(30.0), 0.0739305, 1),  # z = -0.64
+    (5.0, 0.379, 0.686022, 2),                    # z = +0.81
+])
+def test_two_site_mean_meets_exact_value(lam, s, want, seed):
+    # x = (0,), y = (-1,) with (1,) deleted: oracles.two_site_moment
+    # integrates both disorder values by QUADPACK.  The seeds are pinned and
+    # must never be re-seeded to pass: at 500 samples and lambda = 30, 4.0%
+    # of seeds miss |z| <= 3 (0.27% for a Gaussian), every miss low, since a
+    # run without the rare resonant sample underestimates mean and stderr.
+    exact = oracles.two_site_moment(lam, s, Z)
+    assert exact == pytest.approx(want, abs=5e-7)
+    region = anderson.make_region(1, 1, [(1,)])
+    est = moments.estimate_moments(region, lam, s, Z, [((0,), (-1,))],
+                                   n_samples=20_000, seed=seed)[0]
+    assert abs(est.mean - exact) <= 3.0 * est.stderr
+
+
 def test_estimate_csv_layout():
     region = small_region()
     ests = moments.estimate_moments(region, 30.0, 0.5, Z,
@@ -476,7 +494,7 @@ def test_fit_decay_rejects_nonpositive_means():
 def test_drb_conditional_two_coupled_sites():
     region = anderson.make_region(1, 1)  # sites -1, 0, 1
     sides = moments.check_drb_conditional(region, 30.0, 0.7, Z, (0,), (1,),
-                                          n_env=4, seed=0)
+                                          envs=range(4), seed=0)
     assert len(sides) == 4
     for lhs, rhs, by_identity in sides:
         assert lhs <= rhs + 1e-6
@@ -488,7 +506,7 @@ def test_drb_conditional_isolated_x():
     deleted = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     region = anderson.make_region(2, 1, deleted)
     sides = moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (1, 1),
-                                          n_env=2, seed=0)
+                                          envs=range(2), seed=0)
     assert len(sides) == 2
     assert all(abs(v) < 1e-12 for side in sides for v in side)
 
@@ -496,7 +514,7 @@ def test_drb_conditional_isolated_x():
 def test_drb_conditional_2d_box():
     region = anderson.Region(dimension=2, L=3)
     sides = moments.check_drb_conditional(region, 30.0, 0.7, Z, (0, 0), (1, 1),
-                                          n_env=5, seed=1)
+                                          envs=range(5), seed=1)
     for lhs, rhs, by_identity in sides:
         assert lhs <= rhs + 1e-6, f"margin {rhs - lhs}"
         assert lhs == pytest.approx(by_identity, rel=1e-9)
@@ -507,7 +525,7 @@ def test_drb_left_side_matches_identity_at_verify_shape():
     # ten environments of substream(0, 15)
     region = anderson.Region(dimension=2, L=4)
     sides = moments.check_drb_conditional(region, 30.0, 0.7, 0.01j, (0, 0),
-                                          (1, 1), n_env=10, seed=substream(0, 15))
+                                          (1, 1), envs=range(10), seed=substream(0, 15))
     assert len(sides) == 10
     for lhs, _, by_identity in sides:
         assert abs(lhs - by_identity) <= 1e-9 * by_identity
@@ -517,7 +535,7 @@ def test_drb_rejects_bad_pairs():
     region = small_region()
     with pytest.raises(ValueError):
         moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (0, 0),
-                                      n_env=2)
+                                      envs=range(2))
     with pytest.raises(ValueError):
         moments.check_drb_conditional(region, 30.0, 0.5, Z, (0, 0), (9, 9),
-                                      n_env=2)
+                                      envs=range(2))
