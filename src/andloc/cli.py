@@ -449,8 +449,9 @@ class _VerifyRun:
 
     @cached_property
     def series(self) -> saw.WalkSeries:
-        """The walk series: the pool's, or else built here."""
-        return self.take("series")[0] if "series" in self.pooled else _series(self.cfg)
+        """The walk series the pool built: run_pool pools it exactly when a
+        check that reads it (reads_series) is selected and does not skip."""
+        return self.take("series")[0]
 
     @cached_property
     def pairs(self) -> list:
@@ -478,13 +479,13 @@ def _status(ok: bool) -> str:
 def _moment_skip(run: _VerifyRun, name: str) -> Optional[tuple[str, dict]]:
     """The skip of moment check name, ceiling or decay, before it reads the
     walk series or samples, or None: s_crit(lambda) must exist, and the box
-    must hold one distance (ceiling) or three (decay)."""
+    must hold one distance (ceiling) or three distinct ones (decay)."""
     if run.lam <= math.e:
         return "skipped", {"reason": f"criterion not met: lambda = {run.lam} <= e"}
     if name == "ceiling" and not run.pairs:
         L = _box_L(run.cfg, "moments")
         return "skipped", {"reason": f"no distance lies inside the box (L = {L})"}
-    if name == "decay" and len(run.pairs) < 3:
+    if name == "decay" and len(set(run.pairs)) < 3:
         return "skipped", {"reason": "need >= 3 distances"}
     return None
 

@@ -48,37 +48,20 @@ class NoRootError(Exception):
 def solve_fixed_point(a: float) -> float:
     """Larger root of lambda = a * ln(lambda), for a > e.
 
-    Newton from lambda_0 = a^2 (to the right of the root, where the map is
-    convex, so the iteration descends monotonically), safeguarded by
-    bisection on [a, a^3] whenever a step leaves the bracket.  Converges to
-    |lambda - a ln lambda| < 1e-12.
+    Plain Newton on f(lambda) = lambda - a ln(lambda) from lambda_0 = a^2.
+    The start lies right of the root, where f is increasing and convex, so
+    every step lands right of the root again and the iterates descend
+    monotonically onto it.  Converges to |f(lambda)| < 1e-12 within
+    _MAX_ITER steps, else raises ArithmeticError.
     """
     if not (a > E):
         raise NoRootError(f"need a > e = {E:.12f}, got a = {a}")
-
-    lo, hi = a, a**3  # f(lo) < 0 < f(hi) for a > e
     lam = a * a
-
-    def f(x: float) -> float:
-        return x - a * math.log(x)
-
     for _ in range(_MAX_ITER):
-        r = f(lam)
+        r = lam - a * math.log(lam)
         if abs(r) < _RESIDUAL_TOL:
             return lam
-        if r > 0:
-            hi = min(hi, lam)
-        else:
-            lo = max(lo, lam)
-        fprime = 1.0 - a / lam
-        step_ok = fprime != 0.0
-        if step_ok:
-            nxt = lam - r / fprime
-            step_ok = lo < nxt < hi
-        lam = nxt if step_ok else 0.5 * (lo + hi)
-    r = f(lam)
-    if abs(r) < 1e-10:
-        return lam
+        lam -= r / (1.0 - a / lam)
     raise ArithmeticError(f"fixed point did not converge: a={a}, residual={r}")
 
 

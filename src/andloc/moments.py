@@ -17,12 +17,14 @@ E|G| is not, and it obeys two kinds of rigorous bounds:
 This module estimates the Monte Carlo left sides (counter-based seeds,
 sample k is a pure function of (seed, k); means reduce in index order so
 results are bit-identical for any worker count) and evaluates the ceilings
-from exact walk counts, keeping the two routes independent.  The single-site
-integral is computed by a fixed Gauss-Legendre rule in numpy, vectorised
-over B: after the substitution t = eta sinh u, with eta = |Im B| (or
-t = w^(1/(1-s)) for real B inside the support), its integrand is smooth, so
-no adaptive quadrature is needed and the closed-form bound is never used to
-compute it.  The conditional-bound check takes its omega(x) average on the
+from exact walk counts, keeping the two routes independent.  All sampling
+goes through estimate_moments, for one region or a family of them, the
+ceiling check's family included.  The single-site integral is computed by a
+fixed Gauss-Legendre rule in numpy, vectorised over B: after the
+substitution t = eta sinh u, with eta = |Im B| (or t = w^(1/(1-s)) for
+real B inside the support), its integrand is smooth, so no adaptive
+quadrature is needed and the closed-form bound is never used to compute
+it.  The conditional-bound check takes its omega(x) average on the
 nodes of the same rule.  Every solve, of the Monte Carlo moments and of the
 conditional-bound check alike, goes through anderson.resolvent_entries: the
 one resolvent solver, a banded LU per sample.  The Monte Carlo draws its
@@ -155,25 +157,21 @@ def _moment_chunk(task) -> np.ndarray:
     return np.abs(np.concatenate(vals)) ** s
 
 
-def estimate_moments(region: Region, lam: float, s: float, z: complex,
-                     pairs: Sequence[tuple[Point, Point]], n_samples: int,
-                     seed: int, workers: Optional[int] = None) -> list[MomentEstimate]:
-    """Monte Carlo E|G_z(x, y)|^s for several pairs from shared solves.
+def estimate_moments(regions: Region | Sequence[Region], lam: float, s: float,
+                     z: complex, pairs: Sequence[tuple[Point, Point]],
+                     n_samples: int, seed: int,
+                     workers: Optional[int] = None) -> list[MomentEstimate]:
+    """Monte Carlo E|G_z(x, y)|^s for several pairs from shared solves, in
+    one Region or each of a sequence of them.
 
-    Sample k uses the disorder seed substream(seed, k); per-sample values are
-    stacked in k order before reduction, so mean and stderr are bit-identical
-    for any worker count.
+    Returns one estimate per (region, pair), region-major.  Every region uses
+    the same samples, from one map_ordered call (one worker pool) over all
+    their chunks: sample k uses the disorder seed substream(seed, k), and
+    per-sample values are stacked in k order before reduction, so mean and
+    stderr are bit-identical for any worker count.
     """
-    return _estimate_regions([region], lam, s, z, pairs, n_samples, seed,
-                             workers)[0]
-
-
-def _estimate_regions(regions: Sequence[Region], lam: float, s: float,
-                      z: complex, pairs: Sequence[tuple[Point, Point]],
-                      n_samples: int, seed: int,
-                      workers: Optional[int] = None) -> list[list[MomentEstimate]]:
-    """estimate_moments for each region, the same samples in every one,
-    from one map_ordered call (one worker pool) over all their chunks."""
+    if isinstance(regions, Region):
+        regions = [regions]
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
     if n_samples < 1:
@@ -189,20 +187,18 @@ def _estimate_regions(regions: Sequence[Region], lam: float, s: float,
     spans = pieces(n_samples, workers)
     tasks = [(region, lam, s, complex(z), pairs, seed, ks.start, ks.stop)
              for region in regions for ks in spans]
-    chunks = list(map_ordered(_moment_chunk, tasks, workers))
+    chunks = map_ordered(_moment_chunk, tasks, workers)
     out = []
     for i in range(len(regions)):
         vals = np.vstack(chunks[i * len(spans):(i + 1) * len(spans)])
-        ests = []
         for j, (x, y) in enumerate(pairs):
             col = vals[:, j]
             mean = float(col.mean())
             stderr = (float(col.std(ddof=1) / math.sqrt(n_samples))
                       if n_samples > 1 else None)
-            ests.append(MomentEstimate(s=s, z=complex(z), x=x, y=y,
-                                       n_samples=n_samples, mean=mean,
-                                       stderr=stderr))
-        out.append(ests)
+            out.append(MomentEstimate(s=s, z=complex(z), x=x, y=y,
+                                      n_samples=n_samples, mean=mean,
+                                      stderr=stderr))
     return out
 
 
@@ -348,12 +344,13 @@ def ceiling_value(series: saw.WalkSeries, lam: float, diff: Point) -> float:
 def default_region_family(dimension: int, L: int, keep: Sequence[Point] = (),
                           seed: int = 0) -> list[Region]:
     """Region family realizing the sup over volumes in the ceiling check:
-    the full box, boxes minus one random site, and a half box."""
+    the full box, boxes minus one random site outside keep (when the box
+    has such a site), and a half box."""
     full = Region(dimension=dimension, L=L)
     keep = {tuple(p) for p in keep}
     family = [full]
     candidates = [p for p in full.sites if p not in keep]
-    for v in range(_DELETION_VARIANTS):
+    for v in range(_DELETION_VARIANTS if candidates else 0):
         pick = candidates[int(unit_open(seed, (v,)) * len(candidates))]
         family.append(full.without(pick))
     half_deleted = [p for p in full.sites if p[0] < 0 and p not in keep]
@@ -379,13 +376,10 @@ def check_theorem_ceiling(regions: Sequence[Region], lam: float, z: complex,
         diff = tuple(a - b for a, b in zip(x, y))
         if diff not in ceilings:
             ceilings[diff] = ceiling_value(series, lam, diff)
-    out = []
-    for ests in _estimate_regions(regions, lam, s_crit(lam), z, pairs,
-                                  n_samples, seed, workers):
-        for est in ests:
-            diff = tuple(a - b for a, b in zip(est.x, est.y))
-            out.append(est.with_ceiling(ceilings[diff]))
-    return out
+    ests = estimate_moments(regions, lam, s_crit(lam), z, pairs, n_samples,
+                            seed, workers)
+    return [e.with_ceiling(ceilings[tuple(a - b for a, b in zip(e.x, e.y))])
+            for e in ests]
 
 
 # --- decay-rate fit ---

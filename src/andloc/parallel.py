@@ -1,10 +1,12 @@
 """Deterministic worker-pool plumbing.
 
 Parallel sections split work into an ordered task list, compute each task
-independently, and merge results in task order, so outputs are bit-identical
-for any worker count.  The sections are the Monte Carlo chunks of moments
-and, in cli's verify, the walk series and the chunks of the identity,
-a priori and conditional-bound checks; pieces cuts each into its chunks.
+independently, and merge results in task order: map_ordered returns them as
+one list, which every caller consumes whole.  Outputs are therefore
+bit-identical for any worker count.  The sections are the Monte Carlo
+chunks of moments and, in cli's verify, the walk series and the chunks of
+the identity, a priori and conditional-bound checks; pieces cuts each into
+its chunks.
 ANDERSON_THREADS caps the pool size (and provides the default when the
 caller does not ask for a specific count).
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 ENV_THREADS = "ANDERSON_THREADS"
 
@@ -49,10 +51,10 @@ def pieces(count: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def map_ordered(fn: Callable, tasks: Sequence, workers: int) -> Iterator:
-    """Map fn over tasks, yielding the results one at a time in task order."""
+def map_ordered(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """fn over tasks, the results in task order; in a worker pool when
+    workers and tasks both exceed one."""
     if workers <= 1 or len(tasks) <= 1:
-        yield from map(fn, tasks)
-        return
+        return list(map(fn, tasks))
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        yield from pool.map(fn, tasks)
+        return list(pool.map(fn, tasks))

@@ -148,8 +148,6 @@ class CorrelationValue:
     gamma * c_N^{1/N} >= 1, in which case tail_bound is +inf.
     """
 
-    gamma: float
-    point: Point
     partial_sum: float
     tail_bound: float
     converged: bool
@@ -327,15 +325,13 @@ def correlation(series: WalkSeries, gamma, point) -> CorrelationValue:
     cls = tuple(sorted(abs(v) for v in p))
     partial = _partial(series.classes.get(cls, ()), gamma)
     tail, ok = _tail_bound(series, gamma)
-    return CorrelationValue(gamma=gamma, point=p, partial_sum=partial,
-                            tail_bound=tail, converged=ok)
+    return CorrelationValue(partial_sum=partial, tail_bound=tail, converged=ok)
 
 
 @dataclass
 class ConnectiveBounds:
     """Rigorous upper bounds on the connective constant mu_d."""
 
-    dimension: int
     pairs: list[tuple[int, float]]  # (n, c_n^{1/n})
     trivial: float                  # 2d - 1, from c_n <= 2d (2d-1)^{n-1}
 
@@ -356,5 +352,4 @@ def connective_upper_bounds(series: WalkSeries) -> ConnectiveBounds:
         (n, math.exp(math.log(series.totals[n]) / n))
         for n in range(1, series.max_length + 1)
     ]
-    return ConnectiveBounds(dimension=series.dimension, pairs=pairs,
-                            trivial=2.0 * series.dimension - 1.0)
+    return ConnectiveBounds(pairs=pairs, trivial=2.0 * series.dimension - 1.0)

@@ -3,7 +3,8 @@
 Everything here is deliberately simple and slow: exhaustive generate-and-test
 walk counting, plain recursion without symmetry tricks (also behind the
 saw artifact's per-point series), dense matrix inversion, decimal bisection
-for the thresholds, and QUADPACK for the single-site integral.  None of it
+for the thresholds, and QUADPACK for the single-site integral and the
+two- and three-site moments.  None of it
 shares code paths with the package under test; the frozen constants in the test modules
 were produced by running this file directly (python tests/oracles.py).
 """
@@ -11,6 +12,7 @@ were produced by running this file directly (python tests/oracles.py).
 from __future__ import annotations
 
 import itertools
+import math
 from decimal import ROUND_CEILING, Decimal, localcontext
 from typing import Dict, Tuple
 
@@ -237,6 +239,38 @@ def two_site_moment(lam: float, s: float, z: complex) -> float:
     return val
 
 
+def three_site_moment(lam: float, s: float, z: complex) -> float:
+    """E|G_z(x, y)|^s on the chain (-1,), (0,), (1,) with x = (1,), y = (0,).
+
+    With a = lambda omega(-1) - z and g = 1/(lambda omega(y) - z - 1/a), the
+    resolvent of the pair (-1,), (0,) at y, the Schur complement at x gives
+    |G(x, y)| = |g| |lambda omega(x) - z - g|^{-1}, so the omega(x) average
+    is quad_apriori at B = z + g, and the value is
+    (1/4) int int |g|^s quad_apriori(lambda, s, z + g) d omega(-1) d omega(y).
+    The omega(y) integrand peaks where Re(g) diverges, at
+    lambda omega(y) = Re(z + 1/a); that point is handed to the quadrature.
+    Slow (minutes): the test modules hold its value frozen.
+    """
+    z = complex(z)
+
+    def over_y(wa: float) -> float:
+        c = z + 1.0 / (lam * wa - z)
+
+        def f(wy: float) -> float:
+            g = 1.0 / (lam * wy - c)
+            return 0.5 * abs(g) ** s * quad_apriori(lam, s, z + g)
+
+        w0 = c.real / lam
+        points = [w0] if -1.0 < w0 < 1.0 else None
+        val, _ = quad(f, -1.0, 1.0, points=points, epsabs=1e-8, limit=200)
+        return 0.5 * val
+
+    w0 = z.real / lam
+    points = [w0] if -1.0 < w0 < 1.0 else None
+    val, _ = quad(over_y, -1.0, 1.0, points=points, epsabs=1e-8, limit=200)
+    return val
+
+
 def _freeze_report() -> None:
     print("d=2 brute-force totals, n <= 8:")
     print(" ", brute_force_totals(2, 8))
@@ -256,6 +290,9 @@ def _freeze_report() -> None:
     print(f"threshold table at mu = {MU_UPPER}:")
     for name, row in threshold_rows(MU_UPPER).items():
         print(f"  {name}: {row}")
+    s_crit_30 = 1.0 - 1.0 / math.log(30.0)
+    m3 = three_site_moment(30.0, s_crit_30, 0.01j)
+    print(f"3-site chain moment, lambda=30, s_crit, z=0.01i: {m3!r}")
 
 
 if __name__ == "__main__":

@@ -294,6 +294,28 @@ def test_resolvent_columns_shared_factorization():
     assert ev.value == complex(u[region.index[(1, 1)]])
 
 
+def test_refinement_rescues_a_perturbed_column(monkeypatch):
+    # a first solve 1e-8 off everywhere misses the 1e-10 contract; the one
+    # refinement step brings the column back to the unperturbed solve
+    region = anderson.make_region(2, 3)
+    sample = anderson.sample_disorder(region, 17)
+    want, want_res = anderson.ResolventColumns(region, LAM, sample.omega,
+                                               Z).column((0, 0))
+    solve, calls = anderson.ResolventColumns._solve, []
+
+    def perturbed_once(self, rhs):
+        calls.append(rhs)
+        u = solve(self, rhs)
+        return u + 1e-8 if len(calls) == 1 else u
+
+    monkeypatch.setattr(anderson.ResolventColumns, "_solve", perturbed_once)
+    u, res = anderson.ResolventColumns(region, LAM, sample.omega,
+                                       Z).column((0, 0))
+    assert len(calls) == 2  # the refinement ran
+    assert want_res < 1e-10 and res < 1e-10
+    np.testing.assert_allclose(u, want, rtol=0.0, atol=1e-15)
+
+
 # --- identity verifications ---
 
 

@@ -520,7 +520,7 @@ def test_verify_ceiling_skip_runs_no_monte_carlo(capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("Monte Carlo ran for a skipped ceiling")
 
-    monkeypatch.setattr(cli.moments, "_estimate_regions", no_sampling)
+    monkeypatch.setattr(cli.moments, "estimate_moments", no_sampling)
     code, out, _ = run_main(["verify", "--lambda", "5", "--only", "ceiling"],
                             capsys)
     assert code == 0
@@ -546,7 +546,9 @@ def test_verify_decay_with_mu_enumerates_no_walks(capsys, monkeypatch):
     (["--lambda", "2", "--only", "ceiling,decay"], None, "criterion not met"),
     (["--only", "ceiling"], {"distances": "20..21"}, "no distance lies inside"),
     (["--only", "decay"], {"distances": "1,2"}, "need >= 3 distances"),
-], ids=["below-e", "ceiling-far", "decay-two-distances"])
+    (["--only", "decay"], {"distances": "1,1,2"}, "need >= 3 distances"),
+], ids=["below-e", "ceiling-far", "decay-two-distances",
+        "decay-repeated-distance"])
 def test_verify_skipped_moment_checks_enumerate_no_walks(tmp_path, capsys,
                                                          monkeypatch, args,
                                                          file_cfg, reason):
@@ -567,6 +569,17 @@ def test_verify_skipped_moment_checks_enumerate_no_walks(tmp_path, capsys,
     assert calls == []
 
 
+def test_verify_ceiling_on_a_box_of_pair_points(tmp_path, capsys):
+    # every site of the one-site box is a pair point: no site to delete
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"distances": "0"}))
+    doc = run_json(["verify", "--only", "ceiling", "--dim", "1", "--L", "0",
+                    "--samples", "8", "--config", str(cfg)], capsys)
+    (check,) = doc["result"]["checks"]
+    assert check["status"] == "pass"
+    assert check["detail"]["regions"] == 2
+
+
 @pytest.mark.parametrize("lam, moment_regions", [
     ("30", 4),  # the four family regions in one run; decay reuses the full box
     ("5", 1),   # ceiling skipped before sampling; decay samples the box
@@ -574,7 +587,7 @@ def test_verify_skipped_moment_checks_enumerate_no_walks(tmp_path, capsys,
 def test_verify_shares_series_and_box_estimates(capsys, monkeypatch, lam,
                                                 moment_regions):
     calls = {"walks": 0, "runs": 0, "regions": 0}
-    walks, sample = cli.saw.enumerate_walks, cli.moments._estimate_regions
+    walks, sample = cli.saw.enumerate_walks, cli.moments.estimate_moments
 
     def counted_walks(*args, **kwargs):
         calls["walks"] += 1
@@ -582,11 +595,12 @@ def test_verify_shares_series_and_box_estimates(capsys, monkeypatch, lam,
 
     def counted_sample(regions, *args, **kwargs):
         calls["runs"] += 1
-        calls["regions"] += len(regions)
+        calls["regions"] += (1 if isinstance(regions, cli.anderson.Region)
+                             else len(regions))
         return sample(regions, *args, **kwargs)
 
     monkeypatch.setattr(cli.saw, "enumerate_walks", counted_walks)
-    monkeypatch.setattr(cli.moments, "_estimate_regions", counted_sample)
+    monkeypatch.setattr(cli.moments, "estimate_moments", counted_sample)
     code, out, _ = run_main(["verify", "--only", "decay,ceiling", "--lambda",
                              lam, "--samples", "8", "--L", "4", "--nmax", "8"],
                             capsys)

@@ -16,6 +16,9 @@ Z = 0.01j
 # lambda=30, s = s_crit(30), z = 0.01i, x = (3,0), y = (0,0), seed 0
 LONGRUN_MEAN = 0.005092711695368505
 LONGRUN_STDERR = 0.00010642558706404473
+# oracles.three_site_moment(30, s_crit(30), 0.01i): x = (1,), y = (0,) on
+# make_region(1, 1), by QUADPACK (about 3 minutes, so frozen here)
+THREE_SITE_MOMENT = 0.07365437631569337
 
 
 def small_region(L=4):
@@ -92,6 +95,16 @@ def test_two_site_mean_meets_exact_value(lam, s, want, seed):
     est = moments.estimate_moments(region, lam, s, Z, [((0,), (-1,))],
                                    n_samples=20_000, seed=seed)[0]
     assert abs(est.mean - exact) <= 3.0 * est.stderr
+
+
+def test_three_site_mean_meets_exact_value():
+    # the chain (-1,), (0,), (1,) centred at y.  The seed is pinned and must
+    # never be re-seeded to pass: 1 of seeds 0..99 (seed 43) misses 3 stderr
+    # at 20000 samples, and 5.0% of seeds 0..1999 do at 500, every miss low.
+    region = anderson.make_region(1, 1)
+    est = moments.estimate_moments(region, 30.0, critical.s_crit(30.0), Z,
+                                   [((1,), (0,))], n_samples=20_000, seed=0)[0]
+    assert abs(est.mean - THREE_SITE_MOMENT) <= 3.0 * est.stderr
 
 
 def test_estimate_csv_layout():
@@ -408,7 +421,7 @@ def test_theorem_ceiling_unavailable_before_sampling(series_d2, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("Monte Carlo ran before the ceiling was known")
 
-    monkeypatch.setattr(moments, "_estimate_regions", no_sampling)
+    monkeypatch.setattr(moments, "estimate_moments", no_sampling)
     pairs = [((1, 0), (0, 0)), ((2, 0), (0, 0))]
     with pytest.raises(moments.CeilingUnavailableError):
         moments.check_theorem_ceiling([small_region()], 23.0, Z, pairs,
@@ -424,6 +437,9 @@ def test_region_family_shapes():
     assert (0, 0) in a and (1, 0) in a
     assert half.n_sites == 49 - 3 * 7  # x1 < 0 rows removed
     assert all((0, 0) in r for r in fam)
+    # no site outside keep: no deletion variant, and the half box is full
+    one = moments.default_region_family(1, 0, keep=[(0,)], seed=1)
+    assert one == [anderson.Region(dimension=1, L=0)] * 2
 
 
 def test_moments_decrease_with_disorder():
