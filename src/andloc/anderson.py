@@ -14,11 +14,13 @@ computed by one direct solver, ResolventColumns: a banded LU of one
 sample's H - z (LAPACK zgbtrf/zgbtrs, partial pivoting) in the band layout
 of Region.band, which serves green, the identity verifiers below, the
 conditional-bound check and the Monte Carlo moments (through
-resolvent_entries, one factorization per sample).  It checks each column's
-residual against the sparse H of Region.pattern, refines a column once when
-it exceeds 1e-10, and then raises SolverError (SingularSystemError at real
-z) if it still does.  A sparse LU (splu) has one role: the independent
-solve on the depleted region in verify_depleted_identity.
+resolvent_entries, one factorization per sample and region; the Monte Carlo
+derives a region minus one site from the larger region's columns).  It
+checks each column's residual against the sparse H of Region.pattern,
+refines a column once when it exceeds 1e-10, and then raises SolverError
+(SingularSystemError at real z) if it still does.  A sparse LU (splu) has
+one role: the independent solve on the depleted region in
+verify_depleted_identity.
 G_z(x, y) = 0 by convention when x or y is outside the region.
 
 Exact operator identities are exposed as verifiers.  Each computes both

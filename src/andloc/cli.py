@@ -75,12 +75,13 @@ def _axis_pairs(dim: int, dists) -> list:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Accept '2..6', '2,4,6' or '3'."""
+    """Accept '2..6', '2,4,6' or '3'; a repeat is dropped, first-seen order
+    kept."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    return list(dict.fromkeys(int(tok) for tok in text.split(",") if tok))
 
 
 def _parse_point(text: str) -> tuple[int, ...]:
@@ -479,13 +480,13 @@ def _status(ok: bool) -> str:
 def _moment_skip(run: _VerifyRun, name: str) -> Optional[tuple[str, dict]]:
     """The skip of moment check name, ceiling or decay, before it reads the
     walk series or samples, or None: s_crit(lambda) must exist, and the box
-    must hold one distance (ceiling) or three distinct ones (decay)."""
+    must hold one distance (ceiling) or three (decay)."""
     if run.lam <= math.e:
         return "skipped", {"reason": f"criterion not met: lambda = {run.lam} <= e"}
     if name == "ceiling" and not run.pairs:
         L = _box_L(run.cfg, "moments")
         return "skipped", {"reason": f"no distance lies inside the box (L = {L})"}
-    if name == "decay" and len(set(run.pairs)) < 3:
+    if name == "decay" and len(run.pairs) < 3:
         return "skipped", {"reason": "need >= 3 distances"}
     return None
 
@@ -550,7 +551,9 @@ def _check_ceiling(run: _VerifyRun, _) -> tuple[str, dict]:
     run.box_estimates = ests[:len(pairs)]
     return _status(all(e.ok for e in ests)), {
         "regions": len(family), "samples": n_samples,
-        "estimates": [e.to_json_dict() for e in ests]}
+        "estimates": [e.to_json_dict() for e in ests],
+        "max_cancellation": max((e.cancellation for e in ests
+                                 if e.cancellation is not None), default=None)}
 
 
 def _check_decay(run: _VerifyRun, _) -> tuple[str, dict]:

@@ -19,18 +19,23 @@ sample k is a pure function of (seed, k); means reduce in index order so
 results are bit-identical for any worker count) and evaluates the ceilings
 from exact walk counts, keeping the two routes independent.  All sampling
 goes through estimate_moments, for one region or a family of them, the
-ceiling check's family included.  The single-site integral is computed by a
-fixed Gauss-Legendre rule in numpy, vectorised over B: after the
-substitution t = eta sinh u, with eta = |Im B| (or t = w^(1/(1-s)) for
-real B inside the support), its integrand is smooth, so no adaptive
-quadrature is needed and the closed-form bound is never used to compute
-it.  The conditional-bound check takes its omega(x) average on the
-nodes of the same rule.  Every solve, of the Monte Carlo moments and of the
-conditional-bound check alike, goes through anderson.resolvent_entries: the
-one resolvent solver, a banded LU per sample.  The Monte Carlo draws its
-disorder a block of samples at a time, in one hash over the box.  The
-a priori integral and the conditional-bound check return measurements only;
-the verify checks of cli hold their pass rules and tolerances.
+ceiling check's family included.  A region of a family that is another
+one minus one site p is not factored: G on it follows from one more column
+of the larger region's factor, by the Schur complement
+G^{(Lambda \\ {p})}(x, y) = G(x, y) - G(x, p) G(p, y) / G(p, p).
+
+The single-site integral is computed by a fixed Gauss-Legendre rule in
+numpy, vectorised over B: after the substitution t = eta sinh u, with
+eta = |Im B| (or t = w^(1/(1-s)) for real B inside the support), its
+integrand is smooth, so no adaptive quadrature is needed and the
+closed-form bound is never used to compute it.  The conditional-bound check
+takes its omega(x) average on the nodes of the same rule.  Every solve, of
+the Monte Carlo moments and of the conditional-bound check alike, goes
+through anderson.resolvent_entries: the one resolvent solver, a banded LU
+per sample and factored region.  The Monte Carlo draws its disorder a block
+of samples at a time, in one hash over the box.  The a priori integral and
+the conditional-bound check return measurements only; the verify checks of
+cli hold their pass rules and tolerances.
 
 The ceiling uses the truncated walk series plus its rigorous tail bound, so
 what is checked is a true upper bound, only slightly weakened by truncation.
@@ -48,8 +53,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import saw
-from .anderson import (Point, Region, green, resolvent_entries,
-                       sample_disorder)
+from .anderson import (Point, Region, SingularSystemError, green,
+                       resolvent_entries, sample_disorder)
 from .critical import gamma_big, gamma_fn, mass, s_crit
 from .parallel import map_ordered, pieces, resolve_workers
 from .rng import site_uniform, substream, unit_open
@@ -86,7 +91,10 @@ class InsufficientDataError(Exception):
 @dataclass
 class MomentEstimate:
     """Sample mean of |G_z(x, y)|^s with its standard error and, when one is
-    attached, the rigorous ceiling it is compared against."""
+    attached, the rigorous ceiling it is compared against.  An estimate on a
+    region derived from a larger region's factor (estimate_moments) carries
+    its cancellation: the largest |G(x, p) G(p, y) / G(p, p)| /
+    |G^{(Lambda \\ {p})}(x, y)| over its samples, a measurement only."""
 
     s: float
     z: complex
@@ -96,6 +104,7 @@ class MomentEstimate:
     mean: float
     stderr: Optional[float]
     ceiling: Optional[float] = None
+    cancellation: Optional[float] = None
 
     @property
     def ceiling_kind(self) -> str:
@@ -147,14 +156,62 @@ def _disorder_block(region: Region, seed: int, ks: range) -> np.ndarray:
                         region.box_coords)
 
 
+def _entries(region: Region, lam: float, omegas, z: complex,
+             pairs: list[tuple[Point, Point]],
+             deleted: Sequence[Point]) -> np.ndarray:
+    """G_z(x, y) for every sample (rows) and (x, y) of pairs on the region,
+    then on region.without(p) for each p of deleted, then the corrections
+    G(x, p) G(p, y) / G(p, p) in the same order: columns region-major, pairs
+    within.  Every p lies outside the pairs' points.
+
+    One resolvent_entries call factors each sample once.  For p outside
+    {x, y} the Schur complement gives
+        G^{(region \\ {p})}(x, y) = G(x, y) - G(x, p) G(p, y) / G(p, p),
+    and G(p, y) = G(y, p) because H - z is complex symmetric, so each p
+    costs one more column of the region's factor.  A G(p, p) of 0 or a
+    derived value that is not finite raises SingularSystemError.
+    """
+    points = list(dict.fromkeys(q for pair in pairs for q in pair))
+    wanted = list(pairs) + [(q, p) for p in deleted for q in points + [p]]
+    g = resolvent_entries(region, lam, omegas, z, wanted)
+    rows, n = len(g), len(pairs)
+    # per p: G(q, p) for each point q, then G(p, p)
+    gp = g[:, n:].reshape(rows, len(deleted), len(points) + 1)
+    if np.any(gp[:, :, -1] == 0.0):
+        raise SingularSystemError(
+            f"G(p, p) = 0 at z = {z}: a region minus one site is singular")
+    xs = [points.index(x) for x, _ in pairs]
+    ys = [points.index(y) for _, y in pairs]
+    corrections = gp[:, :, xs] * gp[:, :, ys] / gp[:, :, -1:]
+    derived = g[:, None, :n] - corrections
+    if not np.all(np.isfinite(derived)):
+        raise SingularSystemError(
+            f"a Green's function on a region minus one site is not finite "
+            f"at z = {z}")
+    return np.hstack([g[:, :n], derived.reshape(rows, -1),
+                      corrections.reshape(rows, -1)])
+
+
 def _moment_chunk(task) -> np.ndarray:
-    region, lam, s, z, pairs, seed, k0, k1 = task
+    """|.|^s of the _entries of samples k0..k1-1 of the run seed.  The task
+    is (region, lam, s, z, pairs, seed, k0, k1), followed by the deleted
+    sites p whose regions region.without(p) derive from region's factor."""
+    region, lam, s, z, pairs, seed, k0, k1, *deleted = task
     step = max(1, _DISORDER_BYTES // region.box_coords[0].nbytes)
     vals = []
     for k in range(k0, k1, step):
         omegas = _disorder_block(region, seed, range(k, min(k + step, k1)))
-        vals.append(resolvent_entries(region, lam, omegas, z, pairs))
+        vals.append(_entries(region, lam, omegas, z, pairs, deleted))
     return np.abs(np.concatenate(vals)) ** s
+
+
+def _deleted_site(base: Region, region: Region) -> Optional[Point]:
+    """p when region is base.without(p), else None."""
+    extra = region.deleted - base.deleted
+    if (len(extra) == 1 and base.deleted < region.deleted
+            and (base.dimension, base.L) == (region.dimension, region.L)):
+        return next(iter(extra))
+    return None
 
 
 def estimate_moments(regions: Region | Sequence[Region], lam: float, s: float,
@@ -168,7 +225,11 @@ def estimate_moments(regions: Region | Sequence[Region], lam: float, s: float,
     the same samples, from one map_ordered call (one worker pool) over all
     their chunks: sample k uses the disorder seed substream(seed, k), and
     per-sample values are stacked in k order before reduction, so mean and
-    stderr are bit-identical for any worker count.
+    stderr are bit-identical for any worker count.  A region that is
+    base.without(p) for an earlier region base of the call is not factored:
+    its values derive from base's factor (_entries), and its estimates carry
+    the largest cancellation of that derivation.  Every other region is
+    factored once per sample.
     """
     if isinstance(regions, Region):
         regions = [regions]
@@ -183,22 +244,44 @@ def estimate_moments(regions: Region | Sequence[Region], lam: float, s: float,
         for x, y in pairs:
             if x not in region.index or y not in region.index:
                 raise ValueError(f"pair ({x}, {y}) not inside the region")
+    # factored region -> the (region, deleted site) pairs derived from it
+    plan: dict[int, list[tuple[int, Point]]] = {}
+    for i, region in enumerate(regions):
+        for j in plan:
+            p = _deleted_site(regions[j], region)
+            if p is not None:
+                plan[j].append((i, p))
+                break
+        else:
+            plan[i] = []
     workers = resolve_workers(workers)
     spans = pieces(n_samples, workers)
-    tasks = [(region, lam, s, complex(z), pairs, seed, ks.start, ks.stop)
-             for region in regions for ks in spans]
+    tasks = [(regions[j], lam, s, complex(z), pairs, seed, ks.start, ks.stop,
+              *(p for _, p in derived))
+             for j, derived in plan.items() for ks in spans]
     chunks = map_ordered(_moment_chunk, tasks, workers)
+    n = len(pairs)
+    values, cancellation = {}, {}
+    for t, (j, derived) in enumerate(plan.items()):
+        vals = np.vstack(chunks[t * len(spans):(t + 1) * len(spans)])
+        values[j] = vals[:, :n]
+        for a, (i, _) in enumerate(derived):
+            values[i] = vals[:, (1 + a) * n:(2 + a) * n]
+            corr = vals[:, (1 + len(derived) + a) * n:(2 + len(derived) + a) * n]
+            # (|c|^s / |G|^s)^(1/s) = |c| / |G|
+            cancellation[i] = np.max(corr / values[i], axis=0) ** (1.0 / s)
     out = []
     for i in range(len(regions)):
-        vals = np.vstack(chunks[i * len(spans):(i + 1) * len(spans)])
+        ratio = cancellation.get(i)
         for j, (x, y) in enumerate(pairs):
-            col = vals[:, j]
+            col = values[i][:, j]
             mean = float(col.mean())
             stderr = (float(col.std(ddof=1) / math.sqrt(n_samples))
                       if n_samples > 1 else None)
-            out.append(MomentEstimate(s=s, z=complex(z), x=x, y=y,
-                                      n_samples=n_samples, mean=mean,
-                                      stderr=stderr))
+            out.append(MomentEstimate(
+                s=s, z=complex(z), x=x, y=y, n_samples=n_samples, mean=mean,
+                stderr=stderr,
+                cancellation=None if ratio is None else float(ratio[j])))
     return out
 
 
@@ -345,7 +428,9 @@ def default_region_family(dimension: int, L: int, keep: Sequence[Point] = (),
                           seed: int = 0) -> list[Region]:
     """Region family realizing the sup over volumes in the ceiling check:
     the full box, boxes minus one random site outside keep (when the box
-    has such a site), and a half box."""
+    has such a site), and a half box.  The boxes minus one site are
+    full.without(p), so estimate_moments derives them from the full box's
+    factor; the full box and the half box are factored."""
     full = Region(dimension=dimension, L=L)
     keep = {tuple(p) for p in keep}
     family = [full]
@@ -367,7 +452,9 @@ def check_theorem_ceiling(regions: Sequence[Region], lam: float, z: complex,
 
     Returns one estimate per (region, pair), in that order, each carrying the
     ceiling; taking the max of the means over the region family realizes the
-    sup over volumes.  The ceiling depends only on x - y, and is evaluated for
+    sup over volumes.  The regions are sampled by one estimate_moments call,
+    so a region that is an earlier one minus one site costs no factorization
+    of its own.  The ceiling depends only on x - y, and is evaluated for
     every pair before any sampling, so CeilingUnavailableError costs no
     Monte Carlo.
     """
@@ -424,11 +511,17 @@ def fit_decay(estimates: Sequence[MomentEstimate], lam: float, mu_upper: float,
     """Fit the measured decay rate and compare with m_eps(lambda).
 
     Weights are 1/sigma of ln(mean) (delta method sigma = stderr/mean) when
-    standard errors are available, unweighted otherwise.
+    standard errors are available, unweighted otherwise.  A repeated distance
+    raises ValueError: its estimates would enter the fit as independent
+    points.
     """
-    if len({e.distance for e in estimates}) < 3:
+    dists = [e.distance for e in estimates]
+    repeated = sorted({d for d in dists if dists.count(d) > 1})
+    if repeated:
+        raise ValueError(f"repeated distance(s) {repeated} in the decay fit")
+    if len(dists) < 3:
         raise InsufficientDataError("need at least 3 distinct distances")
-    dists = np.array([e.distance for e in estimates], dtype=float)
+    dists = np.array(dists, dtype=float)
     means = np.array([e.mean for e in estimates], dtype=float)
     if np.any(means <= 0):
         raise ValueError("all means must be positive to fit a log decay")

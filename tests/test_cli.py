@@ -91,6 +91,19 @@ def test_perfbench_trace_counts_one_factorization_per_sample(tmp_path):
     assert layers["anderson.splu.calls"] == 0
 
 
+def test_perfbench_trace_counts_two_factorizations_per_ceiling_sample(tmp_path):
+    # of the ceiling family's four regions the full box and the half box are
+    # factored; the two boxes minus one site derive from the full box's factor
+    out = tmp_path / "verify.json"
+    layers = _traced_layers(["verify", "--only", "ceiling", "--samples", "7",
+                             "--L", "3", "--nmax", "8", "--out", str(out)])
+    assert layers["anderson.ResolventColumns.calls"] == 14
+    (check,) = json.loads(out.read_text())["result"]["checks"]
+    assert check["status"] == "pass"
+    assert check["detail"]["regions"] == 4
+    assert 0.0 < check["detail"]["max_cancellation"] < float("inf")
+
+
 def test_saw_csv_header_exact(capsys):
     code, out, _ = run_main(["saw", "--dim", "2", "--nmax", "5",
                              "--format", "csv"], capsys)
@@ -265,6 +278,16 @@ def test_moment_csv_and_ceiling(capsys):
     assert len(lines) == 4
     # ceilings attach at the default s = s_crit(lambda)
     assert all(ln.split(",")[3] not in ("", "None") for ln in lines[1:])
+
+
+def test_moment_repeated_distance_emits_once(capsys):
+    # repeats drop, first-seen order kept: one estimate per distance
+    code, out, _ = run_main(["moment", "--distances", "2,1,2,1", "--samples",
+                             "5", "--L", "3", "--s", "0.5", "--format", "csv"],
+                            capsys)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == \
+        ["2", "1"]
 
 
 def test_moment_custom_s_has_no_ceiling(capsys):

@@ -395,8 +395,10 @@ def test_theorem_ceiling_small_box(series_d2):
 
 
 def test_theorem_ceiling_one_pool_for_the_family(series_d2, monkeypatch):
-    # every region's chunks run in one pool, and each region's estimates are
-    # those of its own estimate_moments call at any worker count
+    # every region's chunks run in one pool, and the family's estimates are
+    # bit-identical at any worker count; the boxes minus one site derive from
+    # the full box's factor, so they meet their own estimate_moments calls,
+    # which factor them, to roundoff
     starts = []
 
     class CountingPool(parallel.ProcessPoolExecutor):
@@ -410,11 +412,68 @@ def test_theorem_ceiling_one_pool_for_the_family(series_d2, monkeypatch):
     pooled = moments.check_theorem_ceiling(family, 30.0, Z, pairs, 12, 3,
                                            series_d2, workers=2)
     assert starts == [2]
+    serial = moments.check_theorem_ceiling(family, 30.0, Z, pairs, 12, 3,
+                                           series_d2, workers=1)
+    assert [(e.x, e.mean, e.stderr, e.cancellation) for e in pooled] == \
+        [(e.x, e.mean, e.stderr, e.cancellation) for e in serial]
     s = critical.s_crit(30.0)
-    serial = [e for region in family for e in moments.estimate_moments(
+    alone = [e for region in family for e in moments.estimate_moments(
         region, 30.0, s, Z, pairs, 12, 3, workers=1)]
-    assert [(e.x, e.mean, e.stderr) for e in pooled] == \
-        [(e.x, e.mean, e.stderr) for e in serial]
+    assert [e.x for e in pooled] == [e.x for e in alone]
+    for e, a in zip(pooled, alone):
+        assert e.mean == pytest.approx(a.mean, rel=1e-12, abs=0.0)
+        assert e.stderr == pytest.approx(a.stderr, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("z", [Z, 0.37 + 0.0j], ids=["im-z", "real-z"])
+@pytest.mark.parametrize("dim, L", [(1, 6), (2, 3), (3, 2)])
+def test_deletion_variants_match_direct_solves(dim, L, z):
+    # G on full.without(p), derived from the full box's factor, against a
+    # direct solve on that region, sample by sample; p is a neighbor of the
+    # origin (a large correction) or a far corner (a small one)
+    full = anderson.Region(dimension=dim, L=L)
+    origin, e1 = (0,) * dim, (1,) + (0,) * (dim - 1)
+    pairs = [(origin, origin), (e1, origin), ((2,) + origin[1:], e1)]
+    deleted = [(-1,) + origin[1:], (L,) * dim]
+    omegas = moments._disorder_block(full, 7, range(20))
+    got = moments._entries(full, 10.0, omegas, z, pairs, deleted)
+    n, m = len(pairs), len(deleted)
+    assert got.shape == (20, (1 + 2 * m) * n)
+    np.testing.assert_allclose(
+        got[:, :n], anderson.resolvent_entries(full, 10.0, omegas, z, pairs),
+        rtol=1e-14, atol=0.0)
+    for a, p in enumerate(deleted):
+        direct = anderson.resolvent_entries(full.without(p), 10.0, omegas, z,
+                                            pairs)
+        np.testing.assert_allclose(got[:, (1 + a) * n:(2 + a) * n], direct,
+                                   rtol=1e-12, atol=0.0)
+        # the corrections: what the deletion took off the full box's G
+        np.testing.assert_allclose(
+            got[:, (1 + m + a) * n:(2 + m + a) * n], got[:, :n] - direct,
+            rtol=1e-9, atol=1e-12 * np.max(np.abs(direct)))
+
+
+@pytest.mark.parametrize("planted", ["zero-diagonal", "infinite-column"])
+def test_deletion_variants_raise_at_a_pole(monkeypatch, planted):
+    # a G(p, p) of 0, or a derived value that is not finite, raises instead
+    # of reaching a mean
+    entries = moments.resolvent_entries
+
+    def planted_entries(*args):
+        g = entries(*args)  # the last two columns: G((0, 0), p), G(p, p)
+        if planted == "zero-diagonal":
+            g[:, -1] = 0.0
+        else:
+            g[:, -2] = np.inf
+        return g
+
+    monkeypatch.setattr(moments, "resolvent_entries", planted_entries)
+    region = small_region(2)
+    family = [region, region.without((2, 2))]
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(anderson.SingularSystemError):
+        moments.estimate_moments(family, 30.0, 0.5, Z, [((1, 0), (0, 0))],
+                                 4, 0)
 
 
 def test_theorem_ceiling_unavailable_before_sampling(series_d2, monkeypatch):
@@ -496,6 +555,14 @@ def test_fit_decay_weighted_matches_reference_rate():
 def test_fit_decay_needs_three_distances():
     with pytest.raises(moments.InsufficientDataError):
         moments.fit_decay(_synthetic([0.5, 0.1]), 30.0, 2.88, eps=0.01)
+
+
+def test_fit_decay_rejects_repeated_distance():
+    # the copies of one distance come from the same samples
+    ests = _synthetic([0.5, 0.1, 0.02])
+    ests.append(ests[1])
+    with pytest.raises(ValueError, match="repeated distance"):
+        moments.fit_decay(ests, 30.0, 2.88, eps=0.01)
 
 
 def test_fit_decay_rejects_nonpositive_means():
