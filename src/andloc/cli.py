@@ -14,18 +14,19 @@ joins with ',' and a list of lists with ';' ([[1, 0], [0, 2]] is
 "1,0;0,2").  A config run therefore echoes exactly what the equivalent
 flags echo.  Each setting's default, flag type and help are declared once,
 in _SETTINGS, and each subcommand's flags in _COMMANDS: a new setting goes
-there.  ANDERSON_THREADS caps worker-pool parallelism.
+there.
 
 verify reads one table, _CHECKS: per check its chunk tasks, whether they
 run in the pool, and the fold of their measurements into a status.  One
 parallel.map_ordered call runs the walk series, when a selected check
 reads it, and the tasks of the pooled checks; the checks then run in
 table order in this process, each folding its measurements in case order,
-so artifacts are bit-identical for any --workers.  resolvent runs its
-dense cases here while no worker runs, and ceiling samples through a pool
-of its own.  A check's wallclock stage is its own time here plus the
-seconds of the tasks it read, wherever they ran, so at 2 workers the
-stages can sum to more than elapsed_seconds.
+so artifacts are bit-identical for any --workers.  Each check's pass rule
+is written once, in its fold; the library returns measurements only.
+resolvent runs its dense cases here while no worker runs, and ceiling
+samples through a pool of its own.  A check's wallclock stage is its own
+time here plus the seconds of the tasks it read, wherever they ran, so at
+2 workers the stages can sum to more than elapsed_seconds.
 
 Exit codes: 0 success, 1 a bound check failed, 2 bad input, 3 resource
 limits, 4 linear-solver failure.
@@ -72,6 +73,25 @@ def _axis_pairs(dim: int, dists) -> list:
     """(d e_1, origin) for each distance d."""
     origin = (0,) * dim
     return [((d,) + (0,) * (dim - 1), origin) for d in dists]
+
+
+def _ceilings(series: saw.WalkSeries, lam: float, pairs) -> list[float]:
+    """The walk ceiling of each pair, all evaluated before any sampling, so
+    CeilingUnavailableError costs no Monte Carlo."""
+    return [moments.ceiling_value(series, lam, tuple(a - b for a, b in zip(x, y)))
+            for x, y in pairs]
+
+
+def _estimate_entry(e: moments.MomentEstimate, ceiling: Optional[float]) -> dict:
+    """e's artifact entry with its ceiling, or none, and the ceiling check's
+    measured number: margin = ceiling - (mean - 3 stderr), the spread 0
+    without a stderr."""
+    if ceiling is None:
+        return e.to_json_dict() | {"ceiling": None, "ceiling_kind": "none",
+                                   "margin": None}
+    spread = 3.0 * e.stderr if e.stderr is not None else 0.0
+    return e.to_json_dict() | {"ceiling": ceiling, "ceiling_kind": "saw_theorem",
+                               "margin": ceiling - (e.mean - spread)}
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -234,23 +254,20 @@ def cmd_moment(cfg: dict) -> int:
         raise ValueError(f"distances must lie in [0, L={L}]")
     region = anderson.make_region(dim, L)
     pairs = _axis_pairs(dim, dists)
-    n_samples, seed = cfg["samples"], cfg["seed"]
-    ests, note = None, "ceiling attaches only at s = s_crit(lambda)"
+    ceilings = [None] * len(pairs)
+    note = "ceiling attaches only at s = s_crit(lambda)"
     if lam > critical.E and s == critical.s_crit(lam):
-        series = _series(cfg)
         try:
-            ests = moments.check_theorem_ceiling([region], lam, z, pairs, n_samples,
-                                                 seed, series, cfg["workers"])
-            note = None
+            ceilings, note = _ceilings(_series(cfg), lam, pairs), None
         except moments.CeilingUnavailableError as exc:
             note = f"ceiling unavailable: {exc}"
-    if ests is None:
-        ests = moments.estimate_moments(region, lam, s, z, pairs, n_samples,
-                                        seed, cfg["workers"])
+    ests = moments.estimate_moments(region, lam, s, z, pairs, cfg["samples"],
+                                    cfg["seed"], cfg["workers"])
     if cfg["format"] == "csv":
-        _emit(moments.estimates_to_csv(ests), cfg["out"])
+        _emit(moments.estimates_to_csv(ests, ceilings), cfg["out"])
         return EXIT_OK
-    result = {"estimates": [e.to_json_dict() for e in ests], "note": note}
+    result = {"estimates": [_estimate_entry(e, c) for e, c in zip(ests, ceilings)],
+              "note": note}
     _emit_artifact("moment", cfg, result, t0, formulas=moments.CEILING_FORMULAS)
     return EXIT_OK
 
@@ -385,6 +402,8 @@ def _drb_tasks(run: _VerifyRun) -> list:
     s_val = cfg["s"] if cfg["s"] is not None else 0.7
     x = (0,) * dim
     y = (1, 1) + (0,) * (dim - 2) if dim >= 2 else (1,)
+    if y not in region:  # no case: the check skips
+        return []
     return [(_drb_chunk, (region, run.lam, s_val, run.z, x, y, envs,
                           substream(run.seed, 15)))
             for envs in pieces(cfg["n_env"], run.workers)]
@@ -522,7 +541,10 @@ def _check_drb(run: _VerifyRun, sides: list) -> tuple[str, dict]:
     """Per environment, the quadrature left side at most the right side plus
     tol, and within a relative identity_tol of the left side that the
     depletion and Schur identities give (both sides integrate on the
-    a priori rule)."""
+    a priori rule); skipped when the box does not hold the pair."""
+    if not sides:
+        L = _box_L(run.cfg, "conditional")
+        return "skipped", {"reason": f"no case ran: y lies outside the box (L = {L})"}
     tol, identity_tol = 1e-6, 1e-9
     margin = min(rhs - lhs for lhs, rhs, _ in sides)
     gap = max(abs(lhs - by_identity) / max(lhs, by_identity)
@@ -533,6 +555,8 @@ def _check_drb(run: _VerifyRun, sides: list) -> tuple[str, dict]:
 
 
 def _check_ceiling(run: _VerifyRun, _) -> tuple[str, dict]:
+    """Pass iff every estimate of the region family at s_crit(lambda) has
+    margin >= 0: its mean - 3 stderr at most its walk ceiling."""
     skip = _moment_skip(run, "ceiling")
     if skip:
         return skip
@@ -542,28 +566,34 @@ def _check_ceiling(run: _VerifyRun, _) -> tuple[str, dict]:
         seed=substream(run.seed, 17))
     n_samples = cfg["samples"]
     try:
-        ests = moments.check_theorem_ceiling(family, run.lam, run.z, pairs,
-                                             n_samples, substream(run.seed, 16),
-                                             run.series, run.workers)
+        ceilings = _ceilings(run.series, run.lam, pairs)
     except moments.CeilingUnavailableError as exc:
         return "skipped", {"reason": f"criterion not met: {exc}"}
+    ests = moments.estimate_moments(family, run.lam, critical.s_crit(run.lam),
+                                    run.z, pairs, n_samples,
+                                    substream(run.seed, 16), run.workers)
     # family[0] is the full box: the same call decay would make
     run.box_estimates = ests[:len(pairs)]
-    return _status(all(e.ok for e in ests)), {
-        "regions": len(family), "samples": n_samples,
-        "estimates": [e.to_json_dict() for e in ests],
+    entries = [_estimate_entry(e, c)
+               for e, c in zip(ests, ceilings * len(family))]
+    return _status(all(e["margin"] >= 0.0 for e in entries)), {
+        "regions": len(family), "samples": n_samples, "estimates": entries,
         "max_cancellation": max((e.cancellation for e in ests
                                  if e.cancellation is not None), default=None)}
 
 
 def _check_decay(run: _VerifyRun, _) -> tuple[str, dict]:
+    """Pass iff the fitted decay is at least as fast as the proved mass,
+    within two standard errors of the fitted rate."""
     skip = _moment_skip(run, "decay")
     if skip:
         return skip
     mu_hat = (run.cfg["mu"] if run.cfg["mu"] is not None
               else saw.connective_upper_bounds(run.series).best)
     fit = moments.fit_decay(run.box_moments(), run.lam, mu_hat, run.eps)
-    return _status(fit.dominates_reference()), fit.to_json_dict() | {"mu_upper": mu_hat}
+    dominates = fit.fitted_rate >= fit.reference_rate - 2.0 * fit.rate_stderr
+    return _status(dominates), fit.to_json_dict() | {
+        "dominates_reference": dominates, "mu_upper": mu_hat}
 
 
 #: the verification suite in run order, --only selecting from its names:
@@ -637,7 +667,7 @@ _SETTINGS = {
     "format": ("json", str, "json or csv"),
     "out": (None, str, "output path (stdout when omitted)"),
     "seed": (0, int, None),
-    "workers": (None, int, "worker processes (ANDERSON_THREADS caps them)"),
+    "workers": (None, int, "worker processes"),
     "dim": (2, int, None),
     "dims": (None, str, "dimension range, e.g. 2..6"),
     "nmax": (None, int, "walk length (a per-dimension default when unset)"),

@@ -33,21 +33,23 @@ takes its omega(x) average on the nodes of the same rule.  Every solve, of
 the Monte Carlo moments and of the conditional-bound check alike, goes
 through anderson.resolvent_entries: the one resolvent solver, a banded LU
 per sample and factored region.  The Monte Carlo draws its disorder a block
-of samples at a time, in one hash over the box.  The a priori integral and
-the conditional-bound check return measurements only; the verify checks of
-cli hold their pass rules and tolerances.
+of samples at a time, in one hash over the box.
 
-The ceiling uses the truncated walk series plus its rigorous tail bound, so
-what is checked is a true upper bound, only slightly weakened by truncation.
-Decay rates fitted from the measured moments are compared against the proved
-mass m_eps(lambda) = -ln gamma(lambda) - ln(mu + eps); the fit must dominate.
+Every function here returns measurements only: moment estimates, ceiling
+values, decay fits, a priori integrals and the sides of the conditional
+bound.  The verify checks of cli compare them, and each holds its pass rule
+and tolerance.  The ceiling uses the truncated walk series plus its rigorous
+tail bound, so it is a true upper bound, only slightly weakened by
+truncation.  A decay fit carries, beside the fitted rate, the proved mass
+m_eps(lambda) = -ln gamma(lambda) - ln(mu + eps) that the rate is compared
+against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -55,7 +57,7 @@ from numpy.polynomial.legendre import leggauss
 from . import saw
 from .anderson import (Point, Region, SingularSystemError, green,
                        resolvent_entries, sample_disorder)
-from .critical import gamma_big, gamma_fn, mass, s_crit
+from .critical import gamma_big, gamma_fn, mass
 from .parallel import map_ordered, pieces, resolve_workers
 from .rng import site_uniform, substream, unit_open
 
@@ -90,11 +92,10 @@ class InsufficientDataError(Exception):
 
 @dataclass
 class MomentEstimate:
-    """Sample mean of |G_z(x, y)|^s with its standard error and, when one is
-    attached, the rigorous ceiling it is compared against.  An estimate on a
-    region derived from a larger region's factor (estimate_moments) carries
-    its cancellation: the largest |G(x, p) G(p, y) / G(p, p)| /
-    |G^{(Lambda \\ {p})}(x, y)| over its samples, a measurement only."""
+    """Sample mean of |G_z(x, y)|^s with its standard error.  An estimate on
+    a region derived from a larger region's factor (estimate_moments)
+    carries its cancellation: the largest |G(x, p) G(p, y) / G(p, p)| /
+    |G^{(Lambda \\ {p})}(x, y)| over its samples."""
 
     s: float
     z: complex
@@ -103,34 +104,11 @@ class MomentEstimate:
     n_samples: int
     mean: float
     stderr: Optional[float]
-    ceiling: Optional[float] = None
     cancellation: Optional[float] = None
-
-    @property
-    def ceiling_kind(self) -> str:
-        """The CEILING_FORMULAS key of the ceiling, or "none" when unset."""
-        return "none" if self.ceiling is None else "saw_theorem"
 
     @property
     def distance(self) -> int:
         return sum(abs(a - b) for a, b in zip(self.x, self.y))
-
-    @property
-    def margin(self) -> Optional[float]:
-        """ceiling - (mean - 3 stderr); nonnegative when the check passes."""
-        if self.ceiling is None:
-            return None
-        spread = 3.0 * self.stderr if self.stderr is not None else 0.0
-        return self.ceiling - (self.mean - spread)
-
-    @property
-    def ok(self) -> Optional[bool]:
-        m = self.margin
-        return None if m is None else m >= 0.0
-
-    def with_ceiling(self, value: float) -> "MomentEstimate":
-        """This estimate against the walk-expansion ceiling value."""
-        return replace(self, ceiling=value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,9 +120,6 @@ class MomentEstimate:
             "n_samples": self.n_samples,
             "mean": self.mean,
             "stderr": self.stderr,
-            "ceiling": self.ceiling,
-            "ceiling_kind": self.ceiling_kind,
-            "margin": self.margin,
         }
 
 
@@ -285,11 +260,13 @@ def estimate_moments(regions: Region | Sequence[Region], lam: float, s: float,
     return out
 
 
-def estimates_to_csv(estimates: Iterable[MomentEstimate]) -> str:
+def estimates_to_csv(estimates: Sequence[MomentEstimate],
+                     ceilings: Sequence[Optional[float]]) -> str:
+    """One row per estimate, with its ceiling (empty when None) beside it."""
     lines = ["distance,mean,stderr,ceiling"]
-    for e in estimates:
+    for e, ceiling in zip(estimates, ceilings):
         stderr = "" if e.stderr is None else repr(e.stderr)
-        ceiling = "" if e.ceiling is None else repr(e.ceiling)
+        ceiling = "" if ceiling is None else repr(ceiling)
         lines.append(f"{e.distance},{e.mean!r},{stderr},{ceiling}")
     return "\n".join(lines) + "\n"
 
@@ -444,31 +421,6 @@ def default_region_family(dimension: int, L: int, keep: Sequence[Point] = (),
     return family
 
 
-def check_theorem_ceiling(regions: Sequence[Region], lam: float, z: complex,
-                          pairs: Sequence[tuple[Point, Point]], n_samples: int,
-                          seed: int, series: saw.WalkSeries,
-                          workers: Optional[int] = None) -> list[MomentEstimate]:
-    """Monte Carlo means at s = s_crit(lambda) against the walk ceiling.
-
-    Returns one estimate per (region, pair), in that order, each carrying the
-    ceiling; taking the max of the means over the region family realizes the
-    sup over volumes.  The regions are sampled by one estimate_moments call,
-    so a region that is an earlier one minus one site costs no factorization
-    of its own.  The ceiling depends only on x - y, and is evaluated for
-    every pair before any sampling, so CeilingUnavailableError costs no
-    Monte Carlo.
-    """
-    ceilings = {}
-    for x, y in pairs:
-        diff = tuple(a - b for a, b in zip(x, y))
-        if diff not in ceilings:
-            ceilings[diff] = ceiling_value(series, lam, diff)
-    ests = estimate_moments(regions, lam, s_crit(lam), z, pairs, n_samples,
-                            seed, workers)
-    return [e.with_ceiling(ceilings[tuple(a - b for a, b in zip(e.x, e.y))])
-            for e in ests]
-
-
 # --- decay-rate fit ---
 
 
@@ -486,11 +438,6 @@ class DecayFit:
     residuals: list[float]
     chi2: float
 
-    def dominates_reference(self) -> bool:
-        """Fitted decay at least as fast as the proved mass, within two
-        standard errors of the fitted rate."""
-        return self.fitted_rate >= self.reference_rate - 2.0 * self.rate_stderr
-
     def to_json_dict(self) -> dict:
         return {
             "distances": self.distances,
@@ -502,7 +449,6 @@ class DecayFit:
             "reference_positive": self.reference_positive,
             "residuals": self.residuals,
             "chi2": self.chi2,
-            "dominates_reference": self.dominates_reference(),
         }
 
 

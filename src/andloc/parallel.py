@@ -7,40 +7,21 @@ bit-identical for any worker count.  The sections are the Monte Carlo
 chunks of moments and, in cli's verify, the walk series and the chunks of
 the identity, a priori and conditional-bound checks; pieces cuts each into
 its chunks.
-ANDERSON_THREADS caps the pool size (and provides the default when the
-caller does not ask for a specific count).
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional, Sequence
 
-ENV_THREADS = "ANDERSON_THREADS"
-
-
-def thread_cap() -> Optional[int]:
-    raw = os.environ.get(ENV_THREADS)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_THREADS} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"{ENV_THREADS} must be >= 1, got {cap}")
-    return cap
-
 
 def resolve_workers(requested: Optional[int] = None) -> int:
-    """Requested worker count clamped to the ANDERSON_THREADS cap."""
-    cap = thread_cap()
+    """The requested worker count, 1 when unset."""
     if requested is None:
-        return cap if cap is not None else 1
+        return 1
     if requested < 1:
         raise ValueError("workers must be >= 1")
-    return min(requested, cap) if cap is not None else requested
+    return requested
 
 
 def pieces(count: int, workers: int) -> list[range]:

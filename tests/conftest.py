@@ -6,14 +6,6 @@ import pytest
 from andloc import anderson, critical, moments, saw
 
 
-@pytest.fixture(autouse=True)
-def no_thread_cap(monkeypatch):
-    """ANDERSON_THREADS unset in every test: pinned artifacts echo the
-    worker count, and plants reach only chunks that run in this process.
-    A test that needs the cap sets it."""
-    monkeypatch.delenv("ANDERSON_THREADS", raising=False)
-
-
 @pytest.fixture(scope="session")
 def series_d2():
     return saw.enumerate_walks(2, 14)

@@ -269,15 +269,24 @@ def test_green_point_of_wrong_arity_exits_2(capsys, args, flag):
 
 
 def test_moment_csv_and_ceiling(capsys):
-    code, out, _ = run_main(["moment", "--dim", "2", "--L", "4", "--samples",
-                             "12", "--distances", "1..3", "--nmax", "8",
-                             "--format", "csv"], capsys)
+    args = ["moment", "--dim", "2", "--L", "4", "--samples", "12",
+            "--distances", "1..3", "--nmax", "8"]
+    code, out, _ = run_main(args + ["--format", "csv"], capsys)
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "distance,mean,stderr,ceiling"
     assert len(lines) == 4
     # ceilings attach at the default s = s_crit(lambda)
     assert all(ln.split(",")[3] not in ("", "None") for ln in lines[1:])
+    doc = run_json(args, capsys)
+    assert doc["result"]["note"] is None
+    ests = doc["result"]["estimates"]
+    assert [repr(e["ceiling"]) for e in ests] == \
+        [ln.split(",")[3] for ln in lines[1:]]
+    for e in ests:
+        assert e["ceiling_kind"] == "saw_theorem"
+        assert e["margin"] == e["ceiling"] - (e["mean"] - 3.0 * e["stderr"])
+        assert e["margin"] >= 0.0
 
 
 def test_moment_repeated_distance_emits_once(capsys):
@@ -297,10 +306,34 @@ def test_moment_custom_s_has_no_ceiling(capsys):
                         "--lambda", lam, "--s", "0.5", "--distances", "1,2",
                         "--nmax", "6"], capsys)
         ests = doc["result"]["estimates"]
-        assert all(e["ceiling"] is None for e in ests)
+        assert all(e["ceiling"] is None and e["ceiling_kind"] == "none"
+                   and e["margin"] is None for e in ests)
         assert "s_crit" in doc["result"]["note"]
         assert doc["formulas"] == {
             k: v for k, v in cli.moments.CEILING_FORMULAS.items()}
+
+
+def test_moment_ceiling_unavailable_before_sampling(capsys, monkeypatch):
+    # gamma(23) * c_8^(1/8) > 1: the first ceiling raises before any Monte
+    # Carlo, and the one sampling call then runs without ceilings
+    events = []
+    ceiling, sample = cli.moments.ceiling_value, cli.moments.estimate_moments
+
+    def logged_ceiling(*args, **kwargs):
+        events.append("ceiling")
+        return ceiling(*args, **kwargs)
+
+    def logged_sample(*args, **kwargs):
+        events.append("sample")
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli.moments, "ceiling_value", logged_ceiling)
+    monkeypatch.setattr(cli.moments, "estimate_moments", logged_sample)
+    doc = run_json(["moment", "--lambda", "23", "--L", "3", "--samples", "6",
+                    "--distances", "1,2", "--nmax", "8"], capsys)
+    assert events == ["ceiling", "sample"]
+    assert doc["result"]["note"].startswith("ceiling unavailable")
+    assert all(e["ceiling_kind"] == "none" for e in doc["result"]["estimates"])
 
 
 def test_verify_identity_checks_pass(capsys):
@@ -450,10 +483,11 @@ def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
      "no distance lies inside the box"),
     (["moment", "--distances", ","], None, 2, "pair"),
     (["verify", "--only", "drb", "--n-env", "0"], None, 2, "n_env"),
+    (["verify", "--only", "drb", "--L", "0"], None, 0, "no case ran"),
     (["verify", "--only", "ceiling,decay"], {"distances": "-2..3"}, 2,
      "distances"),
 ], ids=["identity-L0", "depleted-trials0", "schur-L0", "apriori-trials0",
-        "ceiling-far", "moment-no-distance", "drb-n-env-0",
+        "ceiling-far", "moment-no-distance", "drb-n-env-0", "drb-L0",
         "verify-negative-distance"])
 def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
                                                args, file_cfg, code, shown):
@@ -856,20 +890,6 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
 def test_missing_config_file_exits_2(capsys):
     code, _, err = run_main(["saw", "--config", "/nonexistent.json"], capsys)
     assert code == 2
-
-
-def test_threads_env_caps_workers(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ANDERSON_THREADS", "2")
-    doc = run_json(["saw", "--dim", "2", "--nmax", "4", "--workers", "9"],
-                   capsys)
-    assert doc["config"]["workers"] == 2
-
-
-def test_bad_threads_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("ANDERSON_THREADS", "zero")
-    code, _, err = run_main(["saw", "--dim", "2", "--nmax", "3"], capsys)
-    assert code == 2
-    assert "ANDERSON_THREADS" in err
 
 
 _COMMON_FLAGS = [("--config", "config", str), ("--format", "format", str),
