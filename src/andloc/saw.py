@@ -10,8 +10,7 @@ susceptibility chi as its truncation bound:
     chi(gamma) = sum_n gamma^n c_n             (susceptibility)
 
 with c_n the number of length-n SAWs from the origin and #S_n(y, x) the number
-ending at y.  Counts are Python integers, so they are exact at any length and
-overflow is impossible.
+ending at y.  Counts are Python integers, so they are exact at any length.
 
 Counting is submultiplicative, c_{m+n} <= c_m * c_n, hence c_n^{1/n} converges
 (Fekete) to the connective constant mu_d and every finite c_n^{1/n} is a
@@ -24,14 +23,24 @@ on the truncated series tail: with r = N_max, writing n = q*r + s,
 valid whenever t < 1, i.e. gamma * c_r^{1/r} < 1.  Since #S_n(y, x) <= c_n the
 same expression bounds the tail of C_gamma at any point.
 
-The enumerator walks the SAW tree depth first with a backtracking occupancy
-set, in one process, and visits only the walks that are canonical under the
-hyperoctahedral group (the 2^d d! signed coordinate permutations): the axes
-first appear in the order 1, 2, ..., d, and the first step along each new
-axis is positive.  Every orbit of walks holds exactly one canonical walk,
-and a canonical walk that uses k axes stands for 2^k d!/(d-k)! walks; it adds
-that weight to its endpoint.  Positions are encoded as single integers in a
-box of halfwidth N_max, which a length-N walk cannot leave.
+The enumerator walks the SAW tree in numpy blocks, a level at a time, in one
+process.  A block holds at most 1024 walks of one length, one row of encoded
+positions each; it is extended by all its canonical moves at once, and the
+extended walks go back on an explicit stack as new blocks.  A step is
+dropped when it lands on an earlier position an even number of steps back,
+the only positions a walk on the bipartite lattice Z^d can return to.
+
+Only the walks that are canonical under the hyperoctahedral group (the
+2^d d! signed coordinate permutations) are visited: the axes first appear
+in the order 1, 2, ..., d, and the first step along each new axis is
+positive.  Every orbit of walks holds exactly one canonical walk, and a
+canonical walk that uses k axes stands for 2^k d!/(d-k)! walks; it adds that
+weight to its endpoint.  Positions are encoded as single integers in a box
+of halfwidth N_max, which a length-N walk cannot leave, in the narrowest
+integer type that holds them.  Each block's weights are summed per endpoint
+exactly in int64, through a sort and np.add.reduceat, and the sums are
+merged into Python integers; enumerate_walks checks before it starts that
+no block sum can reach 2^63.
 
 Symmetric points end equally many walks, so the series is stored once per
 endpoint class (the sorted |coordinates| of a point): the weighted counts
@@ -50,9 +59,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
+
+import numpy as np
 
 Point = tuple[int, ...]
 
@@ -61,10 +71,13 @@ _DEFAULT_MAX_LENGTH = {1: 20, 2: 14, 3: 10}
 
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
 
+#: walks per block of the tree walk
+_BLOCK = 1024
+
 
 class BudgetExceededError(Exception):
     """The requested length does not fit the memory budget, or its tree walk
-    would nest deeper than the interpreter's recursion limit allows."""
+    would not stay exact in int64 arithmetic."""
 
 
 def default_max_length(dimension: int) -> int:
@@ -167,6 +180,13 @@ def _estimate_bytes(dimension: int, max_length: int) -> int:
     # - the per-length maps of _canonical_counts, at most one entry per point
     #   of the l1 ball per length of the point's parity: 128 bytes each
     #   (encoded point, count, dict slot);
+    # - the block stack of the tree walk: per length t < N, one array of
+    #   walks still to extend, at most 2d blocks and never more than the
+    #   c_t <= 2d (2d-1)^(t-1) walks of length t, at 8 bytes a position plus
+    #   an axis count per walk; and the block being extended, whose
+    #   extensions take another copy of their positions and 160 bytes each
+    #   of temporaries (steps, indices, weights, sort order, sums and their
+    #   lists);
     # - the sorted (point, class) list of WalkSeries.write_endpoints, one
     #   entry per point of the ball: point and pair tuples, list slots;
     # - the class rows and their encoded counts blocks, 64 bytes a length per
@@ -175,7 +195,11 @@ def _estimate_bytes(dimension: int, max_length: int) -> int:
     d, n = dimension, max_length
     entries = sum((ball_size(d, r) - ball_size(d, r - 1)) * ((n - r) // 2 + 1)
                   for r in range(n + 1))
-    held = (128 * entries + (144 + 8 * d) * ball_size(d, n)
+    walks = [1] + [min(2 * d * _BLOCK, 2 * d * (2 * d - 1)**(t - 1))
+                   for t in range(1, n + 1)]
+    blocks = (sum(walks[t] * (8 * t + 9) for t in range(1, n))
+              + walks[n] * (8 * n + 168))
+    held = (128 * entries + blocks + (144 + 8 * d) * ball_size(d, n)
             + 64 * (n + 1) * math.comb(n + d, d))
     return (1 << 18) + int(1.5 * held)
 
@@ -185,7 +209,8 @@ def _canonical_counts(dimension: int,
     """Per-length {encoded endpoint: weighted count} over canonical walks.
 
     A canonical walk that uses k axes adds its orbit size 2^k d!/(d-k)! to its
-    endpoint.  A point y is encoded as sum_i (y_i + N) (2N + 1)^i.
+    endpoint.  A point y is encoded as sum_i (y_i + N) (2N + 1)^i.  The caller
+    checks that the codes and each block's sums fit int64.
     """
     d, n_max = dimension, max_length
     w = 2 * n_max + 1
@@ -193,30 +218,47 @@ def _canonical_counts(dimension: int,
     origin = sum(n_max * s for s in strides)
     counts: list[dict[int, int]] = [dict() for _ in range(n_max + 1)]
     counts[0][origin] = 1
-    # orbit[k]: walks in the orbit of a canonical walk that uses k axes
-    orbit = [2**k * math.perm(d, k) for k in range(d + 1)]
-    # moves[k]: (delta, axes in use after it) from a walk that uses k axes;
-    # below k = d the last move is the first step along axis k
-    moves = [[(s, k) for t in strides[:k] for s in (t, -t)]
-             + ([(strides[k], k + 1)] if k < d else [])
-             for k in range(d + 1)]
-    visited = {origin}
-
-    def grow(pos: int, depth: int, k: int) -> None:  # axes 0..k-1 in use
-        nxt = depth + 1
-        cn = counts[nxt]
-        for dp, kk in moves[k]:
-            q = pos + dp
-            if q in visited:
-                continue
-            cn[q] = cn.get(q, 0) + orbit[kk]
-            if nxt < n_max:
-                visited.add(q)
-                grow(q, nxt, kk)
-                visited.discard(q)
-
-    if n_max > 0:
-        grow(origin, 0, 0)
+    if n_max == 0:
+        return counts
+    ctype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= w**d - 1)
+    # orbit[k]: walks in the orbit of a canonical walk that uses k axes; no
+    # walk uses more than N, and 2^d d! itself can pass int64 when d > N
+    orbit = np.array([2**k * math.perm(d, k) for k in range(min(d, n_max) + 1)],
+                     dtype=np.int64)
+    # move 2i steps along +axis i, move 2i + 1 along -axis i; after[k, m]:
+    # the axes in use after move m from a walk that uses k, -1 where the move
+    # is not canonical (an unused axis, other than axis k forwards)
+    deltas = np.array([s * sign for s in strides for sign in (1, -1)], dtype=ctype)
+    after = np.array([[k if i < k else k + 1 if i == k and sign > 0 else -1
+                       for i in range(d) for sign in (1, -1)]
+                      for k in range(d + 1)], dtype=np.int8)
+    # (walks, axes in use per walk): one row of positions w_0..w_t per walk
+    stack = [(np.full((1, 1), origin, dtype=ctype), np.zeros(1, dtype=np.int8))]
+    while stack:
+        walks, axes = stack.pop()
+        depth = walks.shape[1] - 1
+        steps = walks[:, -1, None] + deltas
+        axes = after[axes]
+        ok = axes >= 0
+        # w_{depth+1} can only meet w_j with depth + 1 - j even
+        for j in range(depth - 1, -1, -2):
+            ok &= steps != walks[:, j, None]
+        flat = np.flatnonzero(ok)  # empty when every walk is trapped
+        ends, axes = steps.ravel()[flat], axes.ravel()[flat]
+        order = np.argsort(ends, kind="stable")  # a radix sort up to int16
+        runs = ends[order]
+        first = np.flatnonzero(np.diff(runs, prepend=runs[:1] - 1))
+        sums = np.add.reduceat(orbit[axes[order]], first)
+        cn = counts[depth + 1]
+        for q, c in zip(runs[first].tolist(), sums.tolist()):
+            cn[q] = cn.get(q, 0) + c
+        if depth + 1 < n_max:
+            longer = np.empty((len(flat), depth + 2), dtype=ctype)
+            longer[:, :-1] = walks[flat // (2 * d)]
+            longer[:, -1] = ends
+            stack.extend((longer[i:i + _BLOCK], axes[i:i + _BLOCK])
+                         for i in range(0, len(flat), _BLOCK))
     return counts
 
 
@@ -231,9 +273,10 @@ def enumerate_walks(dimension: int, max_length: Optional[int] = None, *,
     """Enumerate all SAWs from the origin up to max_length, exactly.
 
     Raises BudgetExceededError when the estimated endpoint-map footprint
-    exceeds memory_budget, and, whatever the budget, when the depth-first
-    walk of max_length steps, one Python frame per step, passes the
-    interpreter's recursion limit (sys.getrecursionlimit()).
+    exceeds memory_budget, and, whatever the budget, when the tree walk's
+    int64 arithmetic could overflow: an encoded position past 2^63 - 1, or
+    a block's sum at one endpoint (_BLOCK walks, 2d moves each, each of the
+    largest orbit weight) reaching 2^63.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -247,12 +290,14 @@ def enumerate_walks(dimension: int, max_length: Optional[int] = None, *,
             f"endpoint map for d={dimension}, N={max_length} needs about "
             f"{need} bytes, budget is {memory_budget}")
     n_max = max_length
-    try:
-        counts = _canonical_counts(dimension, n_max)
-    except RecursionError:
+    k = min(dimension, n_max)
+    code = (2 * n_max + 1)**dimension - 1
+    block_sum = _BLOCK * 2 * dimension * 2**k * math.perm(dimension, k)
+    if max(code, block_sum) >= 1 << 63:
         raise BudgetExceededError(
-            f"walks of length {n_max} nest {n_max} calls deep, past the "
-            f"recursion limit {sys.getrecursionlimit()}") from None
+            f"the tree walk for d={dimension}, N={max_length} leaves int64: "
+            f"positions encode up to {code}, a block sums up to {block_sum}")
+    counts = _canonical_counts(dimension, n_max)
     totals = [sum(cn.values()) for cn in counts]
 
     # fold the weighted counts into classes of sorted |coordinates|

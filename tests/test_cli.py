@@ -708,11 +708,27 @@ def test_saw_budget_exits_3(capsys):
     assert "budget" in err
 
 
-def test_saw_deeper_than_the_recursion_limit_exits_3(capsys):
-    code, out, err = run_main(["saw", "--dim", "1", "--nmax", "1100"], capsys)
+def test_saw_deeper_than_the_default_recursion_limit_exits_0(capsys):
+    # the block tree walk nests no call per step, so a length past the
+    # interpreter's default recursion limit of 1000 still runs
+    code, out, _ = run_main(["saw", "--dim", "1", "--nmax", "1100",
+                             "--format", "csv"], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[:2] == ["n,c_n", "0,1"]
+    assert lines[2:] == [f"{n},2" for n in range(1, 1101)]
+
+
+def test_saw_past_exact_int64_block_sums_exits_3(capsys, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the tree walk started")
+
+    monkeypatch.setattr(saw, "_canonical_counts", no_walk)
+    code, out, err = run_main(["saw", "--dim", "30", "--nmax", "30",
+                               "--memory-budget", str(1 << 200)], capsys)
     assert code == 3
     assert out == ""
-    assert f"recursion limit {sys.getrecursionlimit()}" in err
+    assert "int64" in err
 
 
 @pytest.fixture

@@ -50,8 +50,11 @@ def test_live_oracle_agreement_small():
 
 
 # at d=6, N=4 no walk uses every axis, and many endpoint classes repeat a
-# magnitude, so the orbit weights below 2^d d! and the class splits are checked
-@pytest.mark.parametrize("d, n_max", [(2, 8), (3, 6), (4, 5), (6, 4)])
+# magnitude, so the orbit weights below 2^d d! and the class splits are checked;
+# N = 0, 1, 2 are the tree walk's empty stack, a first level that is also the
+# last, and the first self-avoidance check
+@pytest.mark.parametrize("d, n_max", [(1, 12), (2, 8), (3, 6), (4, 5), (5, 5), (6, 4)]
+                         + [(d, n) for d in range(1, 7) for n in range(3)])
 def test_endpoint_counts_match_recursive_oracle(d, n_max):
     series = saw.enumerate_walks(d, n_max)
     layers = oracles.recursive_endpoint_counts(d, n_max)
@@ -194,7 +197,7 @@ def test_memory_budget_enforced():
         saw.enumerate_walks(3, 10, memory_budget=1000)
 
 
-@pytest.mark.parametrize("d, n_max", [(2, 10), (3, 6), (6, 5)])
+@pytest.mark.parametrize("d, n_max", [(2, 10), (3, 6), (6, 5), (2, 14)])
 def test_estimate_bytes_covers_traced_peak(tmp_path, d, n_max):
     # enumeration and the artifact write, as the saw command runs them
     tracemalloc.start()
@@ -208,9 +211,37 @@ def test_estimate_bytes_covers_traced_peak(tmp_path, d, n_max):
     assert saw._estimate_bytes(d, n_max) >= peak
 
 
-def test_one_dimensional_walks_fit_the_recursion_limit():
-    # the tree walk nests one frame per step; 500 steps fit the default limit
+def test_one_dimensional_walks_are_the_two_straight_ones():
     assert saw.enumerate_walks(1, 500).totals == [1] + [2] * 500
+
+
+# with one walk per block, a block of a trapped walk has no extensions
+@pytest.mark.parametrize("block", [1, 3])
+def test_counts_do_not_depend_on_the_block_size(monkeypatch, block):
+    expect = saw._canonical_counts(2, 9)
+    monkeypatch.setattr(saw, "_BLOCK", block)
+    assert saw._canonical_counts(2, 9) == expect
+    assert saw.enumerate_walks(3, 5).totals == oracles.recursive_totals(3, 5)
+
+
+def test_int64_guard_at_its_edge(monkeypatch):
+    # 3^39 - 1 < 2^63 <= 3^40 - 1: the widest position codes at length 1
+    assert sum(saw._canonical_counts(39, 1)[1].values()) == 78
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(saw, "_canonical_counts", reached)
+    with pytest.raises(Reached):
+        saw.enumerate_walks(39, 1)
+    with pytest.raises(saw.BudgetExceededError, match="int64"):
+        saw.enumerate_walks(40, 1)
+    # d = N = 30: blocks sum up to 1024 * 60 * 2^30 * 30!, whatever the budget
+    with pytest.raises(saw.BudgetExceededError, match="int64"):
+        saw.enumerate_walks(30, 30, memory_budget=1 << 200)
 
 
 def test_bad_arguments():
