@@ -23,40 +23,28 @@ on the truncated series tail: with r = N_max, writing n = q*r + s,
 valid whenever t < 1, i.e. gamma * c_r^{1/r} < 1.  Since #S_n(y, x) <= c_n the
 same expression bounds the tail of C_gamma at any point.
 
-The enumerator walks the SAW tree in numpy blocks, a level at a time, in one
-process.  A block holds at most 1024 walks of one length, one row of encoded
-positions each; it is extended by all its canonical moves at once, and the
-extended walks go back on an explicit stack as new blocks.  A step is
-dropped when it lands on an earlier position an even number of steps back,
-the only positions a walk on the bipartite lattice Z^d can return to.
-
-Only the walks that are canonical under the hyperoctahedral group (the
-2^d d! signed coordinate permutations) are visited: the axes first appear
-in the order 1, 2, ..., d, and the first step along each new axis is
-positive.  Every orbit of walks holds exactly one canonical walk, and a
-canonical walk that uses k axes stands for 2^k d!/(d-k)! walks; it adds that
-weight to its endpoint.  Positions are encoded as single integers in a box
-of halfwidth N_max, which a length-N walk cannot leave, in the narrowest
-integer type that holds them.  Each block's weights are summed per endpoint
-exactly in int64, through a sort and np.add.reduceat, and the sums are
-merged into Python integers; enumerate_walks checks before it starts that
-no block sum can reach 2^63.
+The enumerator walks the SAW tree in numpy blocks of at most 1024 walks of
+one length, one row of encoded positions each, a level at a time, on an
+explicit stack.  A step is dropped when it lands on an earlier position an
+even number of steps back, the only ones a walk on the bipartite Z^d can
+return to.  Only walks canonical under the 2^d d! signed coordinate
+permutations are visited (axes first appear in the order 1..d, each first
+positively); one that uses k axes adds its orbit size 2^k d!/(d-k)! to its
+endpoint.  Each block's weights are summed per endpoint exactly in int64 (a
+sort and np.add.reduceat) and merged into Python integers.
 
 Symmetric points end equally many walks, so the series is stored once per
-endpoint class (the sorted |coordinates| of a point): the weighted counts
-are folded into classes, and each class total is split evenly over the
-class's distinct signed permutations, which gives the count at each of its
-points.  The split is an exact integer division and raises ArithmeticError
-if it ever leaves a remainder.  Per-point counts are expanded from the
-classes only on demand (WalkSeries.endpoints).  The JSON artifact lists
-every point with its counts; WalkSeries.write_endpoints streams that list
-as text, in the layout of json.dump(indent=2, sort_keys=True), from one
-counts block per class, encoded once and shared by the class's points.
+endpoint class (the sorted |coordinates| of a point): each class total is
+split exactly over the class's d!/prod_v m_v! 2^(nonzero coordinates)
+points, m_v the coordinates of magnitude v.  The endpoints are the points of
+the l1 ball of radius N, each the end of a shortest walk.  WalkSeries.endpoints
+and write_endpoints (the artifact's list, streamed as json text) walk the
+ball in lexicographic order, one axis and one slab of the first coordinate
+at a time, and look up each point's class by code.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -85,14 +73,9 @@ def default_max_length(dimension: int) -> int:
 
 
 def ball_size(dimension: int, radius: int) -> int:
-    """Number of points of Z^d with l1 norm <= radius."""
-    if radius < 0:
-        return 0
-    d = dimension
-    return sum(
-        2**k * math.comb(d, k) * math.comb(radius, k)
-        for k in range(0, min(d, radius) + 1)
-    )
+    """Number of points of Z^d with l1 norm <= radius (0 when radius < 0)."""
+    return sum(2**k * math.comb(dimension, k) * math.comb(radius, k)
+               for k in range(min(dimension, radius) + 1))
 
 
 # --- series container ---
@@ -116,39 +99,67 @@ class WalkSeries:
     @property
     def endpoints(self) -> dict[Point, list[int]]:
         """Per-point view {y: counts}, expanded from the classes; read only."""
-        return {y: row for cls, row in self.classes.items()
-                for y in _class_points(cls)}
+        rows = list(self.classes.values())
+        return {y: rows[c] for _, _, points, at in self._ball()
+                for y, c in zip(zip(*points.T.tolist()), at)}
+
+    def _ball(self):
+        """The ball |y|_1 <= N in lexicographic order, a slab per first
+        coordinate: (first, steps, points, at), steps the stacked (parent,
+        value) arrays that extend the prefixes by v = -r..r axis by axis (r
+        the radius left), at[i] the position in classes of points[i]'s class."""
+        n = self.max_length
+        base = (n + 1) ** np.arange(self.dimension, dtype=np.int64)
+        codes = np.array(list(self.classes), dtype=np.int64) @ base
+        order = np.argsort(codes)
+        for first in range(-n, n + 1):
+            points, left = np.array([[first]]), np.array([n - abs(first)])
+            steps = []
+            for _ in range(self.dimension - 1):
+                width = 2 * left + 1
+                parent = np.repeat(np.arange(len(left)), width)
+                value = np.arange(len(parent)) - (np.cumsum(width) - left - 1)[parent]
+                left = left[parent] - np.abs(value)
+                points = np.column_stack((points[parent], value))
+                steps.append(np.stack((parent, value)))
+            keys = np.sort(np.abs(points), axis=1) @ base
+            at = order[np.searchsorted(codes, keys, sorter=order) % len(codes)]
+            if (codes[at] != keys).any():  # a shortest walk ends at each point
+                raise ValueError(f"no class holds {points[codes[at] != keys][0]}")
+            yield first, steps, points, at.tolist()
 
     def to_json_dict(self) -> dict:
         """The artifact's series but its endpoint list (write_endpoints
         writes that); counts are decimal strings, since exact counts
         outgrow 64-bit JSON integers."""
-        return {
-            "dimension": self.dimension,
-            "max_length": self.max_length,
-            "totals": [str(c) for c in self.totals],
-        }
+        return {"dimension": self.dimension, "max_length": self.max_length,
+                "totals": [str(c) for c in self.totals]}
 
     def write_endpoints(self, fh: TextIO, level: int) -> None:
         """Write the artifact's endpoint list to fh: one {"counts", "point"}
         entry per point in sorted point order, as the text that
         json.dump(indent=2, sort_keys=True) gives the list under a key at
-        indent level `level`.  Each class's counts block is encoded once, by
-        json, and shared by the entries of its points."""
+        indent level `level`, one slab of the ball walk at a time."""
         pad = "  " * (level + 1)  # the entries' braces
         inner = pad + "  "        # their keys
         item = inner + "  "       # the items of their lists
-        heads = {
-            cls: (f'\n{pad}{{\n{inner}"counts": '
-                  + json.dumps([str(c) for c in row], indent=2).replace("\n", "\n" + inner)
-                  + f',\n{inner}"point": [\n{item}')
-            for cls, row in self.classes.items()}
-        sep, tail = ",\n" + item, f"\n{inner}]\n{pad}}}"
-        # never empty: the origin ends the length-0 walk
-        points = sorted((y, cls) for cls in self.classes for y in _class_points(cls))
-        fh.write("[")
-        fh.writelines(f"{',' if i else ''}{heads[cls]}{sep.join(map(str, y))}{tail}"
-                      for i, (y, cls) in enumerate(points))
+        heads = [f',\n{pad}{{\n{inner}"counts": '
+                 + json.dumps([str(c) for c in row], indent=2).replace("\n", "\n" + inner)
+                 + f',\n{inner}"point": [\n{item}'
+                 for row in self.classes.values()]
+        tail, n = f"\n{inner}]\n{pad}}}", self.max_length
+        coords = {v: f",\n{item}{v}" for v in range(-n, n + 1)}  # after the first
+
+        def entries():
+            for first, steps, _, at in self._ball():
+                text = [str(first)]
+                for step in steps:
+                    text = [text[p] + coords[v] for p, v in zip(*step.tolist())]
+                yield from (f"{heads[c]}{t}{tail}" for c, t in zip(at, text))
+
+        lines = entries()  # never empty: the origin ends the length-0 walk
+        fh.write("[" + next(lines)[1:])  # the first entry takes no comma
+        fh.writelines(lines)
         fh.write(f"\n{'  ' * level}]")
 
 
@@ -177,21 +188,16 @@ def _estimate_bytes(dimension: int, max_length: int) -> int:
     # what a saw run holds at its peak, the artifact write included, times
     # 1.5 as headroom, plus 256 KiB for the command itself (parser, config,
     # envelope text, file buffer); deliberately rough:
-    # - the per-length maps of _canonical_counts, at most one entry per point
-    #   of the l1 ball per length of the point's parity: 128 bytes each
-    #   (encoded point, count, dict slot);
-    # - the block stack of the tree walk: per length t < N, one array of
-    #   walks still to extend, at most 2d blocks and never more than the
-    #   c_t <= 2d (2d-1)^(t-1) walks of length t, at 8 bytes a position plus
-    #   an axis count per walk; and the block being extended, whose
-    #   extensions take another copy of their positions and 160 bytes each
-    #   of temporaries (steps, indices, weights, sort order, sums and their
-    #   lists);
-    # - the sorted (point, class) list of WalkSeries.write_endpoints, one
-    #   entry per point of the ball: point and pair tuples, list slots;
-    # - the class rows and their encoded counts blocks, 64 bytes a length per
-    #   class; each class has a point with coordinates >= 0, and the ball
-    #   holds comb(N + d, d) of those
+    # - the per-length maps of _canonical_counts: at most one entry per ball
+    #   point per length of its parity, 128 bytes each;
+    # - the tree walk's block stack: per length t < N at most 2d blocks and
+    #   c_t <= 2d (2d-1)^(t-1) walks, 8 bytes a position and an axis count
+    #   each, and the block being extended: a copy of its positions and 160
+    #   bytes per extension;
+    # - write_endpoints' largest slab, the (d-1)-dimensional ball: per point
+    #   two texts (64 bytes, 24 a coordinate), 3 coordinate, 8 index arrays;
+    # - the class rows and counts blocks, 64 bytes a length for each of at
+    #   most comb(N + d, d) classes (the ball points with coordinates >= 0)
     d, n = dimension, max_length
     entries = sum((ball_size(d, r) - ball_size(d, r - 1)) * ((n - r) // 2 + 1)
                   for r in range(n + 1))
@@ -199,7 +205,7 @@ def _estimate_bytes(dimension: int, max_length: int) -> int:
                    for t in range(1, n + 1)]
     blocks = (sum(walks[t] * (8 * t + 9) for t in range(1, n))
               + walks[n] * (8 * n + 168))
-    held = (128 * entries + blocks + (144 + 8 * d) * ball_size(d, n)
+    held = (128 * entries + blocks + (192 + 72 * d) * ball_size(d - 1, n)
             + 64 * (n + 1) * math.comb(n + d, d))
     return (1 << 18) + int(1.5 * held)
 
@@ -262,21 +268,21 @@ def _canonical_counts(dimension: int,
     return counts
 
 
-def _class_points(cls: Point) -> list[Point]:
-    """The distinct signed permutations of a point."""
-    return [q for p in sorted(set(itertools.permutations(cls)))
-            for q in itertools.product(*[(a,) if a == 0 else (a, -a) for a in p])]
+def _class_size(cls: Point) -> int:
+    """Points in the class cls: d!/prod_v m_v! orderings, m_v coordinates of
+    magnitude v, times a sign for each nonzero coordinate."""
+    size = math.factorial(len(cls)) * 2 ** sum(map(bool, cls))
+    return size // math.prod(math.factorial(cls.count(v)) for v in set(cls))
 
 
 def enumerate_walks(dimension: int, max_length: Optional[int] = None, *,
                     memory_budget: int = DEFAULT_MEMORY_BUDGET) -> WalkSeries:
     """Enumerate all SAWs from the origin up to max_length, exactly.
 
-    Raises BudgetExceededError when the estimated endpoint-map footprint
-    exceeds memory_budget, and, whatever the budget, when the tree walk's
-    int64 arithmetic could overflow: an encoded position past 2^63 - 1, or
-    a block's sum at one endpoint (_BLOCK walks, 2d moves each, each of the
-    largest orbit weight) reaching 2^63.
+    Raises BudgetExceededError when the estimated footprint exceeds
+    memory_budget, and, whatever the budget, when an encoded position or a
+    block's sum at one endpoint (_BLOCK walks, 2d moves each, of the largest
+    orbit weight) could leave int64.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -309,19 +315,15 @@ def enumerate_walks(dimension: int, max_length: Optional[int] = None, *,
             for _ in range(dimension):
                 code, r = divmod(code, w)
                 cls.append(abs(r - n_max))
-            row = classes.setdefault(tuple(sorted(cls)), [0] * (n_max + 1))
-            row[n] += c
+            classes.setdefault(tuple(sorted(cls)), [0] * (n_max + 1))[n] += c
 
     # every point of a class ends the same number of walks
     for cls, row in classes.items():
-        size = len(_class_points(cls))
-        for n, c in enumerate(row):
-            q, r = divmod(c, size)
-            if r:
-                raise ArithmeticError(
-                    f"{c} length-{n} walks to the class of {cls} do not split "
-                    f"evenly over its {size} points")
-            row[n] = q
+        size = _class_size(cls)
+        if any(c % size for c in row):
+            raise ArithmeticError(f"the walks to the class of {cls} do not "
+                                  f"split evenly over its {size} points")
+        row[:] = [c // size for c in row]
     return WalkSeries(dimension=dimension, max_length=n_max,
                       totals=totals, classes=classes)
 
@@ -393,8 +395,6 @@ def connective_upper_bounds(series: WalkSeries) -> ConnectiveBounds:
     Monotonicity in n is not guaranteed pointwise, only along divisors; the
     largest available n is usually the sharpest.
     """
-    pairs = [
-        (n, math.exp(math.log(series.totals[n]) / n))
-        for n in range(1, series.max_length + 1)
-    ]
+    pairs = [(n, math.exp(math.log(series.totals[n]) / n))
+             for n in range(1, series.max_length + 1)]
     return ConnectiveBounds(pairs=pairs, trivial=2.0 * series.dimension - 1.0)

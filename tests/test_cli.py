@@ -132,6 +132,7 @@ def test_verify_decay_nmax_zero_exits_2(capsys):
 SAW_ARTIFACT_SHA256 = {
     (3, 6): "baa85536ab69e9bb6ff0cbc2d013f5aa72122f38176ac529222d21c9d4574747",
     (6, 4): "4571dd74b84efb2c618245c8f2745de3a5e4025872f64ef974c05b48f240d53c",
+    (6, 8): "82678afb540999e3f67e2da93da9a42fea6d254ff930db9b43578d466452836b",
 }
 
 
@@ -148,7 +149,7 @@ def test_saw_artifact_bytes_pinned(capsys, d, n_max):
 # included: the splice must still find the one true key line
 @pytest.mark.parametrize("out", [None, "saw.json", '\n      "endpoints": []'])
 @pytest.mark.parametrize("d, n_max", [(1, 0), (1, 6), (2, 0), (2, 8), (3, 5),
-                                      (6, 4)])
+                                      (4, 5), (6, 4), (7, 2)])
 def test_saw_artifact_matches_per_point_oracle(capsys, tmp_path, d, n_max, out):
     args = ["saw", "--dim", str(d), "--nmax", str(n_max)]
     if out is not None:

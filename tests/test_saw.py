@@ -1,7 +1,9 @@
 """Exact walk enumeration against independent oracles and its invariants."""
 
+import io
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -197,7 +199,7 @@ def test_memory_budget_enforced():
         saw.enumerate_walks(3, 10, memory_budget=1000)
 
 
-@pytest.mark.parametrize("d, n_max", [(2, 10), (3, 6), (6, 5), (2, 14)])
+@pytest.mark.parametrize("d, n_max", [(2, 10), (3, 6), (6, 5), (2, 14), (6, 8)])
 def test_estimate_bytes_covers_traced_peak(tmp_path, d, n_max):
     # enumeration and the artifact write, as the saw command runs them
     tracemalloc.start()
@@ -278,11 +280,44 @@ def test_classes_one_per_sorted_magnitude():
     assert len(series.classes) == 12
 
 
+def signed_permutations(cls):
+    """The distinct signed permutations of a point, by brute force."""
+    return {tuple(s * v for s, v in zip(signs, p))
+            for p in permutations(cls) for signs in product((1, -1), repeat=len(cls))}
+
+
 def test_class_rows_times_sizes_are_totals():
     series = saw.enumerate_walks(6, 4)
     for n, total in enumerate(series.totals):
-        assert total == sum(row[n] * len(saw._class_points(cls))
+        assert total == sum(row[n] * len(signed_permutations(cls))
                             for cls, row in series.classes.items())
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_class_size_counts_the_signed_permutations(d):
+    classes = saw.enumerate_walks(d, 4).classes
+    assert len(classes) > 1
+    for cls in classes:
+        assert saw._class_size(cls) == len(signed_permutations(cls))
+
+
+@pytest.mark.parametrize("d", [9, 39])
+def test_many_axes_split_without_listing_their_orderings(d):
+    # 39 axes at length 1 is the widest shape the int64 guard lets through
+    start = time.perf_counter()
+    assert saw.enumerate_walks(d, 1).totals == [1, 2 * d]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_ball_point_without_a_class_is_refused():
+    # every point with |y|_1 <= N ends a shortest walk, so a series whose
+    # classes miss one cannot have come from enumerate_walks
+    series = saw.WalkSeries(dimension=2, max_length=1, totals=[1, 4],
+                            classes={(0, 0): [1, 0]})
+    with pytest.raises(ValueError, match="no class holds"):
+        series.endpoints
+    with pytest.raises(ValueError, match="no class holds"):
+        series.write_endpoints(io.StringIO(), 0)
 
 
 def test_correlation_invariant_under_signed_permutations(series_d3):
