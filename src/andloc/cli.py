@@ -18,15 +18,15 @@ there.
 
 verify reads one table, _CHECKS: per check its chunk tasks, whether they
 run in the pool, and the fold of their measurements into a status.  One
-parallel.map_ordered call runs the walk series, when a selected check
-reads it, and the tasks of the pooled checks; the checks then run in
-table order in this process, each folding its measurements in case order,
-so artifacts are bit-identical for any --workers.  Each check's pass rule
-is written once, in its fold; the library returns measurements only.
-resolvent runs its dense cases here while no worker runs, and ceiling
-samples through a pool of its own.  A check's wallclock stage is its own
-time here plus the seconds of the tasks it read, wherever they ran, so at
-2 workers the stages can sum to more than elapsed_seconds.
+parallel.map_ordered call, the run's only pool, runs the moment checks'
+one task, when ceiling or decay runs, and the tasks of the pooled checks;
+the checks then run in table order in this process, each folding its
+measurements in case order, so artifacts are bit-identical for any
+--workers.  Each check's pass rule is written once, in its fold; the
+library returns measurements only.  resolvent runs its dense cases here
+while no worker runs.  A check's wallclock stage is its own time here plus
+the seconds of the tasks it read, wherever they ran, so at 2 workers the
+stages can sum to more than elapsed_seconds.
 
 Exit codes: 0 success, 1 a bound check failed, 2 bad input, 3 resource
 limits, 4 linear-solver failure.
@@ -353,6 +353,32 @@ def _drb_chunk(*args) -> list:
     return moments.check_drb_conditional(*args)
 
 
+def _moment_task(cfg: dict, pairs: list, ceiling: bool, decay: bool) -> tuple:
+    """(series, ceilings, regions, estimates), one task of verify's pool, so
+    sampled on one worker: the walk series if ceiling runs or decay has no
+    --mu, the ceilings or the error that skips ceiling, then at s_crit(lambda)
+    the region family if the ceilings exist, else the full box if decay runs.
+    The full box is first, so the first len(pairs) estimates are decay's."""
+    dim, lam, L = cfg["dim"], cfg["lambda_"], _box_L(cfg, "moments")
+    series = _series(cfg) if ceiling or cfg["mu"] is None else None
+    ceilings, regions, ests = None, [], []
+    if ceiling:
+        try:
+            ceilings = _ceilings(series, lam, pairs)
+            regions = moments.default_region_family(
+                dim, L, keep=[p for pr in pairs for p in pr],
+                seed=substream(cfg["seed"], 17))
+        except moments.CeilingUnavailableError as exc:
+            ceilings = exc
+    if decay and not regions:
+        regions = [anderson.Region(dimension=dim, L=L)]
+    if regions:
+        ests = moments.estimate_moments(
+            regions, lam, critical.s_crit(lam), complex(cfg["z_real"], cfg["z_imag"]),
+            pairs, cfg["samples"], substream(cfg["seed"], 16), workers=1)
+    return series, ceilings, len(regions), ests
+
+
 def _run_task(task) -> tuple[bool, object, float]:
     """(True, fn(*args), seconds), or (False, the exception it raised,
     seconds): the error is raised again where a check reads the result."""
@@ -410,10 +436,7 @@ def _drb_tasks(run: _VerifyRun) -> list:
 
 
 class _VerifyRun:
-    """What the checks of one verify run share: the resolved inputs, the
-    outcomes of the pooled tasks, plus the walk series and the full-box
-    estimates, each built at most once and only when a selected check reads
-    it."""
+    """What one verify run's checks share: its inputs and pooled task outcomes."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -421,26 +444,23 @@ class _VerifyRun:
         self.lam = cfg["lambda_"]
         self.z = complex(cfg["z_real"], cfg["z_imag"])
         self.seed = cfg["seed"]
-        self.eps = cfg["eps"]
         self.workers = cfg["workers"]
-        self.box_estimates = None  # set by the ceiling check, read by decay
-        self.pooled = {}  # check or "series" -> the _run_task outcomes of its tasks
+        if cfg["trials"] is not None and cfg["trials"] < 0:
+            raise ValueError(f"trials must be >= 0, got {cfg['trials']}")
+        self.pooled = {}  # check or "moments" -> the _run_task outcomes of its tasks
         self.task_seconds = 0.0  # of the pooled tasks the running check read
 
     def trials(self, default: int) -> int:
         return self.cfg["trials"] if self.cfg["trials"] is not None else default
 
-    def reads_series(self, names) -> bool:
-        """Whether a selected check reads the walk series: ceiling, or decay
-        without --mu, unless it skips first."""
-        return any(_moment_skip(self, name) is None for name in names
-                   if name == "ceiling" or (name == "decay" and self.cfg["mu"] is None))
-
     def run_pool(self, names: list[str]) -> None:
-        """Run in one map_ordered call the walk series (first, as the longest
-        task) when a selected check reads it, then the tasks of the pooled
-        checks among names, in that order."""
-        jobs = [("series", [(_series, (self.cfg,))])] if self.reads_series(names) else []
+        """Run in one map_ordered call the moment checks' task (first, as the
+        longest) when ceiling or decay is among names and does not skip, then
+        the tasks of the pooled checks among names, in that order."""
+        runs = [name in names and _moment_skip(self, name) is None
+                for name in ("ceiling", "decay")]
+        jobs = ([("moments", [(_moment_task, (self.cfg, self.pairs, *runs))])]
+                if any(runs) else [])
         jobs += [(name, _CHECKS[name][0](self)) for name in names if _CHECKS[name][1]]
         tasks = [(job, task) for job, job_tasks in jobs for task in job_tasks]
         outcomes = map_ordered(_run_task, [task for _, task in tasks],
@@ -468,10 +488,9 @@ class _VerifyRun:
         return [case for chunk in chunks for case in chunk]
 
     @cached_property
-    def series(self) -> saw.WalkSeries:
-        """The walk series the pool built: run_pool pools it exactly when a
-        check that reads it (reads_series) is selected and does not skip."""
-        return self.take("series")[0]
+    def moment_work(self) -> tuple:
+        """The moment task's result; the first check to read it takes its seconds."""
+        return self.take("moments")[0]
 
     @cached_property
     def pairs(self) -> list:
@@ -482,24 +501,14 @@ class _VerifyRun:
             raise ValueError(f"distances must be >= 0, got {min(dists)}")
         return _axis_pairs(self.dim, [d for d in dists if d <= L])
 
-    def box_moments(self) -> list[moments.MomentEstimate]:
-        """The ceiling check's full-box estimates, else the same call run here."""
-        if self.box_estimates is None:
-            box = anderson.Region(dimension=self.dim, L=_box_L(self.cfg, "moments"))
-            self.box_estimates = moments.estimate_moments(
-                box, self.lam, critical.s_crit(self.lam), self.z, self.pairs,
-                self.cfg["samples"], substream(self.seed, 16), self.workers)
-        return self.box_estimates
-
 
 def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
 def _moment_skip(run: _VerifyRun, name: str) -> Optional[tuple[str, dict]]:
-    """The skip of moment check name, ceiling or decay, before it reads the
-    walk series or samples, or None: s_crit(lambda) must exist, and the box
-    must hold one distance (ceiling) or three (decay)."""
+    """The skip of moment check name, ceiling or decay, or None: s_crit(lambda)
+    must exist, and the box must hold one distance (ceiling) or three (decay)."""
     if run.lam <= math.e:
         return "skipped", {"reason": f"criterion not met: lambda = {run.lam} <= e"}
     if name == "ceiling" and not run.pairs:
@@ -560,24 +569,12 @@ def _check_ceiling(run: _VerifyRun, _) -> tuple[str, dict]:
     skip = _moment_skip(run, "ceiling")
     if skip:
         return skip
-    cfg, pairs, L = run.cfg, run.pairs, _box_L(run.cfg, "moments")
-    family = moments.default_region_family(
-        run.dim, L, keep=[p for pr in pairs for p in pr],
-        seed=substream(run.seed, 17))
-    n_samples = cfg["samples"]
-    try:
-        ceilings = _ceilings(run.series, run.lam, pairs)
-    except moments.CeilingUnavailableError as exc:
-        return "skipped", {"reason": f"criterion not met: {exc}"}
-    ests = moments.estimate_moments(family, run.lam, critical.s_crit(run.lam),
-                                    run.z, pairs, n_samples,
-                                    substream(run.seed, 16), run.workers)
-    # family[0] is the full box: the same call decay would make
-    run.box_estimates = ests[:len(pairs)]
-    entries = [_estimate_entry(e, c)
-               for e, c in zip(ests, ceilings * len(family))]
+    _, ceilings, regions, ests = run.moment_work
+    if isinstance(ceilings, moments.CeilingUnavailableError):
+        return "skipped", {"reason": f"criterion not met: {ceilings}"}
+    entries = [_estimate_entry(e, c) for e, c in zip(ests, ceilings * regions)]
     return _status(all(e["margin"] >= 0.0 for e in entries)), {
-        "regions": len(family), "samples": n_samples, "estimates": entries,
+        "regions": regions, "samples": run.cfg["samples"], "estimates": entries,
         "max_cancellation": max((e.cancellation for e in ests
                                  if e.cancellation is not None), default=None)}
 
@@ -588,9 +585,10 @@ def _check_decay(run: _VerifyRun, _) -> tuple[str, dict]:
     skip = _moment_skip(run, "decay")
     if skip:
         return skip
+    series, _, _, ests = run.moment_work
     mu_hat = (run.cfg["mu"] if run.cfg["mu"] is not None
-              else saw.connective_upper_bounds(run.series).best)
-    fit = moments.fit_decay(run.box_moments(), run.lam, mu_hat, run.eps)
+              else saw.connective_upper_bounds(series).best)
+    fit = moments.fit_decay(ests[:len(run.pairs)], run.lam, mu_hat, run.cfg["eps"])
     dominates = fit.fitted_rate >= fit.reference_rate - 2.0 * fit.rate_stderr
     return _status(dominates), fit.to_json_dict() | {
         "dominates_reference": dominates, "mu_upper": mu_hat}
@@ -601,9 +599,8 @@ def _check_decay(run: _VerifyRun, _) -> tuple[str, dict]:
 #: each case of an identity stream, B grid or environment in exactly one,
 #: each task returning one measurement per case; pooled runs them in
 #: run_verify's pool, else they run here when the check does.  fold(run,
-#: measurements) gives (status, detail).  ceiling and decay have no tasks:
-#: they read the walk series, which the pool builds when one of them will,
-#: and sample through moments.  resolvent stays out of the pool: its dense
+#: measurements) gives (status, detail).  ceiling and decay share one task,
+#: _moment_task, instead.  resolvent stays out of the pool: its dense
 #: inversions run multithreaded BLAS, which pool workers beside them
 #: oversubscribe.  Pooled at 2 workers on a 2-vCPU VM, verify --lambda 30
 #: took 1.28-3.52 s against 0.86-1.08 s (seeds 1-6), the resolvent stage

@@ -198,13 +198,14 @@ def estimate_moments(regions: Region | Sequence[Region], lam: float, s: float,
 
     Returns one estimate per (region, pair), region-major.  Every region uses
     the same samples, from one map_ordered call (one worker pool) over all
-    their chunks: sample k uses the disorder seed substream(seed, k), and
-    per-sample values are stacked in k order before reduction, so mean and
-    stderr are bit-identical for any worker count.  A region that is
-    base.without(p) for an earlier region base of the call is not factored:
-    its values derive from base's factor (_entries), and its estimates carry
-    the largest cancellation of that derivation.  Every other region is
-    factored once per sample.
+    their chunks, or at one worker from a loop, which nests no section in
+    verify's pooled moment task (perfbench's tracer cannot): sample k uses
+    the disorder seed substream(seed, k), and per-sample values are stacked
+    in k order before reduction, so mean and stderr are bit-identical for
+    any worker count.  A region that is base.without(p) for an earlier
+    region base of the call is not factored: its values derive from base's
+    factor (_entries), and its estimates carry the largest cancellation of
+    that derivation.  Every other region is factored once per sample.
     """
     if isinstance(regions, Region):
         regions = [regions]
@@ -234,7 +235,8 @@ def estimate_moments(regions: Region | Sequence[Region], lam: float, s: float,
     tasks = [(regions[j], lam, s, complex(z), pairs, seed, ks.start, ks.stop,
               *(p for _, p in derived))
              for j, derived in plan.items() for ks in spans]
-    chunks = map_ordered(_moment_chunk, tasks, workers)
+    chunks = (map_ordered(_moment_chunk, tasks, workers) if workers > 1
+              else list(map(_moment_chunk, tasks)))
     n = len(pairs)
     values, cancellation = {}, {}
     for t, (j, derived) in enumerate(plan.items()):

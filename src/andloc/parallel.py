@@ -4,9 +4,9 @@ Parallel sections split work into an ordered task list, compute each task
 independently, and merge results in task order: map_ordered returns them as
 one list, which every caller consumes whole.  Outputs are therefore
 bit-identical for any worker count.  The sections are the Monte Carlo
-chunks of moments and, in cli's verify, the walk series and the chunks of
-the identity, a priori and conditional-bound checks; pieces cuts each into
-its chunks.
+chunks of moments and, in cli's verify, the moment checks' one task and
+the chunks of the identity, a priori and conditional-bound checks; pieces
+cuts each into its chunks.
 """
 
 from __future__ import annotations

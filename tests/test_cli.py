@@ -487,9 +487,12 @@ def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
     (["verify", "--only", "drb", "--L", "0"], None, 0, "no case ran"),
     (["verify", "--only", "ceiling,decay"], {"distances": "-2..3"}, 2,
      "distances"),
+    (["verify", "--trials", "-3", "--only", "depleted"], None, 2, "trials"),
+    (["verify", "--trials", "-3", "--only", "apriori"], None, 2, "trials"),
 ], ids=["identity-L0", "depleted-trials0", "schur-L0", "apriori-trials0",
         "ceiling-far", "moment-no-distance", "drb-n-env-0", "drb-L0",
-        "verify-negative-distance"])
+        "verify-negative-distance", "depleted-trials-negative",
+        "apriori-trials-negative"])
 def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
                                                args, file_cfg, code, shown):
     # an uncaught exception fails the test before any assert
@@ -610,7 +613,7 @@ def test_verify_decay_with_mu_enumerates_no_walks(capsys, monkeypatch):
 def test_verify_skipped_moment_checks_enumerate_no_walks(tmp_path, capsys,
                                                          monkeypatch, args,
                                                          file_cfg, reason):
-    # counted, not raised: a series task that raised and was never read
+    # counted, not raised: a moment task that raised and was never read
     # would pass unseen; with one task the pool runs it in this process
     calls = []
     monkeypatch.setattr(cli.saw, "enumerate_walks",
@@ -666,6 +669,21 @@ def test_verify_shares_series_and_box_estimates(capsys, monkeypatch, lam,
     names = [c["name"] for c in json.loads(out)["result"]["checks"]]
     assert names == ["ceiling", "decay"]  # table order, not --only order
     assert calls == {"walks": 1, "runs": 1, "regions": moment_regions}
+
+
+@pytest.mark.parametrize("lam", ["30", "5"])  # at 5 the ceiling is unavailable
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_decay_reads_the_full_box_whatever_else_runs(capsys, lam,
+                                                            workers):
+    details = []
+    for only in ("decay", "ceiling,decay"):
+        doc = run_json(["verify", "--only", only, "--lambda", lam, "--samples",
+                        "40", "--L", "4", "--nmax", "8", "--workers", workers],
+                       capsys)
+        checks = {c["name"]: c for c in doc["result"]["checks"]}
+        assert checks["decay"]["status"] != "skipped"
+        details.append(checks["decay"]["detail"])
+    assert details[0] == details[1]
 
 
 def test_verify_only_help_lists_the_check_table(capsys, monkeypatch):
@@ -759,9 +777,28 @@ def test_verify_artifacts_identical_across_worker_counts(capsys, pool_starts,
         docs[workers] = doc
     assert docs["1"] == docs["2"]
     assert [c["name"] for c in docs["1"]["result"]["checks"]] == list(cli._CHECKS)
-    # the pooled checks with the walk series, then the ceiling's Monte Carlo
-    # (or, at lambda = 5, decay's)
-    assert pool_starts == [2, 2]
+    # one pool: the moment checks' task (the walk series and the ceiling's
+    # Monte Carlo, or at lambda = 5 decay's) with the pooled checks' tasks
+    assert pool_starts == [2]
+
+
+def test_verify_pool_tasks_open_no_nested_section(capsys, monkeypatch):
+    # the moment task samples inside a pool worker; a map_ordered call there
+    # would open a section inside a section, which perfbench's tracer (it
+    # restarts a worker's trace per task) cannot follow
+    main_pid, map_ordered = os.getpid(), cli.moments.map_ordered
+
+    def main_process_only(*args):
+        assert os.getpid() == main_pid, "map_ordered called in a pool task"
+        return map_ordered(*args)
+
+    monkeypatch.setattr(cli.moments, "map_ordered", main_process_only)
+    code, out, err = run_main(["verify", "--only", "depleted,ceiling,decay",
+                               "--samples", "8", "--L", "4", "--nmax", "8",
+                               "--trials", "4", "--workers", "2"], capsys)
+    assert code in (0, 1), err
+    assert [c["name"] for c in json.loads(out)["result"]["checks"]] == [
+        "depleted", "ceiling", "decay"]
 
 
 def _singular_depleted_case(region, lam, sample, z, x, y):
