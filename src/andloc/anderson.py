@@ -32,7 +32,9 @@ only: the tolerance it is judged against lives in cli's verify checks.
   * full resolvent expansion through the decoupled operator
         B = H^{({x})} (+) H^{(Lambda \\ {x})} - z:
         A^{-1} = B^{-1} - A^{-1} (sum_{x' ~ x} T_{x,x'}) B^{-1},
-    with T_{x,x'} the elementary hop between x and x'.
+    with T_{x,x'} the elementary hop between x and x', both inverses taken
+    column by column from the banded factors of the region and of the
+    region minus x.
 
 The Schur complement behind both: G(x, x) = 1/(lambda omega(x) - B(x, omega))
 where B(x, omega) does not depend on omega(x); verify_schur_diagonal
@@ -441,29 +443,28 @@ def verify_resolvent_expansion(region: Region, lam: float, sample: DisorderSampl
                                z: complex, x) -> float:
     """Entrywise discrepancy of the full resolvent expansion at site x.
 
-    Assembles B = H^{({x})} (+) H^{(Lambda \\ {x})} - z and the elementary
-    hops T_{x,x'} explicitly, inverts densely (small regions only), and
-    returns max |A^{-1} - (B^{-1} - A^{-1} T B^{-1})| / max |A^{-1}|.
+    A^{-1} is every column of the region's banded factor.  B^{-1} is
+    1/(lambda omega(x) - z) at (x, x) beside every column of the factor of
+    the region minus x, and A^{-1} T B^{-1}, T the hops between x and its
+    neighbors, is two outer products.  Returns
+    max |A^{-1} - (B^{-1} - A^{-1} T B^{-1})| / max |A^{-1}|.
     """
-    x = tuple(x)
-    n = region.n_sites
-    if n > 2000:
-        raise ValueError("dense expansion check is for small regions")
+    x, z = tuple(x), complex(z)
+    if region.n_sites > 2000:  # two dense n x n arrays of columns
+        raise ValueError("expansion check is for small regions")
     if x not in region.index:
         raise ValueError(f"site {x} is not in the region")
     ix = region.index[x]
-    a = build_hamiltonian(region, lam, sample, complex(z)).toarray()
-
-    b = a.copy()
-    b[ix, :] = 0.0
-    b[:, ix] = 0.0
-    b[ix, ix] = a[ix, ix]  # lambda omega(x) - z survives in the {x} block
-
-    t = np.zeros_like(a)
-    for q in region.neighbors_in(x):
-        t[ix, region.index[q]] = t[region.index[q], ix] = 1.0
-
-    a_inv = np.linalg.inv(a)
-    b_inv = np.linalg.inv(b)
-    rhs = b_inv - a_inv @ t @ b_inv
+    a_inv = ResolventColumns(region, lam, sample.omega, z).columns(region.sites)[0]
+    b_inv = np.zeros_like(a_inv)
+    b_inv[ix, ix] = 1.0 / (lam * sample.value(x) - z)
+    depleted = region.without(x)
+    if depleted.n_sites:
+        rest = [region.index[p] for p in depleted.sites]
+        b_inv[np.ix_(rest, rest)] = ResolventColumns(
+            depleted, lam, sample.omega, z).columns(depleted.sites)[0]
+    nbrs = [region.index[q] for q in region.neighbors_in(x)]
+    at_b = (np.outer(a_inv[:, ix], b_inv[nbrs].sum(axis=0))
+            + np.outer(a_inv[:, nbrs].sum(axis=1), b_inv[ix]))
+    rhs = b_inv - at_b
     return float(np.max(np.abs(a_inv - rhs)) / np.max(np.abs(a_inv)))

@@ -16,17 +16,16 @@ flags echo.  Each setting's default, flag type and help are declared once,
 in _SETTINGS, and each subcommand's flags in _COMMANDS: a new setting goes
 there.
 
-verify reads one table, _CHECKS: per check its chunk tasks, whether they
-run in the pool, and the fold of their measurements into a status.  One
-parallel.map_ordered call, the run's only pool, runs the moment checks'
-one task, when ceiling or decay runs, and the tasks of the pooled checks;
-the checks then run in table order in this process, each folding its
-measurements in case order, so artifacts are bit-identical for any
---workers.  Each check's pass rule is written once, in its fold; the
-library returns measurements only.  resolvent runs its dense cases here
-while no worker runs.  A check's wallclock stage is its own time here plus
-the seconds of the tasks it read, wherever they ran, so at 2 workers the
-stages can sum to more than elapsed_seconds.
+verify reads one table, _CHECKS: per check its chunk tasks and the fold
+of their measurements into a status.  One parallel.map_ordered call, the
+run's only pool, runs the moment checks' one task, when ceiling or decay
+runs, and the tasks of the other checks; the checks then run in table
+order in this process, each folding its measurements in case order, so
+artifacts are bit-identical for any --workers.  Each check's pass rule is
+written once, in its fold; the library returns measurements only.  A
+check's wallclock stage is its own time here plus the seconds of the tasks
+it read, wherever they ran, so at 2 workers the stages can sum to more
+than elapsed_seconds.
 
 Exit codes: 0 success, 1 a bound check failed, 2 bad input, 3 resource
 limits, 4 linear-solver failure.
@@ -399,7 +398,8 @@ def _identity_tasks(run: _VerifyRun, measure, tag: int, trials: int,
 
 
 def _resolvent_L(cfg: dict) -> int:
-    # dense expansion check is O(n^3); shrink the box until it fits
+    # the expansion check solves every column of two banded factors,
+    # O(n^2 kl); shrink the box until it fits 500 sites
     L = _box_L(cfg, "identity")
     while L > 1 and (2 * L + 1) ** cfg["dim"] > 500:
         L -= 1
@@ -456,12 +456,13 @@ class _VerifyRun:
     def run_pool(self, names: list[str]) -> None:
         """Run in one map_ordered call the moment checks' task (first, as the
         longest) when ceiling or decay is among names and does not skip, then
-        the tasks of the pooled checks among names, in that order."""
+        the tasks of the other checks among names, in that order."""
         runs = [name in names and _moment_skip(self, name) is None
                 for name in ("ceiling", "decay")]
         jobs = ([("moments", [(_moment_task, (self.cfg, self.pairs, *runs))])]
                 if any(runs) else [])
-        jobs += [(name, _CHECKS[name][0](self)) for name in names if _CHECKS[name][1]]
+        jobs += [(name, _CHECKS[name][0](self)) for name in names
+                 if _CHECKS[name][0] is not None]
         tasks = [(job, task) for job, job_tasks in jobs for task in job_tasks]
         outcomes = map_ordered(_run_task, [task for _, task in tasks],
                                self.workers)
@@ -480,12 +481,8 @@ class _VerifyRun:
         return [value for _, value, _ in outcomes]
 
     def cases(self, name: str) -> list:
-        """One measurement per case of check name's tasks, in case order:
-        the pool's, or else computed here."""
-        tasks, pooled, _ = _CHECKS[name]
-        chunks = (self.take(name) if pooled
-                  else [fn(*args) for fn, args in tasks(self)] if tasks else [])
-        return [case for chunk in chunks for case in chunk]
+        """One measurement per case of check name's tasks, in case order."""
+        return [case for chunk in self.take(name) for case in chunk]
 
     @cached_property
     def moment_work(self) -> tuple:
@@ -595,30 +592,25 @@ def _check_decay(run: _VerifyRun, _) -> tuple[str, dict]:
 
 
 #: the verification suite in run order, --only selecting from its names:
-#: name -> (tasks, pooled, fold).  tasks(run) lists the check's chunk tasks,
-#: each case of an identity stream, B grid or environment in exactly one,
-#: each task returning one measurement per case; pooled runs them in
-#: run_verify's pool, else they run here when the check does.  fold(run,
-#: measurements) gives (status, detail).  ceiling and decay share one task,
-#: _moment_task, instead.  resolvent stays out of the pool: its dense
-#: inversions run multithreaded BLAS, which pool workers beside them
-#: oversubscribe.  Pooled at 2 workers on a 2-vCPU VM, verify --lambda 30
-#: took 1.28-3.52 s against 0.86-1.08 s (seeds 1-6), the resolvent stage
-#: up to 5.3 s against 0.10-0.14 s.
+#: name -> (tasks, fold).  tasks(run) lists the check's chunk tasks for
+#: run_verify's pool, each case of an identity stream, B grid or
+#: environment in exactly one, each task returning one measurement per
+#: case.  fold(run, measurements) gives (status, detail).  ceiling and
+#: decay share one task, _moment_task, instead.
 _CHECKS = {
     "depleted": (lambda run: _identity_tasks(run, _depleted_gap, 11, 100,
                                              _box_L(run.cfg, "identity")),
-                 True, _identity_check),
+                 _identity_check),
     "resolvent": (lambda run: _identity_tasks(run, _resolvent_gap, 12, 20,
                                               _resolvent_L(run.cfg)),
-                  False, _identity_check),
+                  _identity_check),
     "schur": (lambda run: _identity_tasks(run, _schur_gap, 13, 50,
                                           _box_L(run.cfg, "identity")),
-              True, _identity_check),
-    "apriori": (_apriori_tasks, True, _check_apriori),
-    "drb": (_drb_tasks, True, _check_drb),
-    "ceiling": (None, False, _check_ceiling),
-    "decay": (None, False, _check_decay),
+              _identity_check),
+    "apriori": (_apriori_tasks, _check_apriori),
+    "drb": (_drb_tasks, _check_drb),
+    "ceiling": (None, _check_ceiling),
+    "decay": (None, _check_decay),
 }
 
 
@@ -638,7 +630,7 @@ def run_verify(cfg: dict) -> tuple[dict, dict]:
     checks, stages = [], {}
     for name in names:
         t0 = time.monotonic()
-        status, detail = _CHECKS[name][2](run, run.cases(name))
+        status, detail = _CHECKS[name][1](run, run.cases(name))
         stages[name] = time.monotonic() - t0 + run.task_seconds
         run.task_seconds = 0.0
         checks.append({"name": name, "status": status, "detail": detail})

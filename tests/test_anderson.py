@@ -380,6 +380,20 @@ def test_resolvent_expansion_small():
     assert err < 1e-12
 
 
+@pytest.mark.parametrize("dim, L, deleted, x", [
+    (2, 0, [], (0, 0)),  # one site: the region minus x is empty
+    (2, 2, [(1, 0), (-1, 0), (0, 1), (0, -1)], (0, 0)),  # x has no neighbor
+    (1, 4, [(2,), (-3,)], (1,)),
+    (3, 2, [(0, 0, 1), (1, 1, 1)], (0, 0, 0)),
+])
+def test_resolvent_expansion_regions(dim, L, deleted, x):
+    region = anderson.make_region(dim, L, deleted)
+    sample = anderson.sample_disorder(region, 36)
+    for lam in (LAM, 1.0):
+        err = anderson.verify_resolvent_expansion(region, lam, sample, Z, x)
+        assert err < 1e-12
+
+
 def test_identities_at_weak_disorder():
     # lambda = 1 keeps |G| of order one so relative checks are meaningful
     region = anderson.make_region(2, 4, [(2, 0)])

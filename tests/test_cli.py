@@ -359,6 +359,7 @@ _BANDED = anderson.ResolventColumns
 _RULE = moments._apriori_rule
 _LEGGAUSS = moments.leggauss
 _GREEN = moments.green
+_NEIGHBORS = anderson.Region.neighbors_in
 
 
 def _pattern_without_axis0_hops(region):
@@ -394,6 +395,11 @@ def _rule_halved_off_power_law(t0, width, eta, s, n_nodes):
     seg, t, log_r, log_jac, w = _RULE(t0, width, eta, s, n_nodes)
     power = (t0 == 0.0) & (eta == 0.0)
     return seg, t, log_r, log_jac, np.where(power[seg], w, 0.5 * w)
+
+
+def _neighbors_but_last(region, p):
+    """Region.neighbors_in with its last neighbor dropped."""
+    return _NEIGHBORS(region, p)[:-1]
 
 
 def _undepleted(region, p):
@@ -443,6 +449,7 @@ _PLANTS = {
     "halved": [(moments, "_apriori_rule", _rule_halved_off_power_law)],
     "density": [(moments, "leggauss", _leggauss_doubled)],
     "undepleted": [(anderson.Region, "without", _undepleted)],
+    "neighbors": [(anderson.Region, "neighbors_in", _neighbors_but_last)],
     "pole": [(moments, "green", _green_off_by_1e6)],
     "inflated": [(moments, "_moment_chunk", _inflated_chunk)],
     "flat": [(moments, "_moment_chunk", _flat_chunk)],
@@ -452,11 +459,14 @@ _PLANTS = {
 @pytest.mark.parametrize("planted, caught", [
     ("pattern", "depleted,resolvent"),
     ("diagonal", "schur"),
+    ("diagonal", "resolvent"),
     ("lu-diagonal", "depleted"),
     ("weightless", "apriori"),
     ("halved", "apriori"),
     ("density", "drb"),
     ("undepleted", "drb"),
+    ("undepleted", "resolvent"),
+    ("neighbors", "depleted,resolvent"),
     ("pole", "drb"),
     ("inflated", "ceiling"),
     ("flat", "decay"),
@@ -801,17 +811,21 @@ def test_verify_pool_tasks_open_no_nested_section(capsys, monkeypatch):
         "depleted", "ceiling", "decay"]
 
 
-def _singular_depleted_case(region, lam, sample, z, x, y):
+def _singular_case(*args):
     raise anderson.SingularSystemError(f"planted in process {os.getpid()}")
 
 
 @pytest.mark.parametrize("args, file_cfg, plant, code, shown", [
     (["--only", "depleted,schur"], None,
-     (anderson, "verify_depleted_identity", _singular_depleted_case), 4,
+     (anderson, "verify_depleted_identity", _singular_case), 4,
+     "planted in process"),
+    (["--only", "resolvent"], None,
+     (anderson, "verify_resolvent_expansion", _singular_case), 4,
      "planted in process"),
     (["--only", "depleted,ceiling"], {"memory_budget": 1000}, None, 3,
      "budget"),
-], ids=["singular-depleted-case", "series-over-budget"])
+], ids=["singular-depleted-case", "singular-resolvent-case",
+        "series-over-budget"])
 def test_verify_pool_task_errors_keep_their_exit_codes(
         tmp_path, capsys, monkeypatch, pool_starts, args, file_cfg, plant,
         code, shown):
