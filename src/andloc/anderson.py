@@ -15,10 +15,13 @@ sample's H - z (LAPACK zgbtrf/zgbtrs, partial pivoting) in the band layout
 of Region.band, which serves green, the identity verifiers below, the
 conditional-bound check and the Monte Carlo moments (through
 resolvent_entries, one factorization per sample and region; the Monte Carlo
-derives a region minus one site from the larger region's columns).  It
-checks each column's residual against the sparse H of Region.pattern,
-refines a column once when it exceeds 1e-10, and then raises SolverError
-(SingularSystemError at real z) if it still does.  A sparse LU (splu) has
+derives a region minus one site from the larger region's columns).  Every
+column's residual is checked against the sparse H of Region.pattern:
+resolvent_entries checks a group of samples at once, with one sparse
+product, and sends a sample that misses the contract back through
+ResolventColumns.columns on its own.  There a column above 1e-10 is
+refined once, and one that still is raises SolverError
+(SingularSystemError at real z).  A sparse LU (splu) has
 one role: the independent solve on the depleted region in
 verify_depleted_identity.
 G_z(x, y) = 0 by convention when x or y is outside the region.
@@ -62,6 +65,13 @@ from .rng import site_uniform
 Point = tuple[int, ...]
 
 _RESIDUAL_TOL = 1e-10
+#: byte cap on the stacked solutions of one group of samples, whose residuals
+#: resolvent_entries checks at once (14 samples of one column at d=2, L=8).
+#: The group's temporaries are a few times this, so a cap at the disorder
+#: block's (moments._DISORDER_BYTES) would raise a Monte Carlo run's peak
+#: memory; at 64 KiB a 2000-sample d=2, L=8 run peaks no higher than with
+#: one residual per sample
+_GROUP_BYTES = 1 << 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -125,7 +135,8 @@ class Region:
     def pattern(self) -> tuple[csc_matrix, np.ndarray]:
         """Canonical CSC adjacency with a stored 0.0 slot on every diagonal,
         and the positions of those slots in its data (slot j holds entry
-        (j, j))."""
+        (j, j)).  The entries are sorted into CSC order here, by column and
+        then row, so csc_matrix takes its arrays as they are."""
         n = self.n_sites
         rows, cols = [np.arange(n)], [np.arange(n)]
         for axis in range(self.dimension):
@@ -134,11 +145,16 @@ class Region:
             hop = (lo >= 0) & (hi >= 0)
             rows += [lo[hop], hi[hop]]
             cols += [hi[hop], lo[hop]]
-        data = np.concatenate([np.zeros(n), np.ones(sum(map(len, rows[1:])))])
-        a = csc_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n, n))
-        col_of = np.repeat(np.arange(n), np.diff(a.indptr))
-        return a, np.flatnonzero(a.indices == col_of)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        order = np.lexsort((rows, cols))
+        indptr = np.searchsorted(cols[order], np.arange(n + 1))
+        diag_slots = np.flatnonzero(order < n)  # the diagonal came first
+        data = np.ones(len(order))
+        data[diag_slots] = 0.0
+        # int32 indices, as scipy would choose, skip its scan for the range
+        a = csc_matrix((data, rows[order].astype(np.int32),
+                        indptr.astype(np.int32)), shape=(n, n))
+        return a, diag_slots
 
     @cached_property
     def band(self) -> tuple[int, np.ndarray]:
@@ -301,6 +317,27 @@ def _check_residual(z: complex, res: float) -> None:
     raise SolverError(f"residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e} at z = {z}")
 
 
+def _unit_columns(region: Region, ys: Sequence[Point]) -> np.ndarray:
+    """delta_{ys[j]} in column j, over region sites."""
+    rhs = np.zeros((region.n_sites, len(ys)), dtype=complex, order="F")
+    for j, y in enumerate(ys):
+        iy = region.index.get(tuple(y))
+        if iy is None:
+            raise ValueError(f"site {y} is not in the region")
+        rhs[iy, j] = 1.0
+    return rhs
+
+
+def _residual(region: Region, diag: np.ndarray, u: np.ndarray,
+              rhs: np.ndarray) -> np.ndarray:
+    """(H - z) u - rhs for g samples at once, from the region's sparse
+    pattern, not the band: u[:, i] is sample i's (n_sites, k) solution for
+    rhs, and diag[:, i] its diagonal lambda omega - z."""
+    n, g, k = u.shape
+    hops = (region.pattern[0] @ u.reshape(n, g * k)).reshape(n, g, k)
+    return hops + diag[:, :, None] * u - rhs[:, None]
+
+
 class ResolventColumns:
     """Banded LU factorization of (H - z) on one region for one disorder
     sample.
@@ -331,28 +368,23 @@ class ResolventColumns:
         u, _ = zgbtrs(self._lu, self._kl, self._kl, rhs, self._piv)
         return u
 
-    def _residual(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """(H - z) u - rhs from the region's sparse pattern, not the band."""
-        return self.region.pattern[0] @ u + self._diag[:, None] * u - rhs
-
     def columns(self, ys: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
         """u[:, j] = (H - z)^{-1} delta_{ys[j]} over region sites, and each
         column's residual norm, shape (len(ys),).  A column above 1e-10 is
         refined once; one that still is raises SolverError
         (SingularSystemError at real z)."""
-        rhs = np.zeros((self.region.n_sites, len(ys)), dtype=complex, order="F")
-        for j, y in enumerate(ys):
-            iy = self.region.index.get(tuple(y))
-            if iy is None:
-                raise ValueError(f"site {y} is not in the region")
-            rhs[iy, j] = 1.0
+        rhs = _unit_columns(self.region, ys)
+
+        def residual(u):  # the one-sample case of _residual
+            return _residual(self.region, self._diag[:, None], u[:, None], rhs)[:, 0]
+
         u = self._solve(rhs)
-        r = self._residual(u, rhs)
+        r = residual(u)
         res = np.linalg.norm(r, axis=0)
         rough = res > _RESIDUAL_TOL
         if rough.any():  # one refinement step, on the columns that need it
             u = np.where(rough, u - self._solve(r), u)
-            res = np.linalg.norm(self._residual(u, rhs), axis=0)
+            res = np.linalg.norm(residual(u), axis=0)
         _check_residual(self.z, float(np.max(res)))  # NaN propagates to the max
         return u, res
 
@@ -362,16 +394,42 @@ class ResolventColumns:
         return u[:, 0], float(res[0])
 
 
+def _group_columns(region: Region, lam: float, omegas: Sequence[np.ndarray],
+                   z: complex, ys: list[Point], rhs: np.ndarray) -> np.ndarray:
+    """ResolventColumns(region, lam, omega, z).columns(ys)[0] of each omega,
+    stacked on axis 1.  Each sample is factored and solved once, and its
+    factor dropped; one residual over the group checks them all.  A sample
+    with a column above 1e-10 or not finite is factored again and goes
+    through columns, which refines it once or raises."""
+    (n, k), g = rhs.shape, len(omegas)
+    u, diag = np.empty((n, g, k), dtype=complex), np.empty((n, g), dtype=complex)
+    for i, omega in enumerate(omegas):
+        factor = ResolventColumns(region, lam, omega, z)
+        u[:, i] = factor._solve(rhs)
+        diag[:, i] = factor._diag
+    ok = np.linalg.norm(_residual(region, diag, u, rhs), axis=0) <= _RESIDUAL_TOL
+    for i in np.flatnonzero(~ok.all(axis=1)):
+        u[:, i] = ResolventColumns(region, lam, omegas[i], z).columns(ys)[0]
+    return u
+
+
 def resolvent_entries(region: Region, lam: float, omegas: Iterable[np.ndarray],
                       z: complex, pairs: Sequence[tuple[Point, Point]]) -> np.ndarray:
     """G_z(x, y) for every sample (rows) and (x, y) of pairs (columns), both
     points in the region.  omegas yields the samples' box arrays; each is
-    factored once and solved with one column per distinct y."""
+    factored once and solved with one column per distinct y.  The residual
+    contract is checked for a group of samples at a time (_GROUP_BYTES of
+    solutions), and a sample that misses it is refined on its own, with
+    ResolventColumns.columns' values and errors."""
     ys = list(dict.fromkeys(tuple(y) for _, y in pairs))
     rows = [region.index[tuple(x)] for x, _ in pairs]
     cols = [ys.index(tuple(y)) for _, y in pairs]
-    return np.array([ResolventColumns(region, lam, omega, z).columns(ys)[0][rows, cols]
-                     for omega in omegas])
+    rhs = _unit_columns(region, ys)
+    omegas, size = iter(omegas), max(1, _GROUP_BYTES // rhs.nbytes)
+    out = [np.empty((0, len(pairs)), dtype=complex)]
+    while group := list(itertools.islice(omegas, size)):
+        out.append(_group_columns(region, lam, group, z, ys, rhs)[rows, :, cols].T)
+    return np.concatenate(out)
 
 
 def green(region: Region, lam: float, sample: DisorderSample, z: complex,

@@ -299,11 +299,12 @@ def _identity_case(dim: int, L: int, seed: int, t: int):
     region = anderson.make_region(dim, L, deleted)
     sample = anderson.sample_disorder(region, substream(s0, 1))
     x = _random_site(region, s0, 2)
-    nearby = [p for p in region.sites
-              if 1 <= sum(abs(a - b) for a, b in zip(p, x)) <= 2]
-    if not nearby:
+    sites = np.argwhere(region.grid >= 0) - L  # region.sites, as an array
+    dist = np.abs(sites - x).sum(axis=1)
+    nearby = sites[(dist >= 1) & (dist <= 2)]
+    if not len(nearby):
         return None
-    y = nearby[int(unit_open(s0, (3,)) * len(nearby))]
+    y = tuple(nearby[int(unit_open(s0, (3,)) * len(nearby))].tolist())
     return region, sample, x, y
 
 

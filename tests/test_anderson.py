@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
 
 from andloc import anderson, moments
 from andloc.rng import site_uniform, substream
@@ -61,6 +62,50 @@ def test_region_neighbors():
     region = anderson.make_region(2, 1, [(1, 0)])
     nbrs = set(region.neighbors_in((0, 0)))
     assert nbrs == {(-1, 0), (0, -1), (0, 1)}
+
+
+def _pattern_by_coo(region):
+    """Region.pattern built independently: every site's hops from
+    neighbors_in and a 0.0 on the diagonal, through scipy's COO to CSC."""
+    rows, cols, data = [], [], []
+    for j, p in enumerate(region.sites):
+        rows.append(j)
+        cols.append(j)
+        data.append(0.0)
+        for q in region.neighbors_in(p):
+            rows.append(region.index[q])
+            cols.append(j)
+            data.append(1.0)
+    n = region.n_sites
+    a = csc_matrix((data, (rows, cols)), shape=(n, n))
+    col_of = np.repeat(np.arange(n), np.diff(a.indptr))
+    return a, np.flatnonzero(a.indices == col_of)
+
+
+def _pattern_regions():
+    for d in range(1, 5):
+        for L in range(4):
+            box = anderson.Region(dimension=d, L=L)
+            origin = (0,) * d
+            yield d, L, []
+            if L:
+                corners = [box.sites[0], box.sites[-1]]
+                yield d, L, [origin]
+                yield d, L, corners
+                # the origin survives with every neighbor deleted
+                yield d, L, sorted(set(box.neighbors_in(origin) + corners))
+
+
+@pytest.mark.parametrize("d, L, deleted", list(_pattern_regions()))
+def test_pattern_matches_coo_build(d, L, deleted):
+    region = anderson.make_region(d, L, deleted)
+    a, diag_slots = region.pattern
+    b, want_slots = _pattern_by_coo(region)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert np.array_equal(diag_slots, want_slots)
+    assert a.has_canonical_format
 
 
 # --- disorder samples ---
@@ -314,6 +359,106 @@ def test_refinement_rescues_a_perturbed_column(monkeypatch):
     assert len(calls) == 2  # the refinement ran
     assert want_res < 1e-10 and res < 1e-10
     np.testing.assert_allclose(u, want, rtol=0.0, atol=1e-15)
+
+
+def _group_case(n_samples):
+    """A region with a deletion, n_samples box arrays and pairs with two
+    distinct y: the inputs of resolvent_entries."""
+    region = anderson.make_region(2, 3, [(1, 0)])
+    omegas = [anderson.sample_disorder(region, substream(5, k)).omega
+              for k in range(n_samples)]
+    pairs = [((0, 0), (0, 0)), ((1, 1), (0, 0)), ((2, 0), (-1, 2))]
+    return region, omegas, pairs
+
+
+def _per_sample_entries(region, omegas, z, pairs):
+    """resolvent_entries from one ResolventColumns.columns call per sample."""
+    ys = list(dict.fromkeys(y for _, y in pairs))
+    rows = [region.index[x] for x, _ in pairs]
+    cols = [ys.index(y) for _, y in pairs]
+    return np.array([anderson.ResolventColumns(region, LAM, omega, z)
+                     .columns(ys)[0][rows, cols] for omega in omegas])
+
+
+@pytest.mark.parametrize("n_samples, groups", [
+    (2, [2]), (3, [3]), (4, [3, 1]), (7, [3, 3, 1])])
+def test_grouped_entries_match_per_sample_columns(n_samples, groups, monkeypatch):
+    # groups of 3 samples, so calls of 2, 3 and 4 samples split below, at and
+    # above the group size; every value is the per-sample solve's, bit for bit
+    region, omegas, pairs = _group_case(n_samples)
+    sizes, group_columns = [], anderson._group_columns
+
+    def counted(region, lam, omegas, *args):
+        sizes.append(len(omegas))
+        return group_columns(region, lam, omegas, *args)
+
+    one = region.n_sites * 2 * np.dtype(complex).itemsize  # two distinct y
+    monkeypatch.setattr(anderson, "_GROUP_BYTES", 3 * one + one // 2)
+    monkeypatch.setattr(anderson, "_group_columns", counted)
+    got = anderson.resolvent_entries(region, LAM, iter(omegas), Z, pairs)
+    assert sizes == groups
+    assert got.shape == (n_samples, len(pairs))
+    assert np.array_equal(got, _per_sample_entries(region, omegas, Z, pairs))
+
+
+def _planted_solve(monkeypatch, target, plant):
+    """Count ResolventColumns constructions and columns calls, and pass the
+    solutions of the box array target through plant(u, k), k counting its
+    solves over every factor of it."""
+    made, refined, solves = [], [], []
+
+    class Counted(anderson.ResolventColumns):
+        def __init__(self, region, lam, omega, z):
+            super().__init__(region, lam, omega, z)
+            made.append(self)
+            self.planted = omega is target
+
+        def _solve(self, rhs):
+            u = super()._solve(rhs)
+            if not self.planted:
+                return u
+            solves.append(rhs)
+            return plant(u, len(solves))
+
+        def columns(self, ys):
+            refined.append(self)
+            return super().columns(ys)
+
+    monkeypatch.setattr(anderson, "ResolventColumns", Counted)
+    return made, refined
+
+
+def test_grouped_refinement_only_reruns_the_rough_sample(monkeypatch):
+    # a first solve 1e-8 off misses the contract: that sample alone is
+    # factored again and goes through columns, and no value changes
+    region, omegas, pairs = _group_case(5)
+    want = anderson.resolvent_entries(region, LAM, omegas, Z, pairs)
+    made, refined = _planted_solve(
+        monkeypatch, omegas[2], lambda u, k: u + 1e-8 if k == 1 else u)
+    got = anderson.resolvent_entries(region, LAM, omegas, Z, pairs)
+    assert len(made) == len(omegas) + 1
+    assert refined == [made[-1]]
+    assert np.array_equal(made[-1]._diag, made[2]._diag)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("z, error", [
+    (Z, anderson.SolverError), (0.25 + 0j, anderson.SingularSystemError)])
+def test_grouped_non_finite_column_raises(z, error, monkeypatch):
+    # a NaN in every solve of one sample cannot be refined away; the error
+    # is columns' own: SolverError at complex z, SingularSystemError at real z
+    region, omegas, pairs = _group_case(5)
+    anderson.resolvent_entries(region, LAM, omegas, z, pairs)  # unplanted: fine
+
+    def nan_column(u, _):
+        u = u.copy()
+        u[0, 1] = np.nan
+        return u
+
+    _planted_solve(monkeypatch, omegas[1], nan_column)
+    with pytest.raises(anderson.SolverError, match="residual nan") as info:
+        anderson.resolvent_entries(region, LAM, omegas, z, pairs)
+    assert type(info.value) is error
 
 
 # --- identity verifications ---

@@ -17,7 +17,7 @@ from scipy.sparse import csc_matrix
 import andloc
 from andloc import anderson, cli, critical, moments, saw
 from andloc import parallel
-from andloc.rng import site_uniform
+from andloc.rng import site_uniform, substream, unit_open
 
 import oracles
 
@@ -345,6 +345,44 @@ def test_verify_identity_checks_pass(capsys):
     assert all(c["status"] == "pass" for c in checks.values())
     assert checks["depleted"]["detail"]["max_discrepancy"] < 1e-9
     assert doc["result"]["all_passed"]
+
+
+def _identity_case_by_scan(dim, L, seed, t):
+    """cli._identity_case's region, x and y, with y from a plain scan of
+    region.sites for the points at l1 distance 1 or 2 from x."""
+    s0 = substream(seed, t)
+    box = anderson.Region(dimension=dim, L=L)
+    deleted, k = [], 0
+    while len(deleted) < min(t % 3, box.n_sites - 1):
+        cand = cli._random_site(box, s0, 100 + k)
+        k += 1
+        if cand not in deleted:
+            deleted.append(cand)
+    region = anderson.make_region(dim, L, deleted)
+    x = cli._random_site(region, s0, 2)
+    nearby = [p for p in region.sites
+              if 1 <= sum(abs(a - b) for a, b in zip(p, x)) <= 2]
+    if not nearby:
+        return None
+    return region, x, nearby[int(unit_open(s0, (3,)) * len(nearby))]
+
+
+@pytest.mark.parametrize("dim, L", [(1, 0), (1, 2), (2, 1), (2, 3), (3, 1)])
+def test_identity_case_pair_matches_a_scan(dim, L):
+    # cases with 0-2 deletions (t % 3); a one-site box and the d=1 boxes
+    # reduced to far-apart sites have no near pair and give None
+    nones = 0
+    for t in range(300):
+        case = cli._identity_case(dim, L, 17, t)
+        want = _identity_case_by_scan(dim, L, 17, t)
+        if want is None:
+            assert case is None
+            nones += 1
+            continue
+        region, _, x, y = case
+        assert (region, x, y) == want
+        assert all(type(c) is int for c in y)
+    assert (nones > 0) == (dim == 1)
 
 
 def test_verify_identity_checks_pass_at_weak_coupling(capsys):
