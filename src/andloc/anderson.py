@@ -15,15 +15,15 @@ sample's H - z (LAPACK zgbtrf/zgbtrs, partial pivoting) in the band layout
 of Region.band, which serves green, the identity verifiers below, the
 conditional-bound check and the Monte Carlo moments (through
 resolvent_entries, one factorization per sample and region; the Monte Carlo
-derives a region minus one site from the larger region's columns).  Every
-column's residual is checked against the sparse H of Region.pattern:
-resolvent_entries checks a group of samples at once, with one sparse
-product, and sends a sample that misses the contract back through
-ResolventColumns.columns on its own.  There a column above 1e-10 is
-refined once, and one that still is raises SolverError
-(SingularSystemError at real z).  A sparse LU (splu) has
-one role: the independent solve on the depleted region in
-verify_depleted_identity.
+derives a region minus one site from the larger region's columns).  The
+band layout, the residual and build_hamiltonian's sparse H read one
+adjacency, the neighbor table Region.hops.  Every column's residual is
+checked through the table, not the band: resolvent_entries checks a group
+of samples at once and sends a sample that misses the contract through
+ResolventColumns.columns, which refines a column above 1e-10 once and
+raises SolverError (SingularSystemError at real z) if it still is.  A
+sparse LU (splu) of build_hamiltonian's H is only the independent solve on
+the depleted region in verify_depleted_identity.
 G_z(x, y) = 0 by convention when x or y is outside the region.
 
 Exact operator identities are exposed as verifiers.  Each computes both
@@ -132,41 +132,32 @@ class Region:
         return np.where(keep, np.cumsum(keep).reshape(keep.shape) - 1, -1)
 
     @cached_property
-    def pattern(self) -> tuple[csc_matrix, np.ndarray]:
-        """Canonical CSC adjacency with a stored 0.0 slot on every diagonal,
-        and the positions of those slots in its data (slot j holds entry
-        (j, j)).  The entries are sorted into CSC order here, by column and
-        then row, so csc_matrix takes its arrays as they are."""
-        n = self.n_sites
-        rows, cols = [np.arange(n)], [np.arange(n)]
-        for axis in range(self.dimension):
-            g = np.swapaxes(self.grid, 0, axis)
-            lo, hi = g[:-1], g[1:]
-            hop = (lo >= 0) & (hi >= 0)
-            rows += [lo[hop], hi[hop]]
-            cols += [hi[hop], lo[hop]]
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        order = np.lexsort((rows, cols))
-        indptr = np.searchsorted(cols[order], np.arange(n + 1))
-        diag_slots = np.flatnonzero(order < n)  # the diagonal came first
-        data = np.ones(len(order))
-        data[diag_slots] = 0.0
-        # int32 indices, as scipy would choose, skip its scan for the range
-        a = csc_matrix((data, rows[order].astype(np.int32),
-                        indptr.astype(np.int32)), shape=(n, n))
-        return a, diag_slots
+    def hops(self) -> np.ndarray:
+        """Neighbor table, shape (n_sites, 2d): row i lists the indices of
+        site i's neighbors at -e_0 .. -e_{d-1}, +e_{d-1} .. +e_0, which is
+        ascending index order, with n_sites for a neighbor not in the region.
+        One shifted view of the -1-padded grid per direction."""
+        d, width, keep = self.dimension, 2 * self.L + 1, self.grid >= 0
+        padded = np.pad(self.grid, 1, constant_values=-1)
+
+        def shifted(axis, step):
+            view = [slice(1, width + 1)] * d
+            view[axis] = slice(1 + step, width + 1 + step)
+            return padded[tuple(view)][keep]
+
+        table = np.stack([shifted(axis, -1) for axis in range(d)]
+                         + [shifted(axis, 1) for axis in reversed(range(d))], axis=1)
+        return np.where(table < 0, self.n_sites, table)
 
     @cached_property
     def band(self) -> tuple[int, np.ndarray]:
         """The LAPACK band layout of H - z for ResolventColumns: kl = ku, the
-        largest |i - j| of a hop in pattern, and the flat positions of the
-        hops in a C-order (n_sites, 3 kl + 1) array, whose transpose is the
-        zgbtrf band (entry (i, j) at row 2 kl + i - j of column j)."""
-        a, diag_slots = self.pattern
-        hop = np.ones(a.nnz, dtype=bool)
-        hop[diag_slots] = False
-        rows = a.indices[hop]
-        cols = np.repeat(np.arange(self.n_sites), np.diff(a.indptr))[hop]
+        largest |i - j| of a hop in hops, and the flat positions of the hops
+        in a C-order (n_sites, 3 kl + 1) array, whose transpose is the zgbtrf
+        band (entry (i, j) at row 2 kl + i - j of column j).  The positions
+        run by column j and then row i, as in CSC order."""
+        real = self.hops < self.n_sites
+        rows, cols = self.hops[real], np.nonzero(real)[0]
         kl = int(np.max(np.abs(rows - cols), initial=0))
         return kl, cols * (3 * kl + 1) + 2 * kl + rows - cols
 
@@ -185,6 +176,7 @@ class Region:
         return tuple(p) in self.index
 
     def neighbors_in(self, p: Point) -> list[Point]:
+        # dict lookups, not hops: the depleted check's independent geometry
         out = []
         for i in range(self.dimension):
             for step in (1, -1):
@@ -277,13 +269,17 @@ def sample_disorder(region: Region, seed: int) -> DisorderSample:
 
 def build_hamiltonian(region: Region, lam: float, sample: DisorderSample,
                       z: complex = 0.0) -> csc_matrix:
-    """H - z = adjacency + diag(lambda omega - z) on the region, canonical CSC
-    on the region's stored pattern (real when z is a real float)."""
-    a, diag_slots = region.pattern
+    """H - z = adjacency + diag(lambda omega - z) on the region, canonical
+    int32 CSC (real when z is a real float).  Column j is row j of
+    Region.hops with j itself inserted at position d, so its rows ascend."""
+    n, d = region.n_sites, region.dimension
     diag = lam * sample.vector(region) - z
-    data = a.data.astype(diag.dtype)
-    data[diag_slots] = diag
-    return csc_matrix((data, a.indices, a.indptr), shape=a.shape)
+    rows = np.insert(region.hops, d, np.arange(n), axis=1)
+    data = np.insert(np.ones(region.hops.shape, diag.dtype), d, diag, axis=1)
+    real = rows < n
+    indptr = np.concatenate(([0], np.cumsum(real.sum(axis=1))))
+    return csc_matrix((data[real], rows[real].astype(np.int32),
+                       indptr.astype(np.int32)), shape=(n, n))
 
 
 # --- resolvent columns ---
@@ -330,11 +326,14 @@ def _unit_columns(region: Region, ys: Sequence[Point]) -> np.ndarray:
 
 def _residual(region: Region, diag: np.ndarray, u: np.ndarray,
               rhs: np.ndarray) -> np.ndarray:
-    """(H - z) u - rhs for g samples at once, from the region's sparse
-    pattern, not the band: u[:, i] is sample i's (n_sites, k) solution for
-    rhs, and diag[:, i] its diagonal lambda omega - z."""
-    n, g, k = u.shape
-    hops = (region.pattern[0] @ u.reshape(n, g * k)).reshape(n, g, k)
+    """(H - z) u - rhs for g samples at once, from Region.hops, not the
+    band: u[:, i] is sample i's (n_sites, k) solution for rhs, and diag[:, i]
+    its diagonal lambda omega - z.  The hops are summed in ascending neighbor
+    order, a sparse product's order, over u padded with a zero row."""
+    padded = np.concatenate((u, np.zeros_like(u[:1])))
+    hops = padded.take(region.hops[:, 0], axis=0)
+    for nbr in region.hops.T[1:]:
+        hops += padded.take(nbr, axis=0)
     return hops + diag[:, :, None] * u - rhs[:, None]
 
 

@@ -620,8 +620,10 @@ def run_verify(cfg: dict) -> tuple[dict, dict]:
     here plus that of the pooled tasks it read, wherever they ran.  The
     pool runs first; each check then folds its cases' measurements once."""
     names = list(_CHECKS)
-    if cfg["only"]:
+    if cfg["only"] is not None:
         only = {tok.strip() for tok in cfg["only"].split(",") if tok.strip()}
+        if not only:
+            raise ValueError("--only names no check")
         bad = only - _CHECKS.keys()
         if bad:
             raise ValueError(f"unknown checks for --only: {sorted(bad)}")

@@ -1,5 +1,6 @@
 """Region geometry, disorder sampling, and Green's function identities."""
 
+import itertools
 import math
 import warnings
 
@@ -64,22 +65,21 @@ def test_region_neighbors():
     assert nbrs == {(-1, 0), (0, -1), (0, 1)}
 
 
-def _pattern_by_coo(region):
-    """Region.pattern built independently: every site's hops from
-    neighbors_in and a 0.0 on the diagonal, through scipy's COO to CSC."""
+def _pattern_by_coo(region, diag):
+    """build_hamiltonian's matrix built independently: every site's hops from
+    neighbors_in and diag on the diagonal, through scipy's COO to CSC."""
     rows, cols, data = [], [], []
     for j, p in enumerate(region.sites):
         rows.append(j)
         cols.append(j)
-        data.append(0.0)
+        data.append(diag[j])
         for q in region.neighbors_in(p):
             rows.append(region.index[q])
             cols.append(j)
             data.append(1.0)
     n = region.n_sites
-    a = csc_matrix((data, (rows, cols)), shape=(n, n))
-    col_of = np.repeat(np.arange(n), np.diff(a.indptr))
-    return a, np.flatnonzero(a.indices == col_of)
+    return csc_matrix((np.array(data, dtype=diag.dtype), (rows, cols)),
+                      shape=(n, n))
 
 
 def _pattern_regions():
@@ -99,13 +99,50 @@ def _pattern_regions():
 @pytest.mark.parametrize("d, L, deleted", list(_pattern_regions()))
 def test_pattern_matches_coo_build(d, L, deleted):
     region = anderson.make_region(d, L, deleted)
-    a, diag_slots = region.pattern
-    b, want_slots = _pattern_by_coo(region)
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(a, name), getattr(b, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert np.array_equal(diag_slots, want_slots)
-    assert a.has_canonical_format
+    n = region.n_sites
+    steps = [-e for e in np.eye(d, dtype=int)] + list(np.eye(d, dtype=int)[::-1])
+    for i, p in enumerate(region.sites):
+        row = region.hops[i].tolist()
+        # n_sites pads the directions -e_0 .. -e_{d-1}, +e_{d-1} .. +e_0
+        # without a neighbor, and the real entries ascend
+        assert row == [region.index.get(tuple(np.add(p, e).tolist()), n)
+                       for e in steps], p
+        want = sorted(region.index[q] for q in region.neighbors_in(p))
+        assert [j for j in row if j < n] == want, p
+    sample = anderson.sample_disorder(region, 3)
+    for z in (Z, 0.7):  # complex and real H - z
+        a = anderson.build_hamiltonian(region, LAM, sample, z)
+        b = _pattern_by_coo(region, LAM * sample.vector(region) - z)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(a, name), getattr(b, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert a.indices.dtype == np.int32
+        assert a.has_canonical_format
+
+
+@pytest.mark.parametrize("d, L, deleted", list(_pattern_regions()))
+def test_residual_is_the_sparse_product_bit_for_bit(d, L, deleted):
+    # green's printed residual keeps its bits only if the table's hops are
+    # summed in a sparse product's order: adjacency @ u, then the diagonal
+    region = anderson.make_region(d, L, deleted)
+    n = region.n_sites
+    samples = [anderson.sample_disorder(region, seed) for seed in (3, 4)]
+    # build_hamiltonian at lambda = 0, z = 0: the adjacency, 0.0 diagonal
+    adjacency = anderson.build_hamiltonian(region, 0.0, samples[0])
+    columns = anderson._unit_columns(region, region.sites[:: max(1, n // 3)])
+    gen = np.random.default_rng(d * 10 + L)
+    # one sample and one column is green's shape, where numpy's own sum
+    # over the neighbor axis would reorder the additions
+    for z, g, k in itertools.product((Z, 0.7), (1, 2), (1, columns.shape[1])):
+        diag = np.stack([LAM * s.vector(region) - complex(z)
+                         for s in samples[:g]], axis=1)
+        u = gen.standard_normal((n, g, k, 2)) @ [1.0, 1.0j]
+        rhs = columns[:, :k]
+        want = ((adjacency @ u.reshape(n, -1)).reshape(n, g, k)
+                + diag[:, :, None] * u - rhs[:, None])
+        got = anderson._residual(region, diag, u, rhs)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (z, g, k)
 
 
 # --- disorder samples ---

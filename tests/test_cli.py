@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_matrix
 
 import andloc
 from andloc import anderson, cli, critical, moments, saw
@@ -391,7 +390,7 @@ def test_verify_identity_checks_pass_at_weak_coupling(capsys):
     assert doc["result"]["all_passed"]
 
 
-_PATTERN = anderson.Region.pattern.func
+_HOPS = anderson.Region.hops.func
 _BUILD = anderson.build_hamiltonian
 _BANDED = anderson.ResolventColumns
 _RULE = moments._apriori_rule
@@ -400,14 +399,12 @@ _GREEN = moments.green
 _NEIGHBORS = anderson.Region.neighbors_in
 
 
-def _pattern_without_axis0_hops(region):
-    """Region.pattern with every hop along axis 0 left out."""
-    a = _PATTERN(region)[0].tocoo()
-    sites = np.array(region.sites)
-    keep = sites[a.row, 0] == sites[a.col, 0]
-    b = csc_matrix((a.data[keep], (a.row[keep], a.col[keep])), shape=a.shape)
-    col_of = np.repeat(np.arange(b.shape[1]), np.diff(b.indptr))
-    return b, np.flatnonzero(b.indices == col_of)
+def _hops_without_axis0(region):
+    """Region.hops with every hop along axis 0 left out: its first and last
+    columns, the -e_0 and +e_0 neighbors, all missing."""
+    table = _HOPS(region)
+    table[:, [0, -1]] = region.n_sites
+    return table
 
 
 def _doubled_diagonal(region, lam, sample, z=0.0):
@@ -479,8 +476,9 @@ def _flat_chunk(task):
 #: monkeypatch.setattr
 _PLANTS = {
     # the region's adjacency without axis-0 hops: both solvers read it, the
-    # banded one through the band layout Region.band derives from it
-    "pattern": [(anderson.Region, "pattern", property(_pattern_without_axis0_hops))],
+    # banded one through the band layout Region.band derives from it, and
+    # the residual too; only neighbors_in keeps the true geometry
+    "pattern": [(anderson.Region, "hops", property(_hops_without_axis0))],
     "diagonal": [(anderson, "ResolventColumns", _banded_doubled_diagonal)],
     "lu-diagonal": [(anderson, "build_hamiltonian", _doubled_diagonal)],
     "weightless": [(moments, "_apriori_rule", _rule_without_jacobian)],
@@ -537,10 +535,11 @@ def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
      "distances"),
     (["verify", "--trials", "-3", "--only", "depleted"], None, 2, "trials"),
     (["verify", "--trials", "-3", "--only", "apriori"], None, 2, "trials"),
+    (["verify", "--only", ",,"], None, 2, "only"),
 ], ids=["identity-L0", "depleted-trials0", "schur-L0", "apriori-trials0",
         "ceiling-far", "moment-no-distance", "drb-n-env-0", "drb-L0",
         "verify-negative-distance", "depleted-trials-negative",
-        "apriori-trials-negative"])
+        "apriori-trials-negative", "only-no-check"])
 def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
                                                args, file_cfg, code, shown):
     # an uncaught exception fails the test before any assert
@@ -1046,6 +1045,31 @@ def test_version_flag():
     proc = subprocess.run([sys.executable, "-m", "andloc.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_artifacts_independent_of_openblas_threads(tmp_path):
+    # every LAPACK routine on the path must give the same bits at any
+    # OpenBLAS thread count; the four runs go at once to keep the test short
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(PYPROJECT.parent / "src"))
+        for argv in (["moment", "--dim", "2", "--L", "5", "--samples", "50"],
+                     ["green"]):
+            out = tmp_path / f"{argv[0]}-{threads}.json"
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "andloc.cli", *argv, "--out", str(out)],
+                env=env, stderr=subprocess.PIPE, text=True)
+            runs[argv[0], threads] = out, proc
+    texts = {}
+    for key, (out, proc) in runs.items():
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        doc = json.loads(out.read_text())
+        del doc["wallclock"], doc["config"]["out"]
+        texts[key] = json.dumps(doc, sort_keys=True)
+    for command in ("moment", "green"):
+        assert texts[command, "1"] == texts[command, "2"], command
 
 
 def test_import_pulls_in_no_scipy_integrate():

@@ -220,7 +220,7 @@ def _band_without_hop_at_origin(region):
 
 
 def test_band_dropped_hop_fails_residual_contract(monkeypatch):
-    # the residual is taken from Region.pattern, so a band that lost a hop
+    # the residual is taken from Region.hops, so a band that lost a hop
     # cannot pass the contract even after the refinement step
     monkeypatch.setattr(anderson.Region, "band",
                         property(_band_without_hop_at_origin))
