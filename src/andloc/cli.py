@@ -23,12 +23,13 @@ runs, and the tasks of the other checks; the checks then run in table
 order in this process, each folding its measurements in case order, so
 artifacts are bit-identical for any --workers.  Each check's pass rule is
 written once, in its fold; the library returns measurements only.  A
-check's wallclock stage is its own time here plus the seconds of the tasks
-it read, wherever they ran, so at 2 workers the stages can sum to more
-than elapsed_seconds.
+check's wallclock stage is its own time here plus the seconds of its
+pooled tasks, wherever they ran; the moment task's seconds are the stage
+moments.  At 2 workers the stages can sum to more than elapsed_seconds.
 
-Exit codes: 0 success, 1 a bound check failed, 2 bad input, 3 resource
-limits, 4 linear-solver failure.
+Exit codes: 0 success, 1 a bound check failed, 2 bad input (a non-finite
+number included), 3 resource limits (a failed allocation included),
+4 linear-solver failure.
 """
 
 from __future__ import annotations
@@ -391,6 +392,15 @@ def _run_task(task) -> tuple[bool, object, float]:
     return ok, value, time.monotonic() - t0
 
 
+def _values(outcomes: list) -> list:
+    """The values of _run_task outcomes in task order.  A task that raised
+    raises here, where its check reads it, so errors surface in check order."""
+    for ok, value, _ in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value, _ in outcomes]
+
+
 def _identity_tasks(run: _VerifyRun, measure, tag: int, trials: int,
                     L: int) -> list:
     seed = substream(run.seed, tag)
@@ -437,7 +447,7 @@ def _drb_tasks(run: _VerifyRun) -> list:
 
 
 class _VerifyRun:
-    """What one verify run's checks share: its inputs and pooled task outcomes."""
+    """The inputs one verify run's checks share."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -448,47 +458,9 @@ class _VerifyRun:
         self.workers = cfg["workers"]
         if cfg["trials"] is not None and cfg["trials"] < 0:
             raise ValueError(f"trials must be >= 0, got {cfg['trials']}")
-        self.pooled = {}  # check or "moments" -> the _run_task outcomes of its tasks
-        self.task_seconds = 0.0  # of the pooled tasks the running check read
 
     def trials(self, default: int) -> int:
         return self.cfg["trials"] if self.cfg["trials"] is not None else default
-
-    def run_pool(self, names: list[str]) -> None:
-        """Run in one map_ordered call the moment checks' task (first, as the
-        longest) when ceiling or decay is among names and does not skip, then
-        the tasks of the other checks among names, in that order."""
-        runs = [name in names and _moment_skip(self, name) is None
-                for name in ("ceiling", "decay")]
-        jobs = ([("moments", [(_moment_task, (self.cfg, self.pairs, *runs))])]
-                if any(runs) else [])
-        jobs += [(name, _CHECKS[name][0](self)) for name in names
-                 if _CHECKS[name][0] is not None]
-        tasks = [(job, task) for job, job_tasks in jobs for task in job_tasks]
-        outcomes = map_ordered(_run_task, [task for _, task in tasks],
-                               self.workers)
-        for (job, _), outcome in zip(tasks, outcomes):
-            self.pooled.setdefault(job, []).append(outcome)
-
-    def take(self, job: str) -> list:
-        """The results of job's pooled tasks in task order, their seconds
-        added to task_seconds.  A task that raised raises here, so errors
-        surface in check order."""
-        outcomes = self.pooled.pop(job, [])
-        self.task_seconds += sum(seconds for _, _, seconds in outcomes)
-        for ok, value, _ in outcomes:
-            if not ok:
-                raise value
-        return [value for _, value, _ in outcomes]
-
-    def cases(self, name: str) -> list:
-        """One measurement per case of check name's tasks, in case order."""
-        return [case for chunk in self.take(name) for case in chunk]
-
-    @cached_property
-    def moment_work(self) -> tuple:
-        """The moment task's result; the first check to read it takes its seconds."""
-        return self.take("moments")[0]
 
     @cached_property
     def pairs(self) -> list:
@@ -561,13 +533,14 @@ def _check_drb(run: _VerifyRun, sides: list) -> tuple[str, dict]:
         "max_identity_gap": gap, "identity_tolerance": identity_tol}
 
 
-def _check_ceiling(run: _VerifyRun, _) -> tuple[str, dict]:
+def _check_ceiling(run: _VerifyRun, work: Optional[tuple]) -> tuple[str, dict]:
     """Pass iff every estimate of the region family at s_crit(lambda) has
-    margin >= 0: its mean - 3 stderr at most its walk ceiling."""
+    margin >= 0: its mean - 3 stderr at most its walk ceiling.  work is the
+    moment task's result, None when the task did not run."""
     skip = _moment_skip(run, "ceiling")
     if skip:
         return skip
-    _, ceilings, regions, ests = run.moment_work
+    _, ceilings, regions, ests = work
     if isinstance(ceilings, moments.CeilingUnavailableError):
         return "skipped", {"reason": f"criterion not met: {ceilings}"}
     entries = [_estimate_entry(e, c) for e, c in zip(ests, ceilings * regions)]
@@ -577,13 +550,13 @@ def _check_ceiling(run: _VerifyRun, _) -> tuple[str, dict]:
                                  if e.cancellation is not None), default=None)}
 
 
-def _check_decay(run: _VerifyRun, _) -> tuple[str, dict]:
+def _check_decay(run: _VerifyRun, work: Optional[tuple]) -> tuple[str, dict]:
     """Pass iff the fitted decay is at least as fast as the proved mass,
-    within two standard errors of the fitted rate."""
+    within two standard errors of the fitted rate; work as for ceiling."""
     skip = _moment_skip(run, "decay")
     if skip:
         return skip
-    series, _, _, ests = run.moment_work
+    series, _, _, ests = work
     mu_hat = (run.cfg["mu"] if run.cfg["mu"] is not None
               else saw.connective_upper_bounds(series).best)
     fit = moments.fit_decay(ests[:len(run.pairs)], run.lam, mu_hat, run.cfg["eps"])
@@ -597,7 +570,8 @@ def _check_decay(run: _VerifyRun, _) -> tuple[str, dict]:
 #: run_verify's pool, each case of an identity stream, B grid or
 #: environment in exactly one, each task returning one measurement per
 #: case.  fold(run, measurements) gives (status, detail).  ceiling and
-#: decay share one task, _moment_task, instead.
+#: decay list no tasks: both fold the result of one shared task,
+#: _moment_task, whose seconds are the stage moments.
 _CHECKS = {
     "depleted": (lambda run: _identity_tasks(run, _depleted_gap, 11, 100,
                                              _box_L(run.cfg, "identity")),
@@ -616,9 +590,10 @@ _CHECKS = {
 
 
 def run_verify(cfg: dict) -> tuple[dict, dict]:
-    """The selected checks' result, and each check's seconds: its own time
-    here plus that of the pooled tasks it read, wherever they ran.  The
-    pool runs first; each check then folds its cases' measurements once."""
+    """The selected checks' result, and the seconds of each stage: a check's
+    own time here plus that of its pooled tasks, wherever they ran, and
+    moments, the moment task's, when it ran.  The pool runs first; each
+    check then folds its measurements once."""
     names = list(_CHECKS)
     if cfg["only"] is not None:
         only = {tok.strip() for tok in cfg["only"].split(",") if tok.strip()}
@@ -629,13 +604,31 @@ def run_verify(cfg: dict) -> tuple[dict, dict]:
             raise ValueError(f"unknown checks for --only: {sorted(bad)}")
         names = [name for name in names if name in only]
     run = _VerifyRun(cfg)
-    run.run_pool(names)
-    checks, stages = [], {}
+    # one map_ordered call: the moment task first, as the longest, when
+    # ceiling or decay runs and does not skip, then the other checks' tasks
+    runs = [name in names and _moment_skip(run, name) is None
+            for name in ("ceiling", "decay")]
+    jobs = ([("moments", [(_moment_task, (cfg, run.pairs, *runs))])]
+            if any(runs) else [])
+    jobs += [(name, _CHECKS[name][0](run)) for name in names
+             if _CHECKS[name][0] is not None]
+    tasks = [(job, task) for job, job_tasks in jobs for task in job_tasks]
+    pooled = {}  # job -> the _run_task outcomes of its tasks, in task order
+    for (job, _), outcome in zip(tasks, map_ordered(
+            _run_task, [task for _, task in tasks], run.workers)):
+        pooled.setdefault(job, []).append(outcome)
+    stages = {job: sum(seconds for _, _, seconds in outcomes)
+              for job, outcomes in pooled.items()}
+    checks = []
     for name in names:
         t0 = time.monotonic()
-        status, detail = _CHECKS[name][1](run, run.cases(name))
-        stages[name] = time.monotonic() - t0 + run.task_seconds
-        run.task_seconds = 0.0
+        if _CHECKS[name][0] is None:  # ceiling or decay
+            measured = _values(pooled["moments"])[0] if "moments" in pooled else None
+        else:
+            measured = [case for chunk in _values(pooled.get(name, []))
+                        for case in chunk]
+        status, detail = _CHECKS[name][1](run, measured)
+        stages[name] = stages.get(name, 0.0) + time.monotonic() - t0
         checks.append({"name": name, "status": status, "detail": detail})
     return {"checks": checks,
             "all_passed": all(c["status"] != "fail" for c in checks)}, stages
@@ -766,6 +759,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
             explicit.add(key)
+    for key, (_, kind, _) in _SETTINGS.items():
+        if kind is float and cfg[key] is not None and not math.isfinite(cfg[key]):
+            raise ValueError(f"{_name(key)} must be finite, got {cfg[key]}")
     if cfg["format"] not in ("json", "csv"):
         raise ValueError(f"unknown format {cfg['format']!r}; use json or csv")
     cfg["_explicit"] = explicit
@@ -779,8 +775,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = resolve_config(args)
         cfg["workers"] = resolve_workers(cfg["workers"])
         return _COMMANDS[args.command][0](cfg)
-    except saw.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (saw.BudgetExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except anderson.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,7 +46,7 @@ class NoRootError(Exception):
 
 
 def solve_fixed_point(a: float) -> float:
-    """Larger root of lambda = a * ln(lambda), for a > e.
+    """Larger root of lambda = a * ln(lambda), for finite a > e.
 
     Plain Newton on f(lambda) = lambda - a ln(lambda) from lambda_0 = a^2.
     The start lies right of the root, where f is increasing and convex, so
@@ -54,8 +54,8 @@ def solve_fixed_point(a: float) -> float:
     monotonically onto it.  Converges to |f(lambda)| < 1e-12 within
     _MAX_ITER steps, else raises ArithmeticError.
     """
-    if not (a > E):
-        raise NoRootError(f"need a > e = {E:.12f}, got a = {a}")
+    if not (E < a < math.inf):
+        raise NoRootError(f"need finite a > e = {E:.12f}, got a = {a}")
     lam = a * a
     for _ in range(_MAX_ITER):
         r = lam - a * math.log(lam)

@@ -103,6 +103,21 @@ def test_perfbench_trace_counts_two_factorizations_per_ceiling_sample(tmp_path):
     assert 0.0 < check["detail"]["max_cancellation"] < float("inf")
 
 
+def test_perfbench_verify_suite_gate_passes():
+    # the benchmark's own verify_suite checks (statuses, case counts,
+    # margins, the 1-worker reference and the planted-defect self-test) in
+    # one round, so a change they would reject fails here first
+    root = PYPROJECT.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload",
+         "verify_suite", "--seed", "1", "--seconds", "0"],
+        capture_output=True, text=True, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["correct"] is True, proc.stderr
+    assert doc["failed"] == 0, proc.stderr
+
+
 def test_saw_csv_header_exact(capsys):
     code, out, _ = run_main(["saw", "--dim", "2", "--nmax", "5",
                              "--format", "csv"], capsys)
@@ -255,6 +270,18 @@ def test_green_singular_exits_4(capsys):
                              "--z-imag", "0"], capsys)
     assert code == 4
     assert "singular" in err.lower()
+
+
+def _allocation_fails(*args):
+    raise MemoryError  # what numpy raises for a band that does not fit
+
+
+def test_green_failed_allocation_exits_3(capsys, monkeypatch):
+    # green --dim 5 at the default L = 6 asks for a 474 GiB band
+    monkeypatch.setattr(anderson.ResolventColumns, "__init__", _allocation_fails)
+    code, out, err = run_main(["green"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -536,10 +563,22 @@ def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
     (["verify", "--trials", "-3", "--only", "depleted"], None, 2, "trials"),
     (["verify", "--trials", "-3", "--only", "apriori"], None, 2, "trials"),
     (["verify", "--only", ",,"], None, 2, "only"),
+    (["verify", "--workers", "0"], None, 2, "workers must be >= 1"),
+    (["moment", "--L", "8", "--distances", "0..9"], None, 2,
+     "distances must lie in [0, L=8]"),
+    (["green", "--format", "csv"], None, 2, "json output only"),
+    (["saw"], [2, 6], 2, "must hold a JSON object"),
+    (["critical", "--mu", "inf", "--dim", "2"], None, 2, "mu must be finite"),
+    (["critical", "--mu", "1e308", "--dim", "2"], None, 2, "a = inf"),
+    (["green", "--z-imag", "nan"], None, 2, "z_imag must be finite"),
+    (["green", "--lambda", "inf"], None, 2, "lambda must be finite"),
+    (["green"], {"lambda": "nan"}, 2, "lambda must be finite"),
 ], ids=["identity-L0", "depleted-trials0", "schur-L0", "apriori-trials0",
         "ceiling-far", "moment-no-distance", "drb-n-env-0", "drb-L0",
         "verify-negative-distance", "depleted-trials-negative",
-        "apriori-trials-negative", "only-no-check"])
+        "apriori-trials-negative", "only-no-check", "workers-0",
+        "moment-distance-past-box", "green-csv", "config-list", "mu-inf",
+        "mu-e-overflows", "z-imag-nan", "lambda-inf", "config-lambda-nan"])
 def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
                                                args, file_cfg, code, shown):
     # an uncaught exception fails the test before any assert
@@ -572,6 +611,18 @@ def test_verify_apriori_and_drb(capsys):
     stages = doc["wallclock"]["stages"]
     assert list(stages) == ["apriori", "drb"]
     assert all(isinstance(t, float) and t >= 0.0 for t in stages.values())
+    assert sum(stages.values()) <= doc["wallclock"]["elapsed_seconds"]
+
+
+@pytest.mark.parametrize("lam, ran", [("30", True), ("2", False)])
+def test_verify_moment_task_seconds_are_their_own_stage(capsys, lam, ran):
+    # the shared moment task is the stage moments, present exactly when it
+    # ran; ceiling and decay keep a stage for their folds either way
+    doc = run_json(["verify", "--lambda", lam, "--only", "ceiling,decay",
+                    "--samples", "8", "--L", "4", "--nmax", "8",
+                    "--workers", "1"], capsys)
+    stages = doc["wallclock"]["stages"]
+    assert sorted(stages) == ["ceiling", "decay"] + ["moments"] * ran
     assert sum(stages.values()) <= doc["wallclock"]["elapsed_seconds"]
 
 
@@ -852,6 +903,10 @@ def _singular_case(*args):
     raise anderson.SingularSystemError(f"planted in process {os.getpid()}")
 
 
+def _out_of_memory_case(*args):
+    raise MemoryError(f"planted in process {os.getpid()}")
+
+
 @pytest.mark.parametrize("args, file_cfg, plant, code, shown", [
     (["--only", "depleted,schur"], None,
      (anderson, "verify_depleted_identity", _singular_case), 4,
@@ -861,8 +916,11 @@ def _singular_case(*args):
      "planted in process"),
     (["--only", "depleted,ceiling"], {"memory_budget": 1000}, None, 3,
      "budget"),
+    (["--only", "depleted"], None,
+     (anderson, "verify_depleted_identity", _out_of_memory_case), 3,
+     "planted in process"),
 ], ids=["singular-depleted-case", "singular-resolvent-case",
-        "series-over-budget"])
+        "series-over-budget", "depleted-case-out-of-memory"])
 def test_verify_pool_task_errors_keep_their_exit_codes(
         tmp_path, capsys, monkeypatch, pool_starts, args, file_cfg, plant,
         code, shown):

@@ -56,6 +56,14 @@ def test_solver_no_root():
         critical.solve_fixed_point(1.5)
 
 
+@pytest.mark.parametrize("a", [math.inf, math.nan, 1e308 * E],
+                         ids=["inf", "nan", "mu-e-overflows"])
+def test_solver_no_root_for_non_finite_a(a):
+    # a = mu e overflows to inf for mu = 1e308; Newton would run on inf - inf
+    with pytest.raises(critical.NoRootError):
+        critical.solve_fixed_point(a)
+
+
 def test_larger_root_selected():
     # at a = e^2/2 the two roots are well separated; the larger exceeds a ln a
     a = E**2 / 2
@@ -111,6 +119,10 @@ def test_round_up_last_digit():
     assert critical.round_up_last_digit(100.2) == 100.2
     # a hair above a tenth rounds up, never down
     assert critical.round_up_last_digit(22.80000000005) == 22.9
+    # x * 10 rounds down to exactly 17.0; only the upward step reaches 1.8
+    x = math.nextafter(1.7, math.inf)
+    assert x * 10 == 17.0
+    assert critical.round_up_last_digit(x) == 1.8
 
 
 def test_gamma_fn():
