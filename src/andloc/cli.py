@@ -12,9 +12,14 @@ is read as the text of its flag and converted by the flag's type, so a
 value the flag would reject exits 2; null leaves the default, a JSON list
 joins with ',' and a list of lists with ';' ([[1, 0], [0, 2]] is
 "1,0;0,2").  A config run therefore echoes exactly what the equivalent
-flags echo.  Each setting's default, flag type and help are declared once,
-in _SETTINGS, and each subcommand's flags in _COMMANDS: a new setting goes
-there.
+flags echo, and an artifact's config block fed back through --config
+reruns it; a key the command does not read (dim, for critical) is echoed
+and ignored.  Each setting's default, flag type and help are declared
+once, in _SETTINGS, and each subcommand's flags in _COMMANDS: a new
+setting goes there.
+
+critical names its dimensions with one setting, --dims (the built-in
+table's when unset); --mu bounds the one dimension that --dims then names.
 
 verify reads one table, _CHECKS: per check its chunk tasks and the fold
 of their measurements into a status.  One parallel.map_ordered call, the
@@ -138,10 +143,9 @@ def _emit_artifact(command: str, cfg: dict, result: dict, t0: float,
     envelope is encoded once, by json, and split at the slot's key line,
     which is found with its indentation: an encoded JSON string holds no
     raw newline, so no value, an --out path included, can imitate it."""
-    shown = {_name(k): v for k, v in cfg.items() if not k.startswith("_")}
     doc = {
         "command": command,
-        "config": shown,
+        "config": {_name(k): v for k, v in cfg.items()},
         "versions": {"andloc": __version__},
         "seed": cfg.get("seed"),
         "result": result,
@@ -192,24 +196,21 @@ def cmd_saw(cfg: dict) -> int:
 
 def cmd_critical(cfg: dict) -> int:
     t0 = time.monotonic()
+    dims = (_parse_int_list(cfg["dims"]) if cfg["dims"] is not None
+            else sorted(critical.DEFAULT_MU_UPPER))
+    if not dims:
+        raise ValueError(f"--dims {cfg['dims']!r} names no dimension")
     if cfg["mu"] is not None:
-        if cfg["dims"] is not None:
-            raise ValueError("--mu gives one dimension's bound; use it with "
-                             "--dim, not --dims")
-        dims = [cfg["dim"]]
+        if len(dims) != 1:
+            raise ValueError("--mu bounds one dimension; name it alone with "
+                             "--dims, e.g. --dims 3 --mu 4.7114")
         mus = {dims[0]: cfg["mu"]}
     else:
-        if cfg["dims"] is not None:
-            dims = _parse_int_list(cfg["dims"])
-        elif "dim" in cfg["_explicit"]:
-            dims = [cfg["dim"]]
-        else:
-            dims = sorted(critical.DEFAULT_MU_UPPER)
         missing = [d for d in dims if d not in critical.DEFAULT_MU_UPPER]
         if missing:
             raise ValueError(
                 f"no built-in connective bound for dimension(s) {missing}; "
-                "pass --mu explicitly")
+                "give one with --dims and its bound with --mu")
         mus = {d: critical.DEFAULT_MU_UPPER[d] for d in dims}
     reports = critical.table_one(mus)
     if cfg["format"] == "csv":
@@ -654,7 +655,7 @@ _SETTINGS = {
     "seed": (0, int, None),
     "workers": (None, int, "worker processes"),
     "dim": (2, int, None),
-    "dims": (None, str, "dimension range, e.g. 2..6"),
+    "dims": (None, str, "dimensions, e.g. 2..6 or 3 (the built-in table when unset)"),
     "nmax": (None, int, "walk length (a per-dimension default when unset)"),
     "memory_budget": (saw.DEFAULT_MEMORY_BUDGET, int, None),
     "L": (None, int, "box halfwidth (per-use defaults when unset)"),
@@ -682,7 +683,7 @@ _COMMANDS = {
     "saw": (cmd_saw, "enumerate self-avoiding walks exactly",
             ("dim", "nmax", "memory_budget")),
     "critical": (cmd_critical, "solve the critical-disorder table",
-                 ("dim", "dims", "mu")),
+                 ("dims", "mu")),
     "green": (cmd_green, "evaluate one Green's function entry",
               ("dim", "L", "lambda_", "z_real", "z_imag", "x", "y", "deleted")),
     "moment": (cmd_moment, "Monte Carlo fractional moments along an axis",
@@ -707,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
     for command, (_, summary, keys) in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override it")
         for key in _COMMON + keys:
             _, kind, text = _SETTINGS[key]
@@ -726,13 +727,8 @@ def _flag_text(value) -> str:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags, echoed into artifacts.
-
-    cfg["_explicit"] records which keys the user actually set, for commands
-    whose behavior depends on that (e.g. critical --dim vs the full table).
-    """
+    """defaults < config file < explicit flags, echoed into artifacts."""
     cfg = {key: default for key, (default, _, _) in _SETTINGS.items()}
-    explicit = set()
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
@@ -753,18 +749,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 raise ValueError(f"config key {name!r}: {text!r} is not "
                                  f"a valid {kind.__name__}") from None
             cfg[key] = val
-            explicit.add(key)
     for key in _SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-            explicit.add(key)
     for key, (_, kind, _) in _SETTINGS.items():
         if kind is float and cfg[key] is not None and not math.isfinite(cfg[key]):
             raise ValueError(f"{_name(key)} must be finite, got {cfg[key]}")
     if cfg["format"] not in ("json", "csv"):
         raise ValueError(f"unknown format {cfg['format']!r}; use json or csv")
-    cfg["_explicit"] = explicit
     return cfg
 
 

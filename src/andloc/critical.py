@@ -29,6 +29,7 @@ is not attained.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -51,17 +52,28 @@ def solve_fixed_point(a: float) -> float:
     Plain Newton on f(lambda) = lambda - a ln(lambda) from lambda_0 = a^2.
     The start lies right of the root, where f is increasing and convex, so
     every step lands right of the root again and the iterates descend
-    monotonically onto it.  Converges to |f(lambda)| < 1e-12 within
-    _MAX_ITER steps, else raises ArithmeticError.
+    monotonically onto it.  Past a ~ 8e17 the first step from a^2 cancels
+    to a or below (and a^2 overflows past a ~ 1.3e154); such a step
+    restarts at 2a ln(a), capped at the float maximum, which cannot cancel
+    and lies right of the root too: f(2a ln a) = a (ln a - ln 2 - ln ln a)
+    > 0.  Stops at |f(lambda)| < 1e-12 or at a step that leaves lambda
+    unchanged, within _MAX_ITER steps, else raises ArithmeticError.  A root
+    past the float range (a ~ 2.5e305) raises NoRootError.
     """
     if not (E < a < math.inf):
         raise NoRootError(f"need finite a > e = {E:.12f}, got a = {a}")
+    top = min(2.0 * a * math.log(a), sys.float_info.max)
+    if top - a * math.log(top) < 0:
+        raise NoRootError(f"the root for a = {a} exceeds the float range")
     lam = a * a
     for _ in range(_MAX_ITER):
         r = lam - a * math.log(lam)
         if abs(r) < _RESIDUAL_TOL:
             return lam
-        lam -= r / (1.0 - a / lam)
+        step = lam - r / (1.0 - a / lam)
+        if step == lam:  # |f| is below what lam's ulp resolves
+            return lam
+        lam = step if step > a else top
     raise ArithmeticError(f"fixed point did not converge: a={a}, residual={r}")
 
 
@@ -119,11 +131,12 @@ def mass(lam: float, mu_upper: float, eps: float) -> MassValue:
 def round_up_last_digit(x: float) -> float:
     """Smallest k / 10 whose float is >= x (reporting contract: thresholds
     are always rounded against safety margins, never below)."""
-    k = math.ceil(x * 10)
-    # x * 10 is rounded, so k can be one off either way; settle it on the
-    # floats that are actually returned
-    while (k - 1) / 10 >= x:
-        k -= 1
+    # every k / 10 below the midpoint of x and the float under it rounds
+    # below x: start at the floor of ten times that midpoint, in exact
+    # integers, and settle k on the floats that are actually returned
+    n1, d1 = x.as_integer_ratio()
+    n2, d2 = math.nextafter(x, -math.inf).as_integer_ratio()
+    k = 5 * (n1 * d2 + n2 * d1) // (d1 * d2)
     while k / 10 < x:
         k += 1
     return k / 10

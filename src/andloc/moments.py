@@ -48,15 +48,15 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import saw
-from .anderson import (Point, Region, SingularSystemError, green,
-                       resolvent_entries, sample_disorder)
+from .anderson import (Point, Region, SingularSystemError, resolvent_entries,
+                       sample_disorder)
 from .critical import gamma_big, gamma_fn, mass
 from .parallel import map_ordered, pieces, resolve_workers
 from .rng import site_uniform, substream, unit_open
@@ -441,17 +441,7 @@ class DecayFit:
     chi2: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "distances": self.distances,
-            "log_means": self.log_means,
-            "fitted_rate": self.fitted_rate,
-            "rate_stderr": self.rate_stderr,
-            "fitted_prefactor": self.fitted_prefactor,
-            "reference_rate": self.reference_rate,
-            "reference_positive": self.reference_positive,
-            "residuals": self.residuals,
-            "chi2": self.chi2,
-        }
+        return asdict(self)
 
 
 def fit_decay(estimates: Sequence[MomentEstimate], lam: float, mu_upper: float,
@@ -542,7 +532,7 @@ def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
                                   [(q, y) for q in nbrs])[0]
             rhs = factor * float(np.sum(np.abs(g) ** s))
             by_identity = abs(complex(np.sum(g))) ** s
-        gxx = green(region, lam, sample, z, x, x).value
+        gxx = complex(resolvent_entries(region, lam, [sample.omega], z, [(x, x)])[0, 0])
         b = lam * sample.value(x) - 1.0 / gxx
         by_identity *= apriori_integral(lam, s, b)
         _, t0, width, eta, sign = _pole_pieces(lam, np.array([b]))

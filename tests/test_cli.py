@@ -1,10 +1,11 @@
 """Command-line interface: artifacts, formats, config merging, exit codes."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
+import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -222,7 +223,7 @@ def test_critical_default_full_table_csv(capsys):
 
 
 def test_critical_single_dim(capsys):
-    doc = run_json(["critical", "--dim", "4"], capsys)
+    doc = run_json(["critical", "--dims", "4"], capsys)
     reports = doc["result"]["reports"]
     assert len(reports) == 1
     assert reports[0]["dimension"] == 4
@@ -230,7 +231,7 @@ def test_critical_single_dim(capsys):
 
 
 def test_critical_custom_mu(capsys):
-    doc = run_json(["critical", "--dim", "3", "--mu", "4.7114"], capsys)
+    doc = run_json(["critical", "--dims", "3", "--mu", "4.7114"], capsys)
     rep = doc["result"]["reports"][0]
     assert rep["mu_upper"] == 4.7114
     assert rep["lambda_and"] == pytest.approx(50.13563175903109, rel=1e-12)
@@ -248,6 +249,69 @@ def test_critical_unknown_dim_exits_2(capsys):
     code, _, err = run_main(["critical", "--dims", "7..9"], capsys)
     assert code == 2
     assert "connective" in err
+
+
+def test_critical_takes_no_dim_flag():
+    # --dims names critical's dimensions; --dim is not one of its flags
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["critical", "--dim", "4"])
+    assert exc.value.code == 2
+
+
+def test_critical_mu_for_a_dimension_without_builtin_bound(capsys):
+    doc = run_json(["critical", "--dims", "7", "--mu", "12"], capsys)
+    (rep,) = doc["result"]["reports"]
+    assert rep["dimension"] == 7 and rep["mu_upper"] == 12.0
+    assert rep["lambda_and"] == critical.solve_fixed_point(12.0 * math.e)
+
+
+@pytest.mark.parametrize("mu", [1e20, 1e50, 1e200])
+def test_critical_huge_mu_solves(capsys, mu):
+    # Newton from a^2 cancels (a > 8e17) or overflows (a > 1.3e154) here
+    doc = run_json(["critical", "--dims", "2", "--mu", repr(mu)], capsys)
+    lam, a = doc["result"]["reports"][0]["lambda_and"], mu * math.e
+    assert lam > a
+    assert abs(lam - a * math.log(lam)) <= 4 * math.ulp(lam)
+
+
+@pytest.mark.parametrize("argv", [
+    ["saw", "--dim", "2", "--nmax", "6"],
+    ["critical"],
+    ["critical", "--dims", "4"],
+    ["critical", "--dims", "3..4"],
+    ["critical", "--dims", "3", "--mu", "4.7114"],
+    ["green", "--L", "3", "--deleted", "1,0;0,2", "--x", "2,0"],
+    ["moment", "--L", "3", "--samples", "20", "--distances", "0..2"],
+    ["verify", "--only", "depleted,schur,apriori", "--trials", "3", "--L", "3"],
+], ids=["saw", "critical", "critical-dims-4", "critical-dims-3..4",
+        "critical-mu", "green", "moment", "verify"])
+def test_artifact_config_reruns_its_result(tmp_path, capsys, argv):
+    # an artifact is a certificate only if its echoed config reproduces it
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert cli.main(argv + ["--out", str(first)]) == 0
+    doc = json.loads(first.read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc["config"]))
+    assert cli.main([argv[0], "--config", str(cfg), "--out", str(again)]) == 0
+    rerun = json.loads(again.read_text())
+    assert rerun["result"] == doc["result"]
+    assert rerun["config"] == doc["config"] | {"out": str(again)}
+
+
+def _readme_commands() -> list[str]:
+    """The andloc lines of README.md's command-line block."""
+    text = (PYPROJECT.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("andloc ")]
+
+
+def test_readme_command_lines_run(tmp_path, capsys):
+    lines = _readme_commands()
+    assert len(lines) >= 7
+    for i, line in enumerate(lines):
+        argv = shlex.split(line)[1:] + ["--out", str(tmp_path / f"{i}.out")]
+        assert cli.main(argv) == 0, line
 
 
 def test_green_matches_library(capsys):
@@ -422,7 +486,7 @@ _BUILD = anderson.build_hamiltonian
 _BANDED = anderson.ResolventColumns
 _RULE = moments._apriori_rule
 _LEGGAUSS = moments.leggauss
-_GREEN = moments.green
+_ENTRIES = moments.resolvent_entries
 _NEIGHBORS = anderson.Region.neighbors_in
 
 
@@ -470,11 +534,11 @@ def _undepleted(region, p):
     return region
 
 
-def _green_off_by_1e6(region, lam, sample, z, x, y):
-    """green with its value 1 + 1e-6 times too large: in the conditional
-    bound, a G(x, x) that moves the effective pole B."""
-    ev = _GREEN(region, lam, sample, z, x, y)
-    return dataclasses.replace(ev, value=ev.value * (1.0 + 1e-6))
+def _diagonal_off_by_1e6(region, lam, omegas, z, pairs):
+    """resolvent_entries with every G(x, x) 1 + 1e-6 times too large: in
+    the conditional bound, a G(x, x) that moves the effective pole B."""
+    g = _ENTRIES(region, lam, omegas, z, pairs)
+    return g * np.where([tuple(x) == tuple(y) for x, y in pairs], 1.0 + 1e-6, 1.0)
 
 
 def _leggauss_doubled(n):
@@ -513,7 +577,7 @@ _PLANTS = {
     "density": [(moments, "leggauss", _leggauss_doubled)],
     "undepleted": [(anderson.Region, "without", _undepleted)],
     "neighbors": [(anderson.Region, "neighbors_in", _neighbors_but_last)],
-    "pole": [(moments, "green", _green_off_by_1e6)],
+    "pole": [(moments, "resolvent_entries", _diagonal_off_by_1e6)],
     "inflated": [(moments, "_moment_chunk", _inflated_chunk)],
     "flat": [(moments, "_moment_chunk", _flat_chunk)],
 }
@@ -568,17 +632,24 @@ def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
      "distances must lie in [0, L=8]"),
     (["green", "--format", "csv"], None, 2, "json output only"),
     (["saw"], [2, 6], 2, "must hold a JSON object"),
-    (["critical", "--mu", "inf", "--dim", "2"], None, 2, "mu must be finite"),
-    (["critical", "--mu", "1e308", "--dim", "2"], None, 2, "a = inf"),
+    (["critical", "--mu", "inf", "--dims", "2"], None, 2, "mu must be finite"),
+    (["critical", "--mu", "1e308", "--dims", "2"], None, 2, "a = inf"),
     (["green", "--z-imag", "nan"], None, 2, "z_imag must be finite"),
     (["green", "--lambda", "inf"], None, 2, "lambda must be finite"),
     (["green"], {"lambda": "nan"}, 2, "lambda must be finite"),
+    (["critical", "--mu", "4.7"], None, 2, "--dims"),
+    (["critical", "--dims", "5..2"], None, 2, "names no dimension"),
+    (["critical", "--dims", ","], None, 2, "names no dimension"),
+    (["critical", "--dims", "2", "--mu", "1e305"], None, 2,
+     "exceeds the float range"),
 ], ids=["identity-L0", "depleted-trials0", "schur-L0", "apriori-trials0",
         "ceiling-far", "moment-no-distance", "drb-n-env-0", "drb-L0",
         "verify-negative-distance", "depleted-trials-negative",
         "apriori-trials-negative", "only-no-check", "workers-0",
         "moment-distance-past-box", "green-csv", "config-list", "mu-inf",
-        "mu-e-overflows", "z-imag-nan", "lambda-inf", "config-lambda-nan"])
+        "mu-e-overflows", "z-imag-nan", "lambda-inf", "config-lambda-nan",
+        "mu-without-dims", "dims-empty-range", "dims-no-entry",
+        "root-past-float"])
 def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
                                                args, file_cfg, code, shown):
     # an uncaught exception fails the test before any assert
@@ -1065,8 +1136,7 @@ _COMMON_FLAGS = [("--config", "config", str), ("--format", "format", str),
 _FLAGS = {
     "saw": [("--dim", "dim", int), ("--nmax", "nmax", int),
             ("--memory-budget", "memory_budget", int)],
-    "critical": [("--dim", "dim", int), ("--dims", "dims", str),
-                 ("--mu", "mu", float)],
+    "critical": [("--dims", "dims", str), ("--mu", "mu", float)],
     "green": [("--dim", "dim", int), ("--L", "L", int),
               ("--lambda", "lambda_", float), ("--z-real", "z_real", float),
               ("--z-imag", "z_imag", float), ("--x", "x", str),

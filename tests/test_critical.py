@@ -1,6 +1,7 @@
 """Fixed-point solver, rate functions, and the threshold table."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +65,48 @@ def test_solver_no_root_for_non_finite_a(a):
         critical.solve_fixed_point(a)
 
 
+def _newton_from_a_squared(a):
+    """Newton from a^2 with only the 1e-12 stop, None where it fails: the
+    reference for every root that start reaches, the pinned ones included."""
+    lam = a * a
+    try:
+        for _ in range(200):
+            r = lam - a * math.log(lam)
+            if abs(r) < 1e-12:
+                return lam
+            lam -= r / (1.0 - a / lam)
+    except ValueError:  # an iterate at or below 0
+        return None
+    return None
+
+
+def test_solver_keeps_a_squared_roots():
+    # wherever Newton from a^2 converged, its root keeps its bits
+    grid = np.concatenate([np.logspace(math.log10(2.7183), 18.1, 4000),
+                           np.random.default_rng(0).uniform(2.7183, 1e4, 1000)])
+    kept = 0
+    for a in map(float, grid):
+        ref = _newton_from_a_squared(a)
+        if ref is not None:
+            assert critical.solve_fixed_point(a) == ref, a
+            kept += 1
+    assert kept > 3900
+
+
+@pytest.mark.parametrize("a", np.logspace(17, math.log10(2.5e305), 60).tolist())
+def test_solver_huge_a_within_ulps(a):
+    # a^2's first step cancels past a ~ 8e17 and a^2 overflows past 1.3e154
+    lam = critical.solve_fixed_point(a)
+    assert lam > a
+    assert abs(lam - a * math.log(lam)) <= 4 * math.ulp(lam)
+
+
+@pytest.mark.parametrize("a", [2.54e305, 1e306, sys.float_info.max])
+def test_solver_root_past_float_range(a):
+    with pytest.raises(critical.NoRootError, match="float range"):
+        critical.solve_fixed_point(a)
+
+
 def test_larger_root_selected():
     # at a = e^2/2 the two roots are well separated; the larger exceeds a ln a
     a = E**2 / 2
@@ -123,6 +166,14 @@ def test_round_up_last_digit():
     x = math.nextafter(1.7, math.inf)
     assert x * 10 == 17.0
     assert critical.round_up_last_digit(x) == 1.8
+
+
+@pytest.mark.parametrize("x", [1.3858670064503854e22, 2.0**60, 1e200,
+                               sys.float_info.max])
+def test_round_up_last_digit_huge(x):
+    # once ulp(x) reaches 0.2 every float is its own rounding; a search that
+    # moved k by one would take about 5 ulp(x) steps
+    assert critical.round_up_last_digit(x) == x
 
 
 def test_gamma_fn():
