@@ -12,19 +12,16 @@ elements of the resolvent,
 
 computed by one direct solver, ResolventColumns: a banded LU of one
 sample's H - z (LAPACK zgbtrf/zgbtrs, partial pivoting) in the band layout
-of Region.band, which serves green, the identity verifiers below, the
-conditional-bound check and the Monte Carlo moments.  resolvent_entries is
-the one batched solve loop over a stream of samples (a Monte Carlo chunk
-passes all of its samples in one call, and derives a region minus one site
-from the larger region's columns): it factors and solves each sample once
-and checks a group of samples with one residual.  The band layout, the
-residual and build_hamiltonian's sparse H read one adjacency, the neighbor
-table Region.hops.  Every column's residual is checked through the table,
-not the band; a sample that misses the contract goes through
-ResolventColumns.columns, which refines a column above 1e-10 once and
-raises SolverError (SingularSystemError at real z) if it still is.  A
-sparse LU (splu) of build_hamiltonian's H is only the independent solve on
-the depleted region in verify_depleted_identity.
+of Region.band.  It serves green, and through resolvent_entries, the one
+batched solve loop, the verifiers below and moments: a stream of stacked
+sample blocks, each sample factored and solved once, each block checked
+with one residual through the neighbor table Region.hops, the one
+adjacency that the band layout and build_hamiltonian's sparse H also read.
+A sample that misses the contract goes through ResolventColumns.columns,
+which refines a column above 1e-10 once and raises SolverError
+(SingularSystemError at real z) if it still is.  A sparse LU (splu) of
+build_hamiltonian's H is only the independent solve on the depleted
+region in verify_depleted_identity.
 G_z(x, y) = 0 by convention when x or y is outside the region.
 
 Exact operator identities are exposed as verifiers.  Each computes both
@@ -66,13 +63,6 @@ from .rng import site_uniform
 Point = tuple[int, ...]
 
 _RESIDUAL_TOL = 1e-10
-#: byte cap on the stacked solutions of one group of samples, whose residuals
-#: resolvent_entries checks at once (14 samples of one column at d=2, L=8).
-#: The group's temporaries are a few times this, so a cap at the disorder
-#: block's (moments._DISORDER_BYTES) would raise a Monte Carlo run's peak
-#: memory; at 64 KiB a 2000-sample d=2, L=8 run peaks no higher than with
-#: one residual per sample
-_GROUP_BYTES = 1 << 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -339,14 +329,10 @@ def _residual(region: Region, diag: np.ndarray, u: np.ndarray,
 
 
 class ResolventColumns:
-    """Banded LU factorization of (H - z) on one region for one disorder
-    sample.
-
-    omega is the sample's box array (DisorderSample.omega).  H - z is laid
-    out in the band of Region.band and factored once by LAPACK zgbtrf
-    (partial pivoting, always in complex); a column is then one zgbtrs solve
-    with the stored factor.
-    """
+    """Banded LU of (H - z) on one region for one sample's box array omega
+    (DisorderSample.omega), in the band of Region.band, factored once by
+    LAPACK zgbtrf (partial pivoting, always complex); a column is one zgbtrs
+    solve with the stored factor."""
 
     def __init__(self, region: Region, lam: float, omega: np.ndarray, z: complex):
         if region.n_sites == 0:
@@ -394,31 +380,29 @@ class ResolventColumns:
         return u[:, 0], float(res[0])
 
 
-def resolvent_entries(region: Region, lam: float, omegas: Iterable[np.ndarray],
+def resolvent_entries(region: Region, lam: float, blocks: Iterable[np.ndarray],
                       z: complex, pairs: Sequence[tuple[Point, Point]]) -> np.ndarray:
     """G_z(x, y) for every sample (rows) and (x, y) of pairs (columns), both
-    points in the region: the one batched solve loop.  omegas yields the
-    samples' box arrays, taken a group at a time (_GROUP_BYTES of
-    solutions).  Each sample is factored once, solved with one column per
-    distinct y, and its factor dropped; one residual over the group checks
-    them all.  A sample with a column above 1e-10 or not finite is factored
-    again and goes through ResolventColumns.columns, which refines it once
-    or raises."""
+    points in the region: the one batched solve loop.  blocks yields the
+    samples' box arrays stacked, each of shape (g,) + box; the caller sizes
+    them.  Each sample is factored once, solved with one column per distinct
+    y, and its factor dropped; one residual over the block checks them all.
+    A sample with a column above 1e-10 or not finite is factored again and
+    goes through ResolventColumns.columns, which refines it once or raises."""
     ys = list(dict.fromkeys(tuple(y) for _, y in pairs))
     rows = [region.index[tuple(x)] for x, _ in pairs]
     cols = [ys.index(tuple(y)) for _, y in pairs]
     rhs = _unit_columns(region, ys)
-    omegas, size = iter(omegas), max(1, _GROUP_BYTES // rhs.nbytes)
     out = [np.empty((0, len(pairs)), dtype=complex)]
-    while group := list(itertools.islice(omegas, size)):
-        u = np.empty((region.n_sites, len(group), len(ys)), dtype=complex)
+    for block in blocks:
+        u = np.empty((region.n_sites, len(block), len(ys)), dtype=complex)
         diag = np.empty(u.shape[:2], dtype=complex)
-        for i, omega in enumerate(group):
+        for i, omega in enumerate(block):
             factor = ResolventColumns(region, lam, omega, z)
             u[:, i], diag[:, i] = factor._solve(rhs), factor._diag
         ok = np.linalg.norm(_residual(region, diag, u, rhs), axis=0) <= _RESIDUAL_TOL
         for i in np.flatnonzero(~ok.all(axis=1)):
-            u[:, i] = ResolventColumns(region, lam, group[i], z).columns(ys)[0]
+            u[:, i] = ResolventColumns(region, lam, block[i], z).columns(ys)[0]
         out.append(u[rows, :, cols].T)
     return np.concatenate(out)
 
@@ -450,7 +434,7 @@ def verify_depleted_identity(region: Region, lam: float, sample: DisorderSample,
         raise ValueError("the one-step identity needs x != y")
     if x not in region.index or y not in region.index:
         return 0.0  # both sides vanish: G is zero off the region
-    gxx, lhs = resolvent_entries(region, lam, [sample.omega], z,
+    gxx, lhs = resolvent_entries(region, lam, [sample.omega[None]], z,
                                  [(x, x), (x, y)])[0]
     depleted = region.without(x)
     nbrs = region.neighbors_in(x)
@@ -482,8 +466,8 @@ def verify_schur_diagonal(region: Region, lam: float, sample: DisorderSample,
         raise ValueError(f"site {x} is not in the region")
     v1 = sample.value(x)
     vs = (v1, v1 - 1.0 if v1 >= 0.0 else v1 + 1.0)
-    omegas = (sample.with_site_value(x, v).omega for v in vs)
-    gxx = resolvent_entries(region, lam, omegas, z, [(x, x)])[:, 0]
+    block = np.stack([sample.with_site_value(x, v).omega for v in vs])
+    gxx = resolvent_entries(region, lam, [block], z, [(x, x)])[:, 0]
     bs = [lam * v - 1.0 / complex(g) for v, g in zip(vs, gxx)]
     return float(abs(bs[0] - bs[1]) / max(abs(bs[0]), abs(bs[1]), _EPS))
 

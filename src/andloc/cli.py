@@ -444,8 +444,10 @@ def _drb_tasks(run: _VerifyRun) -> list:
     cfg, dim = run.cfg, run.dim
     if cfg["n_env"] < 1:
         raise ValueError(f"n_env must be >= 1, got {cfg['n_env']}")
-    region = anderson.Region(dimension=dim, L=_box_L(cfg, "conditional"))
     s_val = cfg["s"] if cfg["s"] is not None else 0.7
+    # the bound's factor: lambda <= 0 or s outside (0, 1) raises before the pool
+    critical.gamma_big(s_val, run.lam)
+    region = anderson.Region(dimension=dim, L=_box_L(cfg, "conditional"))
     x = (0,) * dim
     y = (1, 1) + (0,) * (dim - 2) if dim >= 2 else (1,)
     if y not in region:  # no case: the check skips
@@ -485,6 +487,11 @@ def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+def _extreme(fold, values) -> float:
+    """fold (np.max or np.min) of values, or NaN if one is not finite."""
+    return float(fold(values)) if np.isfinite(values).all() else math.nan
+
+
 def _moment_skip(run: _VerifyRun, name: str) -> Optional[tuple[str, dict]]:
     """The skip of moment check name, ceiling or decay, or None: s_crit(lambda)
     must exist, and the box must hold one distance (ceiling) or three (decay)."""
@@ -504,7 +511,7 @@ def _identity_check(run: _VerifyRun, gaps: list) -> tuple[str, dict]:
     if not gaps:
         return "skipped", {"reason": "no case ran: trials is 0, or no two sites "
                                      "of the box lie within l1 distance 2"}
-    tol, worst = 1e-9, max(gaps)
+    tol, worst = 1e-9, _extreme(np.max, gaps)
     return _status(worst < tol), {
         "cases": len(gaps), "max_discrepancy": worst, "tolerance": tol}
 
@@ -516,8 +523,8 @@ def _check_apriori(run: _VerifyRun, grids: list) -> tuple[str, dict]:
     if not grids:
         return "skipped", {"reason": "no case ran: trials is 0"}
     tol, sat_tol = 1e-8, 1e-10
-    ratios, lowers, sat_errs = zip(*grids)
-    max_ratio, min_lower, sat_err = max(ratios), min(lowers), max(sat_errs)
+    max_ratio, min_lower, sat_err = map(_extreme, (np.max, np.min, np.max),
+                                        zip(*grids))
     ok = max_ratio <= 1.0 + tol and min_lower >= 1.0 - tol and sat_err <= sat_tol
     return _status(ok), {
         "b_per_grid": run.trials(100), "max_ratio": max_ratio,
@@ -529,14 +536,16 @@ def _check_drb(run: _VerifyRun, sides: list) -> tuple[str, dict]:
     """Per environment, the quadrature left side at most the right side plus
     tol, and within a relative identity_tol of the left side that the
     depletion and Schur identities give (both sides integrate on the
-    a priori rule); skipped when the box does not hold the pair."""
+    a priori rule); skipped when the box does not hold the pair.  A side
+    that is not finite makes the margin or the gap NaN, which fails."""
     if not sides:
         L = _box_L(run.cfg, "conditional")
         return "skipped", {"reason": f"no case ran: y lies outside the box (L = {L})"}
     tol, identity_tol = 1e-6, 1e-9
-    margin = min(rhs - lhs for lhs, rhs, _ in sides)
-    gap = max(abs(lhs - by_identity) / max(lhs, by_identity)
-              if lhs != by_identity else 0.0 for lhs, _, by_identity in sides)
+    margin = _extreme(np.min, [rhs - lhs for lhs, rhs, _ in sides])
+    gap = _extreme(np.max, [abs(lhs - by_identity) / max(lhs, by_identity)
+                            if lhs != by_identity else 0.0
+                            for lhs, _, by_identity in sides])
     return _status(margin >= -tol and gap <= identity_tol), {
         "environments": len(sides), "min_margin": margin, "tolerance": tol,
         "max_identity_gap": gap, "identity_tolerance": identity_tol}
@@ -617,6 +626,9 @@ def run_verify(cfg: dict) -> tuple[dict, dict]:
     # ceiling or decay runs and does not skip, then the other checks' tasks
     runs = [name in names and _moment_skip(run, name) is None
             for name in ("ceiling", "decay")]
+    if runs[1] and cfg["mu"] is None and cfg["nmax"] is not None and cfg["nmax"] < 1:
+        raise ValueError(f"nmax must be >= 1 when decay runs without --mu (its "
+                         f"bound needs length-1 counts), got {cfg['nmax']}")
     jobs = ([("moments", [(_moment_task, (cfg, run.pairs, *runs))])]
             if any(runs) else [])
     jobs += [(name, _CHECKS[name][0](run)) for name in names

@@ -29,21 +29,19 @@ numpy, vectorised over B: after the substitution t = eta sinh u, with
 eta = |Im B| (or t = w^(1/(1-s)) for real B inside the support), its
 integrand is smooth, so no adaptive quadrature is needed and the
 closed-form bound is never used to compute it.  The conditional-bound check
-takes its omega(x) average on the nodes of the same rule.  Every solve, of
-the Monte Carlo moments and of the conditional-bound check alike, goes
-through anderson.resolvent_entries: the one resolvent solver, a banded LU
-per sample and factored region.  The Monte Carlo draws its disorder a block
-of samples at a time, in one hash over the box, and streams a chunk's
-blocks into one resolvent_entries call.
+takes its omega(x) average on the nodes of the same rule.  Every solve goes
+through anderson.resolvent_entries, a banded LU per sample and factored
+region, in blocks of _block_size samples: one cap, _BLOCK_BYTES of
+solutions, is the only batch size.  A Monte Carlo block is one disorder
+hash and one residual check, and a chunk streams its blocks into one
+resolvent_entries call.
 
-Every function here returns measurements only: moment estimates, ceiling
-values, decay fits, a priori integrals and the sides of the conditional
-bound.  The verify checks of cli compare them, and each holds its pass rule
-and tolerance.  The ceiling uses the truncated walk series plus its rigorous
-tail bound, so it is a true upper bound, only slightly weakened by
-truncation.  A decay fit carries, beside the fitted rate, the proved mass
-m_eps(lambda) = -ln gamma(lambda) - ln(mu + eps) that the rate is compared
-against.
+Every function here returns measurements only (moment estimates, ceiling
+values, decay fits, a priori integrals, the conditional bound's sides); each
+verify check of cli holds its pass rule and tolerance.  The ceiling is the
+truncated walk series plus its rigorous tail bound, a true upper bound.  A
+decay fit carries, beside the fitted rate, the proved mass
+m_eps(lambda) = -ln gamma(lambda) - ln(mu + eps) it is compared against.
 """
 
 from __future__ import annotations
@@ -63,9 +61,9 @@ from .parallel import map_ordered, pieces, resolve_workers
 from .rng import site_uniform, substream, unit_open
 
 _DELETION_VARIANTS = 2  # boxes minus one random site in default_region_family
-#: byte cap on one disorder block's uint64 hash array in _moment_chunk; the
-#: hash's temporaries then stay near 1 MiB
-_DISORDER_BYTES = 1 << 18
+#: byte cap on the stacked solutions of one block of samples (_block_size;
+#: 14 samples of one column at d=2, L=8)
+_BLOCK_BYTES = 1 << 16
 #: Gauss-Legendre nodes per unit panel of the a priori rule (_apriori_rule)
 _APRIORI_NODES = 10
 #: the same for the conditional-bound check, where each node costs one
@@ -124,6 +122,12 @@ class MomentEstimate:
         }
 
 
+def _block_size(region: Region, n_columns: int) -> int:
+    """Samples per block when each is solved for n_columns columns on the
+    region: as many as _BLOCK_BYTES of 16-byte solutions hold, at least one."""
+    return max(1, _BLOCK_BYTES // (region.n_sites * n_columns * 16))
+
+
 def _disorder_block(region: Region, seed: int, ks: range) -> np.ndarray:
     """The box arrays of samples ks of the run seed, stacked: row i is
     sample_disorder(region, substream(seed, ks[i])).omega, from one hash."""
@@ -132,17 +136,15 @@ def _disorder_block(region: Region, seed: int, ks: range) -> np.ndarray:
                         region.box_coords)
 
 
-def _entries(region: Region, lam: float, omegas, z: complex,
+def _entries(region: Region, lam: float, blocks, z: complex,
              pairs: list[tuple[Point, Point]],
              deleted: Sequence[Point]) -> np.ndarray:
     """G_z(x, y) for every sample (rows) and (x, y) of pairs on the region,
     then on region.without(p) for each p of deleted, then the corrections
     G(x, p) G(p, y) / G(p, p) in the same order: columns region-major, pairs
-    within.  Every p lies outside the pairs' points.
+    within, from one resolvent_entries call over blocks (a stream will do).
 
-    omegas yields the samples' box arrays, and may be a stream; one
-    resolvent_entries call takes them all and factors each once.  For p outside
-    {x, y} the Schur complement gives
+    Every p lies outside the pairs' points, so the Schur complement gives
         G^{(region \\ {p})}(x, y) = G(x, y) - G(x, p) G(p, y) / G(p, p),
     and G(p, y) = G(y, p) because H - z is complex symmetric, so each p
     costs one more column of the region's factor.  A G(p, p) of 0 or a
@@ -150,7 +152,7 @@ def _entries(region: Region, lam: float, omegas, z: complex,
     """
     points = list(dict.fromkeys(q for pair in pairs for q in pair))
     wanted = list(pairs) + [(q, p) for p in deleted for q in points + [p]]
-    g = resolvent_entries(region, lam, omegas, z, wanted)
+    g = resolvent_entries(region, lam, blocks, z, wanted)
     rows, n = len(g), len(pairs)
     # per p: G(q, p) for each point q, then G(p, p)
     gp = g[:, n:].reshape(rows, len(deleted), len(points) + 1)
@@ -170,15 +172,15 @@ def _entries(region: Region, lam: float, omegas, z: complex,
 
 
 def _moment_chunk(task) -> np.ndarray:
-    """|.|^s of the _entries of samples k0..k1-1 of the run seed: one _entries
-    call over their box arrays, drawn _DISORDER_BYTES of hash keys at a time.
-    The task is (region, lam, s, z, pairs, seed, k0, k1), followed by the
-    deleted sites p whose regions region.without(p) derive from region's factor."""
+    """|.|^s of the _entries of samples k0..k1-1 of the run seed, from one
+    _entries call over their _disorder_block blocks of _block_size samples.
+    The task is (region, lam, s, z, pairs, seed, k0, k1, *deleted): the
+    sites p whose regions region.without(p) derive from region's factor."""
     region, lam, s, z, pairs, seed, k0, k1, *deleted = task
-    step = max(1, _DISORDER_BYTES // region.box_coords[0].nbytes)
-    omegas = (omega for k in range(k0, k1, step)
-              for omega in _disorder_block(region, seed, range(k, min(k + step, k1))))
-    return np.abs(_entries(region, lam, omegas, z, pairs, deleted)) ** s
+    step = _block_size(region, len({y for _, y in pairs} | set(deleted)))
+    blocks = (_disorder_block(region, seed, range(k, min(k + step, k1)))
+              for k in range(k0, k1, step))
+    return np.abs(_entries(region, lam, blocks, z, pairs, deleted)) ** s
 
 
 def _deleted_site(base: Region, region: Region) -> Optional[Point]:
@@ -201,12 +203,11 @@ def estimate_moments(regions: Region | Sequence[Region], lam: float, s: float,
     the same samples, from one map_ordered call (one worker pool) over all
     their chunks, or at one worker from a loop, which nests no section in
     verify's pooled moment task (perfbench's tracer cannot): sample k uses
-    the disorder seed substream(seed, k), and per-sample values are stacked
-    in k order before reduction, so mean and stderr are bit-identical for
-    any worker count.  A region that is base.without(p) for an earlier
-    region base of the call is not factored: its values derive from base's
-    factor (_entries), and its estimates carry the largest cancellation of
-    that derivation.  Every other region is factored once per sample.
+    substream(seed, k), and values reduce in k order, so mean and stderr are
+    bit-identical for any worker count.  A region base.without(p), for an earlier region base of the
+    call, derives its values from base's factor (_entries), and its
+    estimates carry that derivation's largest cancellation.  Every other
+    region is factored once per sample.
     """
     if isinstance(regions, Region):
         regions = [regions]
@@ -506,7 +507,8 @@ def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
     weights of the a priori rule (_apriori_rule, _DRB_NODES per panel) for
     the effective pole B = lambda omega(x) - 1/G(x, x), which is
     omega(x)-independent: |G(x, y)|^s is |A|^s |lambda omega(x) - B|^{-s},
-    so the node count follows from B, one factorization per node.  The
+    so the node count follows from B, one factorization per node, and the
+    nodes are solved in blocks of _block_size samples.  The
     right side, Gamma(s) sum_{x' ~ x} |G^{(Lambda \\ {x})}(x', y)|^s, comes
     from a separate solve on the depleted region.  By the depletion and
     Schur identities the left side also equals
@@ -525,24 +527,26 @@ def check_drb_conditional(region: Region, lam: float, s: float, z: complex,
     factor = gamma_big(s, lam)
     depleted = region.without(x)
     nbrs = region.neighbors_in(x)
-    out = []
+    step, out = _block_size(region, 1), []
     for j in envs:
         sample = sample_disorder(region, substream(seed, j))
+        one = [sample.omega[None]]  # the environment, as a block of one
         rhs = by_identity = 0.0
         if nbrs:
-            g = resolvent_entries(depleted, lam, [sample.omega], z,
-                                  [(q, y) for q in nbrs])[0]
+            g = resolvent_entries(depleted, lam, one, z, [(q, y) for q in nbrs])[0]
             rhs = factor * float(np.sum(np.abs(g) ** s))
             by_identity = abs(complex(np.sum(g))) ** s
-        gxx = complex(resolvent_entries(region, lam, [sample.omega], z, [(x, x)])[0, 0])
+        gxx = complex(resolvent_entries(region, lam, one, z, [(x, x)])[0, 0])
         b = lam * sample.value(x) - 1.0 / gxx
         by_identity *= apriori_integral(lam, s, b)
         _, t0, width, eta, sign = _pole_pieces(lam, np.array([b]))
         seg, t, _, log_jac, w = _apriori_rule(t0, width, eta, s, _DRB_NODES)
         # with_site_value accepts omega(x) in [-1, 1] only
         vs = np.clip((b.real + sign[seg] * t) / lam, -1.0, 1.0)
-        omegas = (sample.with_site_value(x, v).omega for v in vs)
-        g = resolvent_entries(region, lam, omegas, z, [(x, y)])[:, 0]
+        blocks = (np.stack([sample.with_site_value(x, v).omega
+                            for v in vs[i:i + step]])
+                  for i in range(0, len(vs), step))
+        g = resolvent_entries(region, lam, blocks, z, [(x, y)])[:, 0]
         lhs = float(np.dot(w * np.exp(log_jac), np.abs(g) ** s)) / (2.0 * lam)
         out.append((lhs, rhs, by_identity))
     return out

@@ -408,6 +408,11 @@ def _group_case(n_samples):
     return region, omegas, pairs
 
 
+def _blocks(omegas, sizes):
+    """The box arrays omegas stacked in blocks of the given sizes."""
+    return np.split(np.stack(omegas), np.cumsum(sizes)[:-1])
+
+
 def _per_sample_entries(region, omegas, z, pairs):
     """resolvent_entries from one ResolventColumns.columns call per sample."""
     ys = list(dict.fromkeys(y for _, y in pairs))
@@ -418,12 +423,11 @@ def _per_sample_entries(region, omegas, z, pairs):
 
 
 @pytest.mark.parametrize("n_samples, groups", [
-    (2, [2]), (3, [3]), (4, [3, 1]), (7, [3, 3, 1])])
+    (2, [2]), (3, [3]), (4, [4]), (7, [2, 4, 1])])
 def test_grouped_entries_match_per_sample_columns(n_samples, groups, monkeypatch):
-    # groups of 3 samples, so calls of 2, 3 and 4 samples split below, at and
-    # above the group size; each group is checked by one residual, whose
-    # sample axis gives the group's size, and every value is the per-sample
-    # solve's, bit for bit
+    # the samples streamed in blocks of 1, 2, 3 and 4: each block is checked
+    # by one residual, whose sample axis gives the block's size, and every
+    # value is the per-sample solve's, bit for bit
     region, omegas, pairs = _group_case(n_samples)
     sizes, residual = [], anderson._residual
 
@@ -431,10 +435,9 @@ def test_grouped_entries_match_per_sample_columns(n_samples, groups, monkeypatch
         sizes.append(u.shape[1])
         return residual(region, diag, u, rhs)
 
-    one = region.n_sites * 2 * np.dtype(complex).itemsize  # two distinct y
-    monkeypatch.setattr(anderson, "_GROUP_BYTES", 3 * one + one // 2)
     monkeypatch.setattr(anderson, "_residual", counted)
-    got = anderson.resolvent_entries(region, LAM, iter(omegas), Z, pairs)
+    got = anderson.resolvent_entries(region, LAM, iter(_blocks(omegas, groups)),
+                                     Z, pairs)
     assert sizes == groups
     assert got.shape == (n_samples, len(pairs))
     assert np.array_equal(got, _per_sample_entries(region, omegas, Z, pairs))
@@ -443,14 +446,15 @@ def test_grouped_entries_match_per_sample_columns(n_samples, groups, monkeypatch
 def _planted_solve(monkeypatch, target, plant):
     """Count ResolventColumns constructions and columns calls, and pass the
     solutions of the box array target through plant(u, k), k counting its
-    solves over every factor of it."""
+    solves over every factor of it.  A sample is target by value: the rows
+    of a block are views, never target itself."""
     made, refined, solves = [], [], []
 
     class Counted(anderson.ResolventColumns):
         def __init__(self, region, lam, omega, z):
             super().__init__(region, lam, omega, z)
             made.append(self)
-            self.planted = omega is target
+            self.planted = np.array_equal(omega, target)
 
         def _solve(self, rhs):
             u = super()._solve(rhs)
@@ -471,10 +475,11 @@ def test_grouped_refinement_only_reruns_the_rough_sample(monkeypatch):
     # a first solve 1e-8 off misses the contract: that sample alone is
     # factored again and goes through columns, and no value changes
     region, omegas, pairs = _group_case(5)
-    want = anderson.resolvent_entries(region, LAM, omegas, Z, pairs)
+    blocks = _blocks(omegas, [2, 3])
+    want = anderson.resolvent_entries(region, LAM, blocks, Z, pairs)
     made, refined = _planted_solve(
         monkeypatch, omegas[2], lambda u, k: u + 1e-8 if k == 1 else u)
-    got = anderson.resolvent_entries(region, LAM, omegas, Z, pairs)
+    got = anderson.resolvent_entries(region, LAM, blocks, Z, pairs)
     assert len(made) == len(omegas) + 1
     assert refined == [made[-1]]
     assert np.array_equal(made[-1]._diag, made[2]._diag)
@@ -487,7 +492,8 @@ def test_grouped_non_finite_column_raises(z, error, monkeypatch):
     # a NaN in every solve of one sample cannot be refined away; the error
     # is columns' own: SolverError at complex z, SingularSystemError at real z
     region, omegas, pairs = _group_case(5)
-    anderson.resolvent_entries(region, LAM, omegas, z, pairs)  # unplanted: fine
+    blocks = _blocks(omegas, [2, 3])
+    anderson.resolvent_entries(region, LAM, blocks, z, pairs)  # unplanted: fine
 
     def nan_column(u, _):
         u = u.copy()
@@ -496,7 +502,7 @@ def test_grouped_non_finite_column_raises(z, error, monkeypatch):
 
     _planted_solve(monkeypatch, omegas[1], nan_column)
     with pytest.raises(anderson.SolverError, match="residual nan") as info:
-        anderson.resolvent_entries(region, LAM, omegas, z, pairs)
+        anderson.resolvent_entries(region, LAM, blocks, z, pairs)
     assert type(info.value) is error
 
 

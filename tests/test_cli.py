@@ -612,6 +612,76 @@ def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
     assert all(c["status"] == "fail" for c in checks)
 
 
+_APRIORI = moments.apriori_integral
+_DRB = moments.check_drb_conditional
+
+
+def _nan_at_call(fn, at):
+    """fn with the measurement of its call number at (from 0) NaN."""
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        return math.nan if len(calls) == at + 1 else fn(*args)
+
+    return planted
+
+
+def _apriori_nan_at(grid, k):
+    """apriori_integral with its value at the k-th B of the (s, lambda)
+    grid's array call NaN."""
+    def planted(lam, s, b):
+        vals = _APRIORI(lam, s, b)
+        if (s, lam) == grid and np.ndim(b):
+            vals[k] = math.nan
+        return vals
+
+    return planted
+
+
+def _drb_nan_at(env):
+    """check_drb_conditional with the left side by the identities NaN in
+    environment env."""
+    def planted(*args):
+        sides, envs = _DRB(*args), args[6]
+        return [(lhs, rhs, math.nan if j == env else by_identity)
+                for j, (lhs, rhs, by_identity) in zip(envs, sides)]
+
+    return planted
+
+
+#: check -> (first, later): the plants of one NaN measurement in the
+#: check's first case and in a later one
+_NAN_PLANTS = {
+    name: tuple((anderson, attr, _nan_at_call(getattr(anderson, attr), at))
+                for at in (0, 1))
+    for name, attr in (("depleted", "verify_depleted_identity"),
+                       ("resolvent", "verify_resolvent_expansion"),
+                       ("schur", "verify_schur_diagonal"))
+} | {
+    "apriori": ((moments, "apriori_integral", _apriori_nan_at((0.3, 10.0), 0)),
+                (moments, "apriori_integral", _apriori_nan_at((0.5, 30.0), 3))),
+    "drb": ((moments, "check_drb_conditional", _drb_nan_at(0)),
+            (moments, "check_drb_conditional", _drb_nan_at(1))),
+}
+
+
+@pytest.mark.parametrize("where", ["first", "later"])
+@pytest.mark.parametrize("check", sorted(_NAN_PLANTS))
+def test_verify_fails_on_a_nan_measurement(capsys, monkeypatch, check, where):
+    # a NaN measurement fails its check wherever it falls, and its detail
+    # shows NaN; Python's max and min would skip one that is not first
+    first, later = _NAN_PLANTS[check]
+    monkeypatch.setattr(*(first if where == "first" else later))
+    code, out, _ = run_main(["verify", "--only", check, "--trials", "6",
+                             "--n-env", "3", "--workers", "1"], capsys)
+    assert code == 1
+    (got,) = json.loads(out)["result"]["checks"]
+    assert got["status"] == "fail"
+    assert any(isinstance(v, float) and math.isnan(v)
+               for v in got["detail"].values())
+
+
 @pytest.mark.parametrize("args, file_cfg, code, shown", [
     (["verify", "--only", "depleted,resolvent,schur", "--L", "0"], None, 0,
      "no case ran"),
@@ -655,6 +725,12 @@ def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
      "deleted must hold integers only, got '1,0;x'"),
     (["moment", "--distances", "1..x"], None, 2,
      "distances must hold integers only, got '1..x'"),
+    (["verify", "--lambda", "0"], None, 2, "lambda must be positive"),
+    (["verify", "--only", "apriori,drb", "--lambda", "-1"], None, 2,
+     "lambda must be positive"),
+    (["verify", "--only", "drb", "--s", "1.5"], None, 2,
+     "s must lie in (0, 1), got 1.5"),
+    (["verify", "--nmax", "0"], None, 2, "nmax must be >= 1"),
 ], ids=["identity-L0", "depleted-trials0", "schur-L0", "apriori-trials0",
         "ceiling-far", "moment-no-distance", "drb-n-env-0", "drb-L0",
         "verify-negative-distance", "depleted-trials-negative",
@@ -664,14 +740,23 @@ def test_identity_checks_fail_on_planted_defect(capsys, monkeypatch, planted,
         "mu-without-dims", "dims-empty-range", "dims-no-entry",
         "root-past-float", "budget-negative", "config-budget-negative",
         "dims-not-integer", "point-no-entry", "points-bad-entry",
-        "distances-bad-range"])
+        "distances-bad-range", "drb-lambda-0", "drb-lambda-negative",
+        "drb-s-past-1", "decay-nmax-0"])
 def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
                                                args, file_cfg, code, shown):
-    # an uncaught exception fails the test before any assert
+    # an uncaught exception fails the test before any assert; bad input is
+    # rejected before any pooled task runs
     def no_sampling(task):
         raise AssertionError("Monte Carlo ran on a degenerate input")
 
+    pooled = []
+
+    def recorded(fn, tasks, workers):
+        pooled.append(fn)
+        return parallel.map_ordered(fn, tasks, workers)
+
     monkeypatch.setattr(cli.moments, "_moment_chunk", no_sampling)
+    monkeypatch.setattr(cli, "map_ordered", recorded)
     if file_cfg is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(file_cfg))
@@ -680,6 +765,7 @@ def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
     assert got == code, err
     if code == 2:
         assert out == "" and err.startswith("error:") and shown in err
+        assert pooled == []
     else:
         checks = json.loads(out)["result"]["checks"]
         assert checks and all(c["status"] == "skipped" for c in checks)

@@ -197,15 +197,14 @@ def test_banded_matches_dense_inverse(name):
 
 @pytest.mark.parametrize("name", ["box", "half-box", "d3-L2"])
 def test_banded_values_independent_of_batching(name, monkeypatch):
-    # a sample's values depend neither on where its chunk starts, nor on the
-    # disorder block it is drawn in, nor on the residual group it is checked
-    # in, also when a group spans two blocks; a chunk makes one
-    # resolvent_entries call whatever its blocks
+    # a sample's values depend neither on where its chunk starts nor on the
+    # block it is drawn and checked in; a chunk makes one resolvent_entries
+    # call whatever its blocks, and each block is one disorder hash and one
+    # residual check
     region = SOLVER_REGIONS[name]
     whole = moments._moment_chunk(_chunk_task(region))
     shifted = moments._moment_chunk(_chunk_task(region, k0=5))
     assert np.array_equal(shifted, whole[5:])
-    assert moments._DISORDER_BYTES > SOLVER_SAMPLES * region.box_coords[0].nbytes
     calls = {}
 
     def record(module, attr):  # keeps each call's arguments
@@ -220,21 +219,19 @@ def test_banded_values_independent_of_batching(name, monkeypatch):
     for module, attr in ((moments, "resolvent_entries"),
                          (moments, "_disorder_block"), (anderson, "_residual")):
         record(module, attr)
-    one = region.n_sites * len({y for _, y in _solver_pairs(region)}) * 16
-    # 1-sample blocks at the default groups, then groups of 3 across blocks
-    # of 5: the second group holds samples 3, 4 and 5
-    cases = [(1, None, [1] * SOLVER_SAMPLES, [SOLVER_SAMPLES]),
-             (5, 3, [5, 5, 2], [3] * 4)]
-    for n_block, n_group, blocks, groups in cases:
-        monkeypatch.setattr(moments, "_DISORDER_BYTES",
-                            n_block * region.box_coords[0].nbytes)
-        if n_group is not None:
-            monkeypatch.setattr(anderson, "_GROUP_BYTES", n_group * one)
+    n_columns = len({y for _, y in _solver_pairs(region)})
+    one = region.n_sites * n_columns * np.dtype(complex).itemsize
+    for cap in (None, 1, 5):  # samples per block; None: the default cap's
+        if cap is not None:
+            monkeypatch.setattr(moments, "_BLOCK_BYTES", cap * one)
+        n_block = cap or moments._block_size(region, n_columns)
         calls.update(resolvent_entries=[], _disorder_block=[], _residual=[])
         assert np.array_equal(moments._moment_chunk(_chunk_task(region)), whole)
         assert len(calls["resolvent_entries"]) == 1
-        assert [len(ks) for *_, ks in calls["_disorder_block"]] == blocks
-        assert [u.shape[1] for _, _, u, _ in calls["_residual"]] == groups
+        blocks = [len(ks) for *_, ks in calls["_disorder_block"]]
+        assert blocks == [min(n_block, SOLVER_SAMPLES - k)
+                          for k in range(0, SOLVER_SAMPLES, n_block)]
+        assert [u.shape[1] for _, _, u, _ in calls["_residual"]] == blocks
 
 
 _BAND = anderson.Region.band.func
@@ -441,15 +438,15 @@ def test_deletion_variants_match_direct_solves(dim, L, z):
     origin, e1 = (0,) * dim, (1,) + (0,) * (dim - 1)
     pairs = [(origin, origin), (e1, origin), ((2,) + origin[1:], e1)]
     deleted = [(-1,) + origin[1:], (L,) * dim]
-    omegas = moments._disorder_block(full, 7, range(20))
-    got = moments._entries(full, 10.0, omegas, z, pairs, deleted)
+    blocks = [moments._disorder_block(full, 7, range(20))]
+    got = moments._entries(full, 10.0, blocks, z, pairs, deleted)
     n, m = len(pairs), len(deleted)
     assert got.shape == (20, (1 + 2 * m) * n)
     np.testing.assert_allclose(
-        got[:, :n], anderson.resolvent_entries(full, 10.0, omegas, z, pairs),
+        got[:, :n], anderson.resolvent_entries(full, 10.0, blocks, z, pairs),
         rtol=1e-14, atol=0.0)
     for a, p in enumerate(deleted):
-        direct = anderson.resolvent_entries(full.without(p), 10.0, omegas, z,
+        direct = anderson.resolvent_entries(full.without(p), 10.0, blocks, z,
                                             pairs)
         np.testing.assert_allclose(got[:, (1 + a) * n:(2 + a) * n], direct,
                                    rtol=1e-12, atol=0.0)
@@ -608,6 +605,27 @@ def test_drb_left_side_matches_identity_at_verify_shape():
     assert len(sides) == 10
     for lhs, _, by_identity in sides:
         assert abs(lhs - by_identity) <= 1e-9 * by_identity
+
+
+@pytest.mark.parametrize("cap", [1, 7, None])
+def test_drb_sides_independent_of_blocks(cap, monkeypatch):
+    # the omega(x) nodes are solved in blocks of at most the cap's samples
+    # (None: the default cap's), and the sides are bit-identical for any cap
+    region = anderson.Region(dimension=2, L=3)
+    args = (region, 30.0, 0.7, Z, (0, 0), (1, 1), range(3), 1)
+    want = moments.check_drb_conditional(*args)
+    sizes, residual = [], anderson._residual
+
+    def counted(region, diag, u, rhs):
+        sizes.append(u.shape[1])
+        return residual(region, diag, u, rhs)
+
+    monkeypatch.setattr(anderson, "_residual", counted)
+    if cap is not None:
+        one = region.n_sites * np.dtype(complex).itemsize
+        monkeypatch.setattr(moments, "_BLOCK_BYTES", cap * one)
+    assert moments.check_drb_conditional(*args) == want
+    assert max(sizes) == (cap or moments._block_size(region, 1))
 
 
 def test_drb_rejects_bad_pairs():
