@@ -43,15 +43,16 @@ measures that independence by recomputing B at two values of omega(x).
 
 Disorder is counter-based (see rng): omega(x) is a pure function of
 (seed, x), so samples regenerate bit-identically and restrict consistently
-to depleted regions.
+to depleted regions.  A DisorderSample is a region and its box array omega.
+Region.grid is the one site order: it maps each box slot to its site's
+matrix row, and both solvers read their diagonal as omega[grid >= 0].
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
@@ -81,9 +82,9 @@ class SingularSystemError(SolverError):
 class Region:
     """Centered box [-L, L]^d minus a set of deleted sites.
 
-    Surviving sites are indexed 0..n_sites-1 in lexicographic box order, a
-    function of (dimension, L, deleted) alone.  Box arrays put axis
-    i at coordinate i + L, so their C order is the order of `sites`.
+    Box arrays put axis i at coordinate i + L.  grid, one such array, gives
+    each surviving site its index 0..n_sites-1, in the arrays' C order, which
+    is lexicographic box order; sites and index read that one order.
     """
 
     dimension: int
@@ -102,13 +103,10 @@ class Region:
     def in_box(self, p: Sequence[int]) -> bool:
         return all(-self.L <= c <= self.L for c in p)
 
-    def box_sites(self) -> Iterable[Point]:
-        rng = range(-self.L, self.L + 1)
-        return itertools.product(rng, repeat=self.dimension)
-
     @cached_property
     def sites(self) -> list[Point]:
-        return [p for p in self.box_sites() if p not in self.deleted]
+        """The surviving sites in index order: grid's C order."""
+        return list(zip(*(np.argwhere(self.grid >= 0) - self.L).T.tolist()))
 
     @cached_property
     def index(self) -> dict[Point, int]:
@@ -205,23 +203,17 @@ def make_region(dimension: int, L: int, deleted: Iterable[Sequence[int]] = ()) -
 
 @dataclass(eq=False)
 class DisorderSample:
-    """omega over the full box array (deleted sites included, harmlessly).
+    """A region and omega over its full box array (deleted sites included,
+    harmlessly), axis i at coordinate i + L as in Region.grid.
 
-    Regenerating with the same (region geometry, seed) is bit-identical, and a
-    depleted region sees the same values on surviving sites.  with_site_value
-    gives a copy with one site resampled, used by the Schur and
-    conditional-bound checks.
+    sample_disorder regenerates it bit-identically from (region geometry,
+    seed), and a depleted region sees the same values on surviving sites.
+    with_site_value gives a copy with one site resampled, used by the Schur
+    and conditional-bound checks.
     """
 
     region: Region
-    seed: int
-    omega: np.ndarray  # axis i at coordinate i + L, as in Region.grid
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DisorderSample):
-            return NotImplemented
-        return (self.region == other.region and self.seed == other.seed
-                and np.array_equal(self.omega, other.omega))
+    omega: np.ndarray
 
     def _slot(self, p: Point) -> Point:
         p = tuple(p)
@@ -237,34 +229,24 @@ class DisorderSample:
             raise ValueError(f"omega must lie in [-1, 1], got {v}")
         omega = self.omega.copy()
         omega[self._slot(p)] = v
-        return DisorderSample(region=self.region, seed=self.seed, omega=omega)
-
-    def vector(self, region: Optional[Region] = None) -> np.ndarray:
-        """omega on the region's sites, in the order of region.sites."""
-        region = region if region is not None else self.region
-        return self.omega[region.grid >= 0]
-
-    def to_json_dict(self) -> dict:
-        doc = self.region.to_json_dict()
-        doc["seed"] = self.seed
-        return doc
+        return DisorderSample(region=self.region, omega=omega)
 
 
 def sample_disorder(region: Region, seed: int) -> DisorderSample:
-    return DisorderSample(region=region, seed=seed,
-                          omega=site_uniform(seed, region.box_coords))
+    return DisorderSample(region=region, omega=site_uniform(seed, region.box_coords))
 
 
 # --- Hamiltonian assembly ---
 
 
-def build_hamiltonian(region: Region, lam: float, sample: DisorderSample,
+def build_hamiltonian(region: Region, lam: float, omega: np.ndarray,
                       z: complex = 0.0) -> csc_matrix:
-    """H - z = adjacency + diag(lambda omega - z) on the region, canonical
-    int32 CSC (real when z is a real float).  Column j is row j of
-    Region.hops with j itself inserted at position d, so its rows ascend."""
+    """H - z = adjacency + diag(lambda omega - z) on the region, from the box
+    array omega as in ResolventColumns, canonical int32 CSC (real when z is
+    a real float).  Column j is row j of Region.hops with j itself inserted
+    at position d, so its rows ascend."""
     n, d = region.n_sites, region.dimension
-    diag = lam * sample.vector(region) - z
+    diag = lam * omega[region.grid >= 0] - z
     rows = np.insert(region.hops, d, np.arange(n), axis=1)
     data = np.insert(np.ones(region.hops.shape, diag.dtype), d, diag, axis=1)
     real = rows < n
@@ -440,7 +422,7 @@ def verify_depleted_identity(region: Region, lam: float, sample: DisorderSample,
     nbrs = region.neighbors_in(x)
     total = 0j
     if nbrs:
-        a = build_hamiltonian(depleted, lam, sample, z)
+        a = build_hamiltonian(depleted, lam, sample.omega, z)
         b = np.zeros(depleted.n_sites, dtype=complex)
         b[depleted.index[y]] = 1.0
         try:

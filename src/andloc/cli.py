@@ -246,7 +246,8 @@ def cmd_green(cfg: dict) -> int:
             raise ValueError(f"{flag} {','.join(map(str, p))} has {len(p)} "
                              f"coordinate(s); --dim is {dim}")
     ev = anderson.green(region, cfg["lambda_"], sample, z, x, y)
-    result = {"sample": sample.to_json_dict(), "evaluation": ev.to_json_dict()}
+    result = {"sample": region.to_json_dict() | {"seed": cfg["seed"]},
+              "evaluation": ev.to_json_dict()}
     _emit_artifact("green", cfg, result, t0)
     return EXIT_OK
 
@@ -776,6 +777,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key, (_, kind, _) in _SETTINGS.items():
         if kind is float and cfg[key] is not None and not math.isfinite(cfg[key]):
             raise ValueError(f"{_name(key)} must be finite, got {cfg[key]}")
+    if cfg["nmax"] is not None and cfg["nmax"] < 0:
+        raise ValueError(f"nmax must be >= 0, got {cfg['nmax']}")
     if cfg["format"] not in ("json", "csv"):
         raise ValueError(f"unknown format {cfg['format']!r}; use json or csv")
     return cfg

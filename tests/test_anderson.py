@@ -29,6 +29,34 @@ PIN_DEPLETED = complex(-0.00033014261716044326, -4.2327039327720186e-07)
 # --- regions ---
 
 
+def _box_walk(region):
+    """The region's sites by a route independent of Region.grid: the
+    lexicographic walk of the box, deleted sites filtered out."""
+    box = itertools.product(range(-region.L, region.L + 1), repeat=region.dimension)
+    return [p for p in box if p not in region.deleted]
+
+
+def test_site_order_is_the_box_walk():
+    # sites, index and grid read one order: the box walk's.  L = 0 with its
+    # one site deleted gives the empty region
+    gen = np.random.default_rng(36)
+    for d, L in itertools.product((1, 2, 3), range(4)):
+        box = list(itertools.product(range(-L, L + 1), repeat=d))
+        for k in range(min(3, len(box)) + 1):
+            for _ in range(3):
+                picks = gen.choice(len(box), size=k, replace=False)
+                region = anderson.make_region(d, L, [box[i] for i in picks])
+                want = _box_walk(region)
+                assert region.sites == want, (d, L, region.deleted)
+                assert all(type(c) is int for p in region.sites for c in p)
+                assert region.n_sites == len(want)
+                assert region.index == {p: i for i, p in enumerate(want)}
+                assert region.grid.shape == (2 * L + 1,) * d
+                for p in box:
+                    slot = tuple(c + L for c in p)
+                    assert region.grid[slot] == region.index.get(p, -1), p
+
+
 def test_region_sites_lexicographic():
     region = anderson.make_region(2, 1)
     assert region.sites[:3] == [(-1, -1), (-1, 0), (-1, 1)]
@@ -67,14 +95,16 @@ def test_region_neighbors():
 
 def _pattern_by_coo(region, diag):
     """build_hamiltonian's matrix built independently: every site's hops from
-    neighbors_in and diag on the diagonal, through scipy's COO to CSC."""
+    neighbors_in and diag on the diagonal, in the box walk's order, through
+    scipy's COO to CSC."""
+    order = {p: i for i, p in enumerate(_box_walk(region))}
     rows, cols, data = [], [], []
-    for j, p in enumerate(region.sites):
+    for p, j in order.items():
         rows.append(j)
         cols.append(j)
         data.append(diag[j])
         for q in region.neighbors_in(p):
-            rows.append(region.index[q])
+            rows.append(order[q])
             cols.append(j)
             data.append(1.0)
     n = region.n_sites
@@ -89,7 +119,7 @@ def _pattern_regions():
             origin = (0,) * d
             yield d, L, []
             if L:
-                corners = [box.sites[0], box.sites[-1]]
+                corners = [(-L,) * d, (L,) * d]
                 yield d, L, [origin]
                 yield d, L, corners
                 # the origin survives with every neighbor deleted
@@ -100,19 +130,22 @@ def _pattern_regions():
 def test_pattern_matches_coo_build(d, L, deleted):
     region = anderson.make_region(d, L, deleted)
     n = region.n_sites
+    sites = _box_walk(region)
+    order = {p: i for i, p in enumerate(sites)}
     steps = [-e for e in np.eye(d, dtype=int)] + list(np.eye(d, dtype=int)[::-1])
-    for i, p in enumerate(region.sites):
+    for i, p in enumerate(sites):
         row = region.hops[i].tolist()
         # n_sites pads the directions -e_0 .. -e_{d-1}, +e_{d-1} .. +e_0
         # without a neighbor, and the real entries ascend
-        assert row == [region.index.get(tuple(np.add(p, e).tolist()), n)
+        assert row == [order.get(tuple(np.add(p, e).tolist()), n)
                        for e in steps], p
-        want = sorted(region.index[q] for q in region.neighbors_in(p))
+        want = sorted(order[q] for q in region.neighbors_in(p))
         assert [j for j in row if j < n] == want, p
     sample = anderson.sample_disorder(region, 3)
+    omega = np.array([sample.value(p) for p in sites])
     for z in (Z, 0.7):  # complex and real H - z
-        a = anderson.build_hamiltonian(region, LAM, sample, z)
-        b = _pattern_by_coo(region, LAM * sample.vector(region) - z)
+        a = anderson.build_hamiltonian(region, LAM, sample.omega, z)
+        b = _pattern_by_coo(region, LAM * omega - z)
         for name in ("indptr", "indices", "data"):
             got, want = getattr(a, name), getattr(b, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -126,15 +159,16 @@ def test_residual_is_the_sparse_product_bit_for_bit(d, L, deleted):
     # summed in a sparse product's order: adjacency @ u, then the diagonal
     region = anderson.make_region(d, L, deleted)
     n = region.n_sites
+    sites = _box_walk(region)
     samples = [anderson.sample_disorder(region, seed) for seed in (3, 4)]
     # build_hamiltonian at lambda = 0, z = 0: the adjacency, 0.0 diagonal
-    adjacency = anderson.build_hamiltonian(region, 0.0, samples[0])
-    columns = anderson._unit_columns(region, region.sites[:: max(1, n // 3)])
+    adjacency = anderson.build_hamiltonian(region, 0.0, samples[0].omega)
+    columns = anderson._unit_columns(region, sites[:: max(1, n // 3)])
     gen = np.random.default_rng(d * 10 + L)
     # one sample and one column is green's shape, where numpy's own sum
     # over the neighbor axis would reorder the additions
     for z, g, k in itertools.product((Z, 0.7), (1, 2), (1, columns.shape[1])):
-        diag = np.stack([LAM * s.vector(region) - complex(z)
+        diag = np.stack([LAM * np.array([s.value(p) for p in sites]) - complex(z)
                          for s in samples[:g]], axis=1)
         u = gen.standard_normal((n, g, k, 2)) @ [1.0, 1.0j]
         rhs = columns[:, :k]
@@ -186,24 +220,15 @@ def test_array_disorder_matches_scalar_hash(d, seed):
         warnings.simplefilter("error")
         sample = anderson.sample_disorder(region, seed)
         block = moments._disorder_block(region, seed, ks)
-    for p in region.box_sites():
+    for p in itertools.product(range(-2, 3), repeat=d):
         assert sample.omega[tuple(c + 2 for c in p)] == site_uniform(seed, p)
-    assert sample.vector().tolist() == [site_uniform(seed, p) for p in region.sites]
+    # the solvers' read of the box array, in the box walk's order
+    assert (sample.omega[region.grid >= 0].tolist()
+            == [site_uniform(seed, p) for p in _box_walk(region)])
     assert block.shape == (len(ks),) + (5,) * d
     for row, k in zip(block, ks):
         own = anderson.sample_disorder(region, substream(seed, k))
         assert np.array_equal(row, own.omega)
-
-
-def test_sample_equality_compares_values():
-    # equality reads region, seed and omega; it never asks an array for a bool
-    region = anderson.make_region(2, 3)
-    a = anderson.sample_disorder(region, 42)
-    assert a == anderson.sample_disorder(region, 42)
-    assert a != anderson.sample_disorder(region, 43)
-    assert a != a.with_site_value((0, 0), 0.25)
-    assert a != anderson.sample_disorder(region.without((1, 1)), 42)
-    assert (a == 42) is False
 
 
 def test_sample_site_outside_box_raises():
@@ -237,15 +262,16 @@ def test_hamiltonian_matches_direct_construction():
                           (2, [(-2, 0), (1, 1)], Z)]:
         region = anderson.make_region(d, 2, deleted)
         sample = anderson.sample_disorder(region, 3)
-        a = anderson.build_hamiltonian(region, LAM, sample, z)
+        a = anderson.build_hamiltonian(region, LAM, sample.omega, z)
         assert a.has_canonical_format
         h = a.toarray()
         n = region.n_sites
+        order = {p: i for i, p in enumerate(_box_walk(region))}
         expect = np.zeros((n, n), dtype=h.dtype)
-        for p, i in region.index.items():
+        for p, i in order.items():
             expect[i, i] = LAM * sample.value(p) - z
             for q in region.neighbors_in(p):
-                expect[i, region.index[q]] = 1.0
+                expect[i, order[q]] = 1.0
         assert np.allclose(h, expect, atol=0)
         assert np.allclose(h, h.T, atol=0)
 
@@ -292,17 +318,17 @@ def test_matches_dense_oracle_random_regions():
     for trial in range(6):
         d = 2 if trial % 2 == 0 else 3
         L = 3 if d == 2 else 2
-        box = anderson.make_region(d, L)
-        all_sites = list(box.box_sites())
+        all_sites = list(itertools.product(range(-L, L + 1), repeat=d))
         k = int(rng.integers(0, 3))
         deleted = [all_sites[i]
                    for i in rng.choice(len(all_sites), size=k, replace=False)]
         region = anderson.make_region(d, L, deleted)
         sample = anderson.sample_disorder(region, 100 + trial)
-        x = region.sites[int(rng.integers(region.n_sites))]
-        y = region.sites[int(rng.integers(region.n_sites))]
+        sites = _box_walk(region)
+        x = sites[int(rng.integers(len(sites)))]
+        y = sites[int(rng.integers(len(sites)))]
         got = anderson.green(region, LAM, sample, Z, x, y).value
-        omega = {p: site_uniform(100 + trial, p) for p in box.box_sites()}
+        omega = {p: site_uniform(100 + trial, p) for p in all_sites}
         want = oracles.dense_green(d, L, deleted, omega, LAM, Z, x, y)
         assert abs(got - want) <= 1e-9 * max(abs(want), 1e-12)
 
@@ -313,11 +339,12 @@ def test_green_at_real_z_on_depleted_box():
     lam, deleted = 1.0, [(0, 1), (-2, 2), (3, -1)]
     region = anderson.make_region(2, 3, deleted)
     sample = anderson.sample_disorder(region, 37)
-    w = np.linalg.eigvalsh(anderson.build_hamiltonian(region, lam, sample).toarray())
+    h = anderson.build_hamiltonian(region, lam, sample.omega).toarray()
+    w = np.linalg.eigvalsh(h)
     k = int(np.argmax(np.diff(w)))
     z = complex(0.5 * (w[k] + w[k + 1]))  # middle of the widest spectral gap
     assert z.imag == 0.0 and np.min(np.abs(w - z.real)) > 0.05
-    omega = {p: sample.value(p) for p in region.box_sites()}
+    omega = {p: sample.value(p) for p in itertools.product(range(-3, 4), repeat=2)}
     index, want = oracles.dense_resolvent(2, 3, deleted, omega, lam, z)
     for x, y in [((0, 0), (0, 0)), ((2, 1), (-3, 0)), ((-1, 3), (1, -3))]:
         ev = anderson.green(region, lam, sample, z, x, y)

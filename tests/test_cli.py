@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -441,8 +442,8 @@ def test_verify_identity_checks_pass(capsys):
 
 
 def _identity_case_by_scan(dim, L, seed, t):
-    """cli._identity_case's region, x and y, with y from a plain scan of
-    region.sites for the points at l1 distance 1 or 2 from x."""
+    """cli._identity_case's region, x and y, with y from a plain scan of the
+    box walk's surviving sites for the points at l1 distance 1 or 2 from x."""
     s0 = substream(seed, t)
     box = anderson.Region(dimension=dim, L=L)
     deleted, k = [], 0
@@ -453,8 +454,9 @@ def _identity_case_by_scan(dim, L, seed, t):
             deleted.append(cand)
     region = anderson.make_region(dim, L, deleted)
     x = cli._random_site(region, s0, 2)
-    nearby = [p for p in region.sites
-              if 1 <= sum(abs(a - b) for a, b in zip(p, x)) <= 2]
+    box = itertools.product(range(-L, L + 1), repeat=dim)
+    nearby = [p for p in box if p not in region.deleted
+              and 1 <= sum(abs(a - b) for a, b in zip(p, x)) <= 2]
     if not nearby:
         return None
     return region, x, nearby[int(unit_open(s0, (3,)) * len(nearby))]
@@ -501,9 +503,9 @@ def _hops_without_axis0(region):
     return table
 
 
-def _doubled_diagonal(region, lam, sample, z=0.0):
+def _doubled_diagonal(region, lam, omega, z=0.0):
     """build_hamiltonian with its diagonal written as 2*lam*omega - z."""
-    return _BUILD(region, 2 * lam, sample, z)
+    return _BUILD(region, 2 * lam, omega, z)
 
 
 def _banded_doubled_diagonal(region, lam, omega, z):
@@ -731,6 +733,8 @@ def test_verify_fails_on_a_nan_measurement(capsys, monkeypatch, check, where):
     (["verify", "--only", "drb", "--s", "1.5"], None, 2,
      "s must lie in (0, 1), got 1.5"),
     (["verify", "--nmax", "0"], None, 2, "nmax must be >= 1"),
+    (["verify", "--mu", "2.7", "--nmax", "-1", "--samples", "100", "--trials",
+      "4", "--n-env", "2"], None, 2, "nmax must be >= 0, got -1"),
 ], ids=["identity-L0", "depleted-trials0", "schur-L0", "apriori-trials0",
         "ceiling-far", "moment-no-distance", "drb-n-env-0", "drb-L0",
         "verify-negative-distance", "depleted-trials-negative",
@@ -741,7 +745,7 @@ def test_verify_fails_on_a_nan_measurement(capsys, monkeypatch, check, where):
         "root-past-float", "budget-negative", "config-budget-negative",
         "dims-not-integer", "point-no-entry", "points-bad-entry",
         "distances-bad-range", "drb-lambda-0", "drb-lambda-negative",
-        "drb-s-past-1", "decay-nmax-0"])
+        "drb-s-past-1", "decay-nmax-0", "verify-nmax-negative"])
 def test_degenerate_inputs_never_pass_vacuously(tmp_path, capsys, monkeypatch,
                                                args, file_cfg, code, shown):
     # an uncaught exception fails the test before any assert; bad input is

@@ -1,5 +1,6 @@
 """Fractional-moment estimation, the integral bounds, and decay fits."""
 
+import itertools
 import math
 
 import numpy as np
@@ -174,7 +175,8 @@ def test_banded_matches_dense_inverse(name):
                for k in range(SOLVER_SAMPLES)]
     want = np.empty((SOLVER_SAMPLES, len(pairs)))
     for k, sample in enumerate(samples):
-        omega = {p: sample.value(p) for p in region.box_sites()}
+        omega = {p: sample.value(p) for p in itertools.product(
+            range(-region.L, region.L + 1), repeat=region.dimension)}
         index, g = oracles.dense_resolvent(region.dimension, region.L,
                                            region.deleted, omega, SOLVER_LAM, Z)
         for j, (x, y) in enumerate(pairs):
@@ -187,7 +189,7 @@ def test_banded_matches_dense_inverse(name):
         cols = anderson.ResolventColumns(region, SOLVER_LAM, sample.omega, Z)
         u, res = cols.columns(ys)
         assert u.shape == (region.n_sites, len(ys))
-        h = anderson.build_hamiltonian(region, SOLVER_LAM, sample, Z)
+        h = anderson.build_hamiltonian(region, SOLVER_LAM, sample.omega, Z)
         for j, y in enumerate(ys):
             e = np.zeros(region.n_sites)
             e[region.index[y]] = 1.0
@@ -260,7 +262,7 @@ def _eigenvalue_seen_from_origin(region, lam, seed):
     """The eigenvalue of H (sample 0 of seed) whose eigenvector weighs most
     at the origin."""
     sample = anderson.sample_disorder(region, substream(seed, 0))
-    h = anderson.build_hamiltonian(region, lam, sample).toarray()
+    h = anderson.build_hamiltonian(region, lam, sample.omega).toarray()
     w, v = np.linalg.eigh(h)
     return float(w[np.argmax(np.abs(v[region.index[(0,) * region.dimension]]))])
 
