@@ -285,10 +285,6 @@ def cmd_moment(cfg: dict) -> int:
 # --- verification suite ---
 
 
-def _random_site(region: anderson.Region, seed: int, tag: int) -> anderson.Point:
-    return region.sites[int(unit_open(seed, (tag,)) * region.n_sites)]
-
-
 def _identity_case(dim: int, L: int, seed: int, t: int):
     """Case t of the identity stream seed: (region, sample, x, y), or None.
 
@@ -298,25 +294,25 @@ def _identity_case(dim: int, L: int, seed: int, t: int):
     above roundoff at any lambda.  A case without such a pair is None.
     """
     s0 = substream(seed, t)
-    box = anderson.Region(dimension=dim, L=L)
-    n_del = min(t % 3, box.n_sites - 1)
-    deleted = []
-    k = 0
-    while len(deleted) < n_del:
-        cand = _random_site(box, s0, 100 + k)
+    shape = (2 * L + 1,) * dim
+    n_box = math.prod(shape)
+    flats, k = [], 0  # deleted sites, as flat indices in the box's C order
+    while len(flats) < min(t % 3, n_box - 1):
+        flat = int(unit_open(s0, (100 + k,)) * n_box)
         k += 1
-        if cand not in deleted:
-            deleted.append(cand)
-    region = anderson.make_region(dim, L, deleted)
+        if flat not in flats:
+            flats.append(flat)
+    deleted = np.unravel_index(np.array(flats, dtype=np.intp), shape)
+    region = anderson.make_region(dim, L, np.transpose(deleted) - L)
     sample = anderson.sample_disorder(region, substream(s0, 1))
-    x = _random_site(region, s0, 2)
     sites = np.argwhere(region.grid >= 0) - L  # region.sites, as an array
+    x = sites[int(unit_open(s0, (2,)) * len(sites))]
     dist = np.abs(sites - x).sum(axis=1)
     nearby = sites[(dist >= 1) & (dist <= 2)]
     if not len(nearby):
         return None
     y = tuple(nearby[int(unit_open(s0, (3,)) * len(nearby))].tolist())
-    return region, sample, x, y
+    return region, sample, tuple(x.tolist()), y
 
 
 # Task functions.  A task is (function, args) and may run in a pool worker,
@@ -368,26 +364,31 @@ def _moment_task(cfg: dict, pairs: list, ceiling: bool, decay: bool) -> tuple:
     """(series, ceilings, regions, estimates), one task of verify's pool, so
     sampled on one worker: the walk series if ceiling runs or decay has no
     --mu, the ceilings or the error that skips ceiling, then at s_crit(lambda)
-    the region family if the ceilings exist, else the full box if decay runs.
-    The full box is first, so the first len(pairs) estimates are decay's."""
+    the region family if the ceilings exist (the full box with the sites of
+    default_region_family deleted one at a time, then its half box), else
+    the full box if decay runs.  The full box is first, so the first
+    len(pairs) estimates are decay's."""
     dim, lam, L = cfg["dim"], cfg["lambda_"], _box_L(cfg, "moments")
     series = _series(cfg) if ceiling or cfg["mu"] is None else None
-    ceilings, regions, ests = None, [], []
+    full = anderson.Region(dimension=dim, L=L)
+    ceilings, runs, ests = None, [], []  # runs: (region, deleted sites)
     if ceiling:
         try:
             ceilings = _ceilings(series, lam, pairs)
-            regions = moments.default_region_family(
+            sites, half = moments.default_region_family(
                 dim, L, keep=[p for pr in pairs for p in pr],
                 seed=substream(cfg["seed"], 17))
+            runs = [(full, sites), (half, [])]
         except moments.CeilingUnavailableError as exc:
             ceilings = exc
-    if decay and not regions:
-        regions = [anderson.Region(dimension=dim, L=L)]
-    if regions:
-        ests = moments.estimate_moments(
-            regions, lam, critical.s_crit(lam), complex(cfg["z_real"], cfg["z_imag"]),
-            pairs, cfg["samples"], substream(cfg["seed"], 16), workers=1)
-    return series, ceilings, len(regions), ests
+    if decay and not runs:
+        runs = [(full, [])]
+    for region, deleted in runs:
+        ests += moments.estimate_moments(
+            region, lam, critical.s_crit(lam), complex(cfg["z_real"], cfg["z_imag"]),
+            pairs, cfg["samples"], substream(cfg["seed"], 16), workers=1,
+            deleted=deleted)
+    return series, ceilings, sum(1 + len(d) for _, d in runs), ests
 
 
 def _run_task(task) -> tuple[bool, object, float]:

@@ -91,14 +91,15 @@ def gamma_fn(lam: float) -> float:
     return E * math.log(lam) / lam
 
 
-def _check_s(s: float) -> None:
+def check_s(s: float) -> None:
+    """Raise ValueError unless s lies in (0, 1)."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
 
 
 def gamma_big(s: float, lam: float) -> float:
     """Gamma(s) = 1/((1-s) lambda^s)."""
-    _check_s(s)
+    check_s(s)
     if lam <= 0:
         raise ValueError("lambda must be positive")
     return 1.0 / ((1.0 - s) * lam**s)

@@ -18,11 +18,11 @@ This module estimates the Monte Carlo left sides (counter-based seeds,
 sample k is a pure function of (seed, k); means reduce in index order so
 results are bit-identical for any worker count) and evaluates the ceilings
 from exact walk counts, keeping the two routes independent.  All sampling
-goes through estimate_moments, for one region or a family of them, the
-ceiling check's family included.  A region of a family that is another
-one minus one site p is not factored: G on it follows from one more column
-of the larger region's factor, by the Schur complement
-G^{(Lambda \\ {p})}(x, y) = G(x, y) - G(x, p) G(p, y) / G(p, p).
+goes through estimate_moments, one region per call, which also samples
+that region minus each of a list of sites p without factoring it: G on it
+follows from one more column of the region's factor, by the Schur complement
+G^{(Lambda \\ {p})}(x, y) = G(x, y) - G(x, p) G(p, y) / G(p, p).  The
+ceiling check's family is the full box with such sites, then a half box.
 
 The single-site integral is computed by a fixed Gauss-Legendre rule in
 numpy, vectorised over B: after the substitution t = eta sinh u, with
@@ -56,11 +56,11 @@ from numpy.polynomial.legendre import leggauss
 from . import saw
 from .anderson import (Point, Region, SingularSystemError, resolvent_entries,
                        sample_disorder)
-from .critical import gamma_big, gamma_fn, mass
+from .critical import check_s, gamma_big, gamma_fn, mass
 from .parallel import map_ordered, pieces, resolve_workers
 from .rng import site_uniform, substream, unit_open
 
-_DELETION_VARIANTS = 2  # boxes minus one random site in default_region_family
+_DELETION_VARIANTS = 2  # random sites default_region_family deletes
 #: byte cap on the stacked solutions of one block of samples (_block_size;
 #: 14 samples of one column at d=2, L=8)
 _BLOCK_BYTES = 1 << 16
@@ -92,9 +92,10 @@ class InsufficientDataError(Exception):
 @dataclass
 class MomentEstimate:
     """Sample mean of |G_z(x, y)|^s with its standard error.  An estimate on
-    a region derived from a larger region's factor (estimate_moments)
-    carries its cancellation: the largest |G(x, p) G(p, y) / G(p, p)| /
-    |G^{(Lambda \\ {p})}(x, y)| over its samples."""
+    a region minus one site p, derived from the region's factor
+    (estimate_moments), carries its cancellation: the largest
+    |G(x, p) G(p, y) / G(p, p)| / |G^{(Lambda \\ {p})}(x, y)| over its
+    samples."""
 
     s: float
     z: complex
@@ -183,84 +184,57 @@ def _moment_chunk(task) -> np.ndarray:
     return np.abs(_entries(region, lam, blocks, z, pairs, deleted)) ** s
 
 
-def _deleted_site(base: Region, region: Region) -> Optional[Point]:
-    """p when region is base.without(p), else None."""
-    extra = region.deleted - base.deleted
-    if (len(extra) == 1 and base.deleted < region.deleted
-            and (base.dimension, base.L) == (region.dimension, region.L)):
-        return next(iter(extra))
-    return None
+def estimate_moments(region: Region, lam: float, s: float, z: complex,
+                     pairs: Sequence[tuple[Point, Point]], n_samples: int,
+                     seed: int, workers: Optional[int] = None,
+                     deleted: Sequence[Point] = ()) -> list[MomentEstimate]:
+    """Monte Carlo E|G_z(x, y)|^s for several pairs from shared solves on the
+    region, then on region.without(p) for each site p of deleted.
 
-
-def estimate_moments(regions: Region | Sequence[Region], lam: float, s: float,
-                     z: complex, pairs: Sequence[tuple[Point, Point]],
-                     n_samples: int, seed: int,
-                     workers: Optional[int] = None) -> list[MomentEstimate]:
-    """Monte Carlo E|G_z(x, y)|^s for several pairs from shared solves, in
-    one Region or each of a sequence of them.
-
-    Returns one estimate per (region, pair), region-major.  Every region uses
-    the same samples, from one map_ordered call (one worker pool) over all
-    their chunks, or at one worker from a loop, which nests no section in
-    verify's pooled moment task (perfbench's tracer cannot): sample k uses
+    Returns one estimate per (region, pair), region-major.  Sample k uses
     substream(seed, k), and values reduce in k order, so mean and stderr are
-    bit-identical for any worker count.  A region base.without(p), for an earlier region base of the
-    call, derives its values from base's factor (_entries), and its
-    estimates carry that derivation's largest cancellation.  Every other
-    region is factored once per sample.
+    bit-identical for any worker count; the chunks run in one map_ordered
+    call (one worker pool), or at one worker in a loop, which nests no
+    section in verify's pooled moment task (perfbench's tracer cannot).  The
+    region is factored once per sample; each region.without(p) derives its
+    values from that factor (_entries), and its estimates carry the
+    derivation's largest cancellation.  Every p must be a site of the region
+    and none of the pairs' points.
     """
-    if isinstance(regions, Region):
-        regions = [regions]
-    if not (0.0 < s < 1.0):
-        raise ValueError(f"s must lie in (0, 1), got {s}")
+    check_s(s)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not pairs:
         raise ValueError("need at least one (x, y) pair")
     pairs = [(tuple(x), tuple(y)) for x, y in pairs]
-    for region in regions:
-        for x, y in pairs:
-            if x not in region.index or y not in region.index:
-                raise ValueError(f"pair ({x}, {y}) not inside the region")
-    # factored region -> the (region, deleted site) pairs derived from it
-    plan: dict[int, list[tuple[int, Point]]] = {}
-    for i, region in enumerate(regions):
-        for j in plan:
-            p = _deleted_site(regions[j], region)
-            if p is not None:
-                plan[j].append((i, p))
-                break
-        else:
-            plan[i] = []
+    for x, y in pairs:
+        if x not in region.index or y not in region.index:
+            raise ValueError(f"pair ({x}, {y}) not inside the region")
+    deleted = [tuple(p) for p in deleted]
+    for p in deleted:
+        if p not in region.index:
+            raise ValueError(f"deleted site {p} not inside the region")
+        if any(p in pair for pair in pairs):
+            raise ValueError(f"deleted site {p} is a point of the pairs")
     workers = resolve_workers(workers)
-    spans = pieces(n_samples, workers)
-    tasks = [(regions[j], lam, s, complex(z), pairs, seed, ks.start, ks.stop,
-              *(p for _, p in derived))
-             for j, derived in plan.items() for ks in spans]
+    tasks = [(region, lam, s, complex(z), pairs, seed, ks.start, ks.stop,
+              *deleted) for ks in pieces(n_samples, workers)]
     chunks = (map_ordered(_moment_chunk, tasks, workers) if workers > 1
               else list(map(_moment_chunk, tasks)))
-    values, cancellation = {}, {}
-    for t, (j, derived) in enumerate(plan.items()):
-        # per sample: the region, its derived regions, then their corrections
-        vals = np.vstack(chunks[t * len(spans):(t + 1) * len(spans)]).reshape(
-            n_samples, 1 + 2 * len(derived), len(pairs))
-        values[j] = vals[:, 0]
-        for a, (i, _) in enumerate(derived, start=1):
-            values[i] = vals[:, a]
-            # (|c|^s / |G|^s)^(1/s) = |c| / |G|
-            cancellation[i] = np.max(vals[:, a + len(derived)] / values[i],
-                                     axis=0) ** (1.0 / s)
+    # per sample: the region, its derived regions, then their corrections
+    m = 1 + len(deleted)
+    vals = np.vstack(chunks).reshape(n_samples, 2 * m - 1, len(pairs))
+    # (|c|^s / |G|^s)^(1/s) = |c| / |G|
+    ratios = [None, *np.max(vals[:, m:] / vals[:, 1:m], axis=0) ** (1.0 / s)]
     out = []
-    for i in range(len(regions)):
-        ratio = cancellation.get(i)
+    for a, ratio in enumerate(ratios):
         for j, (x, y) in enumerate(pairs):
-            col = values[i][:, j]
-            mean = float(col.mean())
-            stderr = (float(col.std(ddof=1) / math.sqrt(n_samples))
-                      if n_samples > 1 else None)
+            col = vals[:, a, j]
             out.append(MomentEstimate(
-                s=s, z=complex(z), x=x, y=y, n_samples=n_samples, mean=mean,
-                stderr=stderr,
+                s=s, z=complex(z), x=x, y=y, n_samples=n_samples,
+                mean=float(col.mean()),
+                stderr=(float(col.std(ddof=1) / math.sqrt(n_samples))
+                        if n_samples > 1 else None),
                 cancellation=None if ratio is None else float(ratio[j])))
     return out
 
@@ -365,8 +339,7 @@ def apriori_integral(lam: float, s: float, b):
     (0 < |Im b| << 1) the rule resolves the width-eta peak in log(1/eta)
     unit panels.
     """
-    if not (0.0 < s < 1.0):
-        raise ValueError(f"s must lie in (0, 1), got {s}")
+    check_s(s)
     if lam <= 0:
         raise ValueError("lambda must be positive")
     bs = np.asarray(b, dtype=complex)
@@ -407,23 +380,20 @@ def ceiling_value(series: saw.WalkSeries, lam: float, diff: Point) -> float:
 
 
 def default_region_family(dimension: int, L: int, keep: Sequence[Point] = (),
-                          seed: int = 0) -> list[Region]:
-    """Region family realizing the sup over volumes in the ceiling check:
-    the full box, boxes minus one random site outside keep (when the box
-    has such a site), and a half box.  The boxes minus one site are
-    full.without(p), so estimate_moments derives them from the full box's
-    factor; the full box and the half box are factored."""
+                          seed: int = 0) -> tuple[list[Point], Region]:
+    """(sites, half box), the ceiling check's volumes beside the full box.
+    sites are random sites outside keep (none when every site is in keep),
+    whose boxes minus one site estimate_moments derives from the full box's
+    factor as its deleted; the half box, without the sites x_1 < 0 outside
+    keep, is factored on its own."""
     full = Region(dimension=dimension, L=L)
     keep = {tuple(p) for p in keep}
-    family = [full]
     candidates = [p for p in full.sites if p not in keep]
-    for v in range(_DELETION_VARIANTS if candidates else 0):
-        pick = candidates[int(unit_open(seed, (v,)) * len(candidates))]
-        family.append(full.without(pick))
+    sites = [candidates[int(unit_open(seed, (v,)) * len(candidates))]
+             for v in range(_DELETION_VARIANTS if candidates else 0)]
     half_deleted = [p for p in full.sites if p[0] < 0 and p not in keep]
-    family.append(Region(dimension=dimension, L=L,
-                         deleted=frozenset(map(tuple, half_deleted))))
-    return family
+    return sites, Region(dimension=dimension, L=L,
+                         deleted=frozenset(half_deleted))
 
 
 # --- decay-rate fit ---

@@ -441,19 +441,24 @@ def test_verify_identity_checks_pass(capsys):
     assert doc["result"]["all_passed"]
 
 
+def _random_site(region, seed, tag):
+    return region.sites[int(unit_open(seed, (tag,)) * region.n_sites)]
+
+
 def _identity_case_by_scan(dim, L, seed, t):
-    """cli._identity_case's region, x and y, with y from a plain scan of the
-    box walk's surviving sites for the points at l1 distance 1 or 2 from x."""
+    """cli._identity_case's region, x and y, with each site drawn from a
+    Region's site list and y from a plain scan of the box walk's surviving
+    sites for the points at l1 distance 1 or 2 from x."""
     s0 = substream(seed, t)
     box = anderson.Region(dimension=dim, L=L)
     deleted, k = [], 0
     while len(deleted) < min(t % 3, box.n_sites - 1):
-        cand = cli._random_site(box, s0, 100 + k)
+        cand = _random_site(box, s0, 100 + k)
         k += 1
         if cand not in deleted:
             deleted.append(cand)
     region = anderson.make_region(dim, L, deleted)
-    x = cli._random_site(region, s0, 2)
+    x = _random_site(region, s0, 2)
     box = itertools.product(range(-L, L + 1), repeat=dim)
     nearby = [p for p in box if p not in region.deleted
               and 1 <= sum(abs(a - b) for a, b in zip(p, x)) <= 2]
@@ -915,12 +920,15 @@ def test_verify_ceiling_on_a_box_of_pair_points(tmp_path, capsys):
     assert check["detail"]["regions"] == 2
 
 
-@pytest.mark.parametrize("lam, moment_regions", [
-    ("30", 4),  # the four family regions in one run; decay reuses the full box
-    ("5", 1),   # ceiling skipped before sampling; decay samples the box
+@pytest.mark.parametrize("lam, runs, moment_regions", [
+    # the four family regions in two runs (the full box with its two
+    # derived boxes, then the half box); decay reuses the full box
+    pytest.param("30", 2, 4, id="30-4"),
+    # ceiling skipped before sampling; decay samples the box
+    pytest.param("5", 1, 1, id="5-1"),
 ])
 def test_verify_shares_series_and_box_estimates(capsys, monkeypatch, lam,
-                                                moment_regions):
+                                                runs, moment_regions):
     calls = {"walks": 0, "runs": 0, "regions": 0}
     walks, sample = cli.saw.enumerate_walks, cli.moments.estimate_moments
 
@@ -928,11 +936,10 @@ def test_verify_shares_series_and_box_estimates(capsys, monkeypatch, lam,
         calls["walks"] += 1
         return walks(*args, **kwargs)
 
-    def counted_sample(regions, *args, **kwargs):
+    def counted_sample(*args, **kwargs):
         calls["runs"] += 1
-        calls["regions"] += (1 if isinstance(regions, cli.anderson.Region)
-                             else len(regions))
-        return sample(regions, *args, **kwargs)
+        calls["regions"] += 1 + len(kwargs.get("deleted", ()))
+        return sample(*args, **kwargs)
 
     monkeypatch.setattr(cli.saw, "enumerate_walks", counted_walks)
     monkeypatch.setattr(cli.moments, "estimate_moments", counted_sample)
@@ -942,7 +949,7 @@ def test_verify_shares_series_and_box_estimates(capsys, monkeypatch, lam,
     assert code in (0, 1)
     names = [c["name"] for c in json.loads(out)["result"]["checks"]]
     assert names == ["ceiling", "decay"]  # table order, not --only order
-    assert calls == {"walks": 1, "runs": 1, "regions": moment_regions}
+    assert calls == {"walks": 1, "runs": runs, "regions": moment_regions}
 
 
 @pytest.mark.parametrize("lam", ["30", "5"])  # at 5 the ceiling is unavailable

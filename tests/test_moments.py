@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,14 +129,16 @@ def test_estimate_csv_layout():
 SOLVER_LAM = 30.0
 SOLVER_SEED = 11
 SOLVER_SAMPLES = 12
-_FAMILY = moments.default_region_family(2, 4, keep=[(0, 0), (4, 0)], seed=2)
+_BOX = anderson.Region(dimension=2, L=4)
+_SITES, _HALF = moments.default_region_family(2, 4, keep=[(0, 0), (4, 0)],
+                                              seed=2)
 #: the edge rows p[1] = 3 and half of p[1] = -3 deleted: a narrower band
 _NARROW = anderson.make_region(2, 3, [(a, 3) for a in range(-3, 4)]
                                + [(a, -3) for a in range(-3, 1)])
 SOLVER_REGIONS = {
-    "box": _FAMILY[0],
-    "box-minus-site": _FAMILY[1],
-    "half-box": _FAMILY[3],
+    "box": _BOX,
+    "box-minus-site": _BOX.without(_SITES[0]),
+    "half-box": _HALF,
     "d1-L0": anderson.Region(dimension=1, L=0),
     "d1-L6": anderson.Region(dimension=1, L=6),
     "d3-L2": anderson.Region(dimension=3, L=2),
@@ -400,10 +403,10 @@ def test_ceiling_unavailable_when_divergent(series_d2):
 
 
 def test_theorem_ceiling_one_pool_for_the_family(monkeypatch):
-    # every region's chunks run in one pool, and the family's estimates are
-    # bit-identical at any worker count; the boxes minus one site derive from
-    # the full box's factor, so they meet their own estimate_moments calls,
-    # which factor them, to roundoff
+    # the full box and the boxes minus one site it derives share one pool,
+    # and their estimates are bit-identical at any worker count; the derived
+    # estimates meet those of estimate_moments calls that factor the boxes
+    # minus one site themselves, to roundoff
     starts = []
 
     class CountingPool(parallel.ProcessPoolExecutor):
@@ -412,22 +415,46 @@ def test_theorem_ceiling_one_pool_for_the_family(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
-    family = moments.default_region_family(2, 3, keep=[(0, 0), (2, 0)], seed=5)
+    full = anderson.Region(dimension=2, L=3)
+    sites, _ = moments.default_region_family(2, 3, keep=[(0, 0), (2, 0)],
+                                             seed=5)
     pairs = [((1, 0), (0, 0)), ((2, 0), (0, 0))]
     s = critical.s_crit(30.0)
-    pooled = moments.estimate_moments(family, 30.0, s, Z, pairs, 12, 3,
-                                      workers=2)
+    pooled = moments.estimate_moments(full, 30.0, s, Z, pairs, 12, 3,
+                                      workers=2, deleted=sites)
     assert starts == [2]
-    serial = moments.estimate_moments(family, 30.0, s, Z, pairs, 12, 3,
-                                      workers=1)
+    serial = moments.estimate_moments(full, 30.0, s, Z, pairs, 12, 3,
+                                      workers=1, deleted=sites)
     assert [(e.x, e.mean, e.stderr, e.cancellation) for e in pooled] == \
         [(e.x, e.mean, e.stderr, e.cancellation) for e in serial]
-    alone = [e for region in family for e in moments.estimate_moments(
-        region, 30.0, s, Z, pairs, 12, 3, workers=1)]
+    alone = [e for region in [full] + [full.without(p) for p in sites]
+             for e in moments.estimate_moments(region, 30.0, s, Z, pairs, 12,
+                                               3, workers=1)]
     assert [e.x for e in pooled] == [e.x for e in alone]
     for e, a in zip(pooled, alone):
         assert e.mean == pytest.approx(a.mean, rel=1e-12, abs=0.0)
         assert e.stderr == pytest.approx(a.stderr, rel=1e-12, abs=0.0)
+    assert [e.cancellation is None for e in pooled] == [True] * 2 + [False] * 4
+
+
+@pytest.mark.parametrize("site, message", [
+    ((4, 0), "deleted site (4, 0) not inside the region"),
+    ((2, 0), "deleted site (2, 0) is a point of the pairs"),
+    ((0, 0), "deleted site (0, 0) is a point of the pairs"),
+], ids=["off-region", "pair-x", "pair-y"])
+def test_bad_deleted_site_raises_before_sampling(monkeypatch, site, message):
+    # a site off the region, or one of the pairs' points, is named before
+    # any chunk runs or any worker pool starts
+    calls = []
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: calls.append("pool"))
+    monkeypatch.setattr(moments, "_moment_chunk",
+                        lambda task: calls.append("chunk"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        moments.estimate_moments(anderson.Region(dimension=2, L=3), 30.0, 0.5,
+                                 Z, [((2, 0), (0, 0))], 12, 3, workers=2,
+                                 deleted=[(1, 1), site])
+    assert calls == []
 
 
 @pytest.mark.parametrize("z", [Z, 0.37 + 0.0j], ids=["im-z", "real-z"])
@@ -473,26 +500,23 @@ def test_deletion_variants_raise_at_a_pole(monkeypatch, planted):
         return g
 
     monkeypatch.setattr(moments, "resolvent_entries", planted_entries)
-    region = small_region(2)
-    family = [region, region.without((2, 2))]
     with np.errstate(invalid="ignore"), \
             pytest.raises(anderson.SingularSystemError):
-        moments.estimate_moments(family, 30.0, 0.5, Z, [((1, 0), (0, 0))],
-                                 4, 0)
+        moments.estimate_moments(small_region(2), 30.0, 0.5, Z,
+                                 [((1, 0), (0, 0))], 4, 0, deleted=[(2, 2)])
 
 
 def test_region_family_shapes():
-    fam = moments.default_region_family(2, 3, keep=[(0, 0), (1, 0)], seed=1)
-    assert len(fam) == 4
-    full, a, b, half = fam
-    assert full.n_sites == 49
-    assert a.n_sites == 48 and b.n_sites == 48
-    assert (0, 0) in a and (1, 0) in a
+    sites, half = moments.default_region_family(2, 3, keep=[(0, 0), (1, 0)],
+                                                seed=1)
+    assert len(sites) == 2
+    full = anderson.Region(dimension=2, L=3)
+    assert all(p in full and p not in [(0, 0), (1, 0)] for p in sites)
     assert half.n_sites == 49 - 3 * 7  # x1 < 0 rows removed
-    assert all((0, 0) in r for r in fam)
-    # no site outside keep: no deletion variant, and the half box is full
-    one = moments.default_region_family(1, 0, keep=[(0,)], seed=1)
-    assert one == [anderson.Region(dimension=1, L=0)] * 2
+    assert (0, 0) in half and (1, 0) in half
+    # no site outside keep: no site to delete, and the half box is full
+    assert moments.default_region_family(1, 0, keep=[(0,)], seed=1) == \
+        ([], anderson.Region(dimension=1, L=0))
 
 
 def test_moments_decrease_with_disorder():
